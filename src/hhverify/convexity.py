@@ -7,7 +7,20 @@ the grid within slack".  Failures are exact and come back as witnesses.
 
 Grid policy: x and y share one grid (so the x = y diagonal, where the s < 1
 degeneracy bites, is always included); the t grid has odd size, so 0, 1/2
-and 1 are grid points (the equality/extremal cases).
+and 1 are grid points (the equality/extremal cases).  Cube points are
+clipped to [a, b], so g is never sampled outside the interval.
+
+Cost, with n = grid_points rounded up to odd: every class check compares
+an n^3 cube of (x, y, t) points in one kernel, ``_compare``, a slab of x
+rows at a time.  For ``AbsPower(fprime, q)``, the |f'|^q that the bounds'
+hypotheses are about, |fprime| is sampled once per (fprime, a, b, n): on
+the x grid, on the linear cube t*x + (1-t)*y and on the geometric cube
+x^t * y^(1-t), each on first use.  Each further (s, q) on that interval
+then costs a power of the sample and a few O(n^3) array passes, and
+``theorem_hypotheses`` runs the monotone check and |f'(a)| once per
+interval.  Only the latest interval's sample is kept: read-only, it holds
+the two point cubes and |fprime| on them, four n^3 float64 arrays
+(about 9 MB at n = 65).
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ import numpy as np
 from .errors import DomainError, NegativeValueError, NonPositiveValueError
 
 __all__ = [
-    "ClassCheckConfig", "Witness", "CheckResult", "HypothesisReport",
+    "ClassCheckConfig", "Witness", "CheckResult", "HypothesisReport", "AbsPower",
     "is_convex", "is_s_convex", "is_geometrically_convex",
     "is_s_geometrically_convex", "is_monotone_decreasing",
     "check_pointwise_key", "theorem_hypotheses",
@@ -30,6 +43,10 @@ __all__ = [
 # Above this magnitude, inequality comparisons move to log scale so that
 # huge |f'|^q values do not distort the slack.
 _LOG_SCALE_CUTOFF = 1e3
+
+# Points per slab of the comparison.  Slabs this small stay in cache, and
+# their temporaries come from the heap instead of fresh page-faulted maps.
+_SLAB_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,10 +82,24 @@ class CheckResult:
         return self.ok
 
 
-def _grid_values(g: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate g on an array, falling back to a scalar loop, and reject
-    non-finite values with the offending point named."""
-    flat = np.ravel(xs)
+@dataclass(frozen=True)
+class AbsPower:
+    """x -> |fprime(x)|^q, the map the bounds' class hypotheses are about.
+
+    The checks recognise it and sample |fprime| once per grid, so another q
+    or s on the same interval costs a power and a comparison, not a
+    re-evaluation.  fprime must be a pure function.
+    """
+    fprime: Callable
+    q: float = 1.0
+
+    def __call__(self, x):
+        return np.abs(self.fprime(x)) ** self.q
+
+
+def _evaluate(g: Callable, pts: np.ndarray) -> np.ndarray:
+    """g on an array of points, falling back to a scalar loop."""
+    flat = np.ravel(pts)
     try:
         vals = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape).copy()
     except DomainError:
@@ -77,31 +108,125 @@ def _grid_values(g: Callable, xs: np.ndarray) -> np.ndarray:
         vals = np.empty_like(flat)
         for i, x in enumerate(flat):
             vals[i] = float(g(float(x)))
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(float(flat[i]), "function not finite at grid point")
-    return vals.reshape(np.shape(xs))
+    return vals.reshape(np.shape(pts))
 
 
-def _violations(lhs: np.ndarray, rhs: np.ndarray, slack: float) -> np.ndarray:
-    both_big = (lhs > _LOG_SCALE_CUTOFF) & (rhs > _LOG_SCALE_CUTOFF)
-    plain = lhs > rhs + slack
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logged = np.log(np.maximum(lhs, 1e-300)) > np.log(np.maximum(rhs, 1e-300)) + slack
-    return np.where(both_big, logged, plain)
+def _clip(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # Every point lies between x and y in exact arithmetic, but rounding
+    # puts some one ulp outside [xs[0], xs[-1]]: g is sampled on the
+    # interval only.
+    return np.clip(pts, xs[0], xs[-1], out=pts)
 
 
-def _collect(viol: np.ndarray, xs: np.ndarray, ts: np.ndarray,
-             lhs: np.ndarray, rhs: np.ndarray, cfg: ClassCheckConfig) -> CheckResult:
-    idx = np.argwhere(viol)
-    count = int(idx.shape[0])
-    wit = tuple(
-        Witness(float(xs[i]), float(xs[j]), float(ts[k]),
-                float(lhs[i, j, k]), float(rhs[i, j, k]))
-        for i, j, k in idx[:cfg.max_witnesses]
-    )
-    return CheckResult(count == 0, wit, count)
+def _linear_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """t*x + (1-t)*y at [i, j, k] = (xs[i], xs[j], ts[k])."""
+    t = ts[None, None, :]
+    return _clip(t * xs[:, None, None] + (1.0 - t) * xs[None, :, None], xs)
+
+
+def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """x^t * y^(1-t), computed in log space, at [i, j, k]."""
+    t = ts[None, None, :]
+    lnx = np.log(xs)
+    return _clip(np.exp(t * lnx[:, None, None] + (1.0 - t) * lnx[None, :, None]), xs)
+
+
+class _PairSample:
+    """|fprime| on the grid of one interval, each point set evaluated on
+    first use and kept read-only, plus memoised per-interval results."""
+
+    def __init__(self, fprime: Callable, xs: np.ndarray, ts: np.ndarray):
+        self.fprime = fprime
+        self.key = (xs[0], xs[-1], len(xs))
+        self.xs = xs
+        self.ts = ts
+        self._memo: dict = {}
+
+    def memo(self, key, compute: Callable):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def abs_on(self, cube: Callable | None) -> tuple[np.ndarray, np.ndarray]:
+        """(points, |fprime| there) on the x grid, or on cube(xs, ts)."""
+        def sample():
+            pts = self.xs if cube is None else cube(self.xs, self.ts)
+            vals = np.abs(_evaluate(self.fprime, pts))
+            pts.flags.writeable = False
+            vals.flags.writeable = False
+            return pts, vals
+        return self.memo(cube, sample)
+
+
+# Callers reach the checks through their public signatures only, so the
+# sample is kept here.  One slot: a sweep finishes each interval before the
+# next, and memory stays at one interval's cubes.
+_latest_sample: _PairSample | None = None
+
+
+def _pair_sample(fprime: Callable, xs: np.ndarray, ts: np.ndarray) -> _PairSample:
+    global _latest_sample
+    sample = _latest_sample
+    if (sample is None or sample.fprime is not fprime
+            or sample.key != (xs[0], xs[-1], len(xs))):
+        sample = _latest_sample = _PairSample(fprime, xs, ts)
+    return sample
+
+
+def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
+             cube: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(points, g there) on the x grid, or on cube(xs, ts); a non-finite
+    value raises DomainError naming its point."""
+    if isinstance(g, AbsPower):
+        pts, vals = _pair_sample(g.fprime, xs, ts).abs_on(cube)
+        if g.q != 1.0:
+            vals = vals ** g.q
+    else:
+        pts = xs if cube is None else cube(xs, ts)
+        vals = _evaluate(g, pts)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(float(pts.flat[i]), "function not finite at grid point")
+    return pts, vals
+
+
+def _require_positive(pts: np.ndarray, vals: np.ndarray) -> None:
+    if vals.min() <= 0.0:
+        i = int(np.argmax(vals <= 0.0))
+        raise NonPositiveValueError(float(pts.flat[i]), float(vals.flat[i]))
+
+
+def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
+             ts: np.ndarray, cfg: ClassCheckConfig) -> CheckResult:
+    """Violations of lhs <= rhs + slack over an (x, y, t) cube.  Where both
+    sides exceed _LOG_SCALE_CUTOFF the test is ln lhs <= ln rhs + slack.
+    Witnesses are the first max_witnesses violations in C order.
+
+    rhs_rows(rows) gives rhs on the x rows ``rows``; the cube is compared a
+    slab of rows at a time, so the temporaries stay small.
+    """
+    n = len(xs)
+    step = max(1, _SLAB_POINTS // (n * n))
+    count = 0
+    wit: list[Witness] = []
+    for i0 in range(0, n, step):
+        rows = slice(i0, i0 + step)
+        left, right = lhs[rows], rhs_rows(rows)
+        viol = left > right + cfg.slack
+        big = left > _LOG_SCALE_CUTOFF
+        if big.any():
+            big &= right > _LOG_SCALE_CUTOFF
+            viol[big] = np.log(left[big]) > np.log(right[big]) + cfg.slack
+        found = int(np.count_nonzero(viol))
+        if found and len(wit) < cfg.max_witnesses:
+            first = np.flatnonzero(viol)[:cfg.max_witnesses - len(wit)]
+            wit.extend(
+                Witness(float(xs[i0 + i]), float(xs[j]), float(ts[k]),
+                        float(left[i, j, k]), float(right[i, j, k]))
+                for i, j, k in zip(*np.unravel_index(first, viol.shape)))
+        count += found
+    return CheckResult(count == 0, tuple(wit), count)
 
 
 def _axes(interval: tuple[float, float], cfg: ClassCheckConfig):
@@ -118,12 +243,12 @@ def is_convex(g: Callable, interval: tuple[float, float],
               cfg: ClassCheckConfig = ClassCheckConfig()) -> CheckResult:
     """g(t*x + (1-t)*y) <= t*g(x) + (1-t)*g(y) on the grid."""
     xs, ts = _axes(interval, cfg)
-    gx = _grid_values(g, xs)
+    _, gx = _sampled(g, xs, ts)
+    _, lhs = _sampled(g, xs, ts, _linear_cube)
     t = ts[None, None, :]
-    pts = t * xs[:, None, None] + (1.0 - t) * xs[None, :, None]
-    lhs = _grid_values(g, pts)
-    rhs = t * gx[:, None, None] + (1.0 - t) * gx[None, :, None]
-    return _collect(_violations(lhs, rhs, cfg.slack), xs, ts, lhs, rhs, cfg)
+    return _compare(
+        lhs, lambda rows: t * gx[rows, None, None] + (1.0 - t) * gx[None, :, None],
+        xs, ts, cfg)
 
 
 def is_s_convex(g: Callable, interval: tuple[float, float], s: float,
@@ -137,16 +262,17 @@ def is_s_convex(g: Callable, interval: tuple[float, float], s: float,
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
     xs, ts = _axes(interval, cfg)
-    gx = _grid_values(g, xs)
+    _, gx = _sampled(g, xs, ts)
     neg = gx < -cfg.slack
     if neg.any():
         i = int(np.argmax(neg))
         raise NegativeValueError(float(xs[i]), float(gx[i]))
+    _, lhs = _sampled(g, xs, ts, _linear_cube)
     t = ts[None, None, :]
-    pts = t * xs[:, None, None] + (1.0 - t) * xs[None, :, None]
-    lhs = _grid_values(g, pts)
-    rhs = t ** s * gx[:, None, None] + (1.0 - t) ** s * gx[None, :, None]
-    return _collect(_violations(lhs, rhs, cfg.slack), xs, ts, lhs, rhs, cfg)
+    wx, wy = t ** s, (1.0 - t) ** s
+    return _compare(
+        lhs, lambda rows: wx * gx[rows, None, None] + wy * gx[None, :, None],
+        xs, ts, cfg)
 
 
 def _geometric_check(g: Callable, interval: tuple[float, float], s: float,
@@ -154,25 +280,18 @@ def _geometric_check(g: Callable, interval: tuple[float, float], s: float,
     if not interval[0] > 0.0:
         raise ValueError(f"interval must lie in (0, inf), got {interval}")
     xs, ts = _axes(interval, cfg)
-    gx = _grid_values(g, xs)
-    bad = gx <= 0.0
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonPositiveValueError(float(xs[i]), float(gx[i]))
+    _, gx = _sampled(g, xs, ts)
+    _require_positive(xs, gx)
+    pts, lhs = _sampled(g, xs, ts, _geometric_cube)
+    _require_positive(pts, lhs)
     t = ts[None, None, :]
-    lnx = np.log(xs)
-    # x^t * y^(1-t) in log space; stays between x and y, hence in-interval.
-    pts = np.exp(t * lnx[:, None, None] + (1.0 - t) * lnx[None, :, None])
-    lhs = _grid_values(g, pts)
-    bad = lhs <= 0.0
-    if bad.any():
-        i, j, k = np.argwhere(bad)[0]
-        raise NonPositiveValueError(float(pts[i, j, k]), float(lhs[i, j, k]))
+    wx, wy = t ** s, (1.0 - t) ** s
     lg = np.log(gx)
-    ln_rhs = t ** s * lg[:, None, None] + (1.0 - t) ** s * lg[None, :, None]
-    with np.errstate(over="ignore"):
-        rhs = np.exp(ln_rhs)
-    return _collect(_violations(lhs, rhs, cfg.slack), xs, ts, lhs, rhs, cfg)
+
+    def rhs_rows(rows):
+        with np.errstate(over="ignore"):
+            return np.exp(wx * lg[rows, None, None] + wy * lg[None, :, None])
+    return _compare(lhs, rhs_rows, xs, ts, cfg)
 
 
 def is_geometrically_convex(g: Callable, interval: tuple[float, float],
@@ -202,8 +321,8 @@ def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
     Witnesses use (x, y) for the adjacent pair and carry (lhs, rhs) =
     (g(y), g(x)); t is NaN (not meaningful here).
     """
-    xs, _ = _axes(interval, cfg)
-    gx = _grid_values(g, xs)
+    xs, ts = _axes(interval, cfg)
+    _, gx = _sampled(g, xs, ts)
     viol = gx[1:] > gx[:-1] + cfg.slack
     idx = np.flatnonzero(viol)
     wit = tuple(
@@ -255,15 +374,14 @@ def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
     if not (m.lo <= a and b <= m.hi):
         raise ValueError(f"[{a}, {b}] outside model domain [{m.lo}, {m.hi}]")
 
-    def g_abs(x):
-        return np.abs(m.fprime(x))
-
-    def g_q(x):
-        return np.abs(m.fprime(x)) ** q
-
-    class_res = is_s_geometrically_convex(g_q, (a, b), s, cfg)
-    mono_res = is_monotone_decreasing(g_abs, (a, b), cfg)
-    fpa = float(np.abs(m.fprime(a)))
+    fprime = m.fprime
+    class_res = is_s_geometrically_convex(AbsPower(fprime, q), (a, b), s, cfg)
+    # The class check has just sampled this interval; monotonicity and
+    # |f'(a)| do not depend on (s, q), so they run once per interval.
+    sample = _pair_sample(fprime, *_axes((a, b), cfg))
+    mono_res = sample.memo(("monotone", cfg), lambda: is_monotone_decreasing(
+        AbsPower(fprime), (a, b), cfg))
+    fpa = sample.memo("fprime_a", lambda: float(np.abs(fprime(a))))
     return HypothesisReport(
         class_ok=class_res.ok,
         monotone_decreasing_ok=mono_res.ok,

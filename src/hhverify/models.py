@@ -39,9 +39,6 @@ class FunctionModel:
     def contains(self, a: float, b: float) -> bool:
         return self.lo <= a < b <= self.hi
 
-    def fprime_abs(self, x):
-        return np.abs(self.fprime(x))
-
 
 def _chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
     # Chebyshev-Lobatto points: clustered near the endpoints, endpoints

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import bounds, means
-from .convexity import ClassCheckConfig, is_convex, theorem_hypotheses
+from .convexity import AbsPower, ClassCheckConfig, is_convex, theorem_hypotheses
 from .errors import ConfigError
 from .models import FunctionModel, model_from_spec
 from .records import BoundRecord, make_ratio, sort_records
@@ -180,9 +180,8 @@ class _ModelContext:
     def fprime_q_convex(self, a: float, b: float, q: float) -> bool:
         key = (a, b, q)
         if key not in self.convex_cache:
-            m = self.model
             self.convex_cache[key] = is_convex(
-                lambda x: abs(m.fprime(x)) ** q, (a, b), self.check_cfg).ok
+                AbsPower(self.model.fprime, q), (a, b), self.check_cfg).ok
         return self.convex_cache[key]
 
 

@@ -23,6 +23,11 @@ def ok(label):
     print(f"[{label}] PASS")
 
 
+def fprime_abs(m):
+    """x -> |f'(x)| for a model."""
+    return lambda x: np.abs(m.fprime(x))
+
+
 def test_c1_g_kernel_oracle_equivalence():
     # closed forms vs quadrature on 50 log-spaced alphas (<= 1e-10 relative),
     # series branch vs quadrature (<= 1e-9), exact limits at alpha = 1
@@ -125,7 +130,7 @@ def test_c6_power_family_class_regression():
     cfg = ClassCheckConfig()
     for s in (0.3, 0.5, 0.9):
         m = power_model(s)
-        fp = m.fprime_abs
+        fp = fprime_abs(m)
         assert is_monotone_decreasing(fp, (0.01, 1.0), cfg).ok
         for q in (1.0, 2.0):
             assert is_s_geometrically_convex(lambda x: fp(x) ** q,
@@ -146,9 +151,9 @@ def test_c7_degeneracy_detection():
     # accepted functions sit at or above 1 on the grid
     for s in (0.3, 0.5, 0.9):
         m = power_model(s)
-        assert is_s_geometrically_convex(m.fprime_abs, (0.01, 1.0), s, cfg).ok
+        assert is_s_geometrically_convex(fprime_abs(m), (0.01, 1.0), s, cfg).ok
         xs = np.linspace(0.01, 1.0, cfg.grid_points)
-        assert float(np.min(m.fprime_abs(xs))) >= 1.0 - 1e-9
+        assert float(np.min(fprime_abs(m)(xs))) >= 1.0 - 1e-9
     ok("C7 degeneracy detection")
 
 

@@ -1,0 +1,338 @@
+"""The class-check kernel against the full-cube reference it replaced, the
+log-scale branch, the per-interval |f'| sample, and the cube points."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_expr
+from hhverify import convexity, exprparse
+from hhverify.convexity import (AbsPower, ClassCheckConfig, CheckResult,
+                                Witness, is_convex, is_geometrically_convex,
+                                is_monotone_decreasing, is_s_convex,
+                                is_s_geometrically_convex, theorem_hypotheses)
+from hhverify.errors import (DomainError, NegativeValueError,
+                             NonPositiveValueError)
+from hhverify.models import exp_model, make_model, model_from_expr, power_model
+
+# ---------------------------------------------------------------------------
+# Reference: every check evaluates g on the whole cube, compares plainly and
+# on log scale at every point, and lists violations with argwhere.  The cube
+# points are the module's, so this pins evaluation, sampling and the kernel.
+# ---------------------------------------------------------------------------
+
+_CUTOFF = 1e3
+
+
+def _ref_values(g, pts):
+    flat = np.ravel(pts)
+    try:
+        vals = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape).copy()
+    except DomainError:
+        raise
+    except Exception:
+        vals = np.empty_like(flat)
+        for i, x in enumerate(flat):
+            vals[i] = float(g(float(x)))
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(float(flat[i]), "function not finite at grid point")
+    return vals.reshape(np.shape(pts))
+
+
+def _ref_violations(lhs, rhs, slack):
+    both_big = (lhs > _CUTOFF) & (rhs > _CUTOFF)
+    plain = lhs > rhs + slack
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logged = (np.log(np.maximum(lhs, 1e-300))
+                  > np.log(np.maximum(rhs, 1e-300)) + slack)
+    return np.where(both_big, logged, plain), bool(both_big.any())
+
+
+def _ref_collect(viol, xs, ts, lhs, rhs, cfg):
+    idx = np.argwhere(viol)
+    count = int(idx.shape[0])
+    wit = tuple(
+        Witness(float(xs[i]), float(xs[j]), float(ts[k]),
+                float(lhs[i, j, k]), float(rhs[i, j, k]))
+        for i, j, k in idx[:cfg.max_witnesses]
+    )
+    return CheckResult(count == 0, wit, count)
+
+
+def reference_check(kind, g, interval, s, cfg):
+    """(CheckResult, whether the log-scale branch decided some point)."""
+    xs, ts = convexity._axes(interval, cfg)
+    gx = _ref_values(g, xs)
+    t = ts[None, None, :]
+    if kind == "monotone":
+        viol = gx[1:] > gx[:-1] + cfg.slack
+        idx = np.flatnonzero(viol)
+        wit = tuple(Witness(float(xs[i]), float(xs[i + 1]), math.nan,
+                            float(gx[i + 1]), float(gx[i]))
+                    for i in idx[:cfg.max_witnesses])
+        return CheckResult(len(idx) == 0, wit, int(len(idx))), False
+    if kind in ("convex", "s_convex"):
+        if kind == "s_convex":
+            neg = gx < -cfg.slack
+            if neg.any():
+                i = int(np.argmax(neg))
+                raise NegativeValueError(float(xs[i]), float(gx[i]))
+        pts = convexity._linear_cube(xs, ts)
+        lhs = _ref_values(g, pts)
+        if kind == "convex":
+            rhs = t * gx[:, None, None] + (1.0 - t) * gx[None, :, None]
+        else:
+            rhs = t ** s * gx[:, None, None] + (1.0 - t) ** s * gx[None, :, None]
+    else:
+        bad = gx <= 0.0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonPositiveValueError(float(xs[i]), float(gx[i]))
+        pts = convexity._geometric_cube(xs, ts)
+        lhs = _ref_values(g, pts)
+        bad = lhs <= 0.0
+        if bad.any():
+            i, j, k = np.argwhere(bad)[0]
+            raise NonPositiveValueError(float(pts[i, j, k]), float(lhs[i, j, k]))
+        lg = np.log(gx)
+        ln_rhs = t ** s * lg[:, None, None] + (1.0 - t) ** s * lg[None, :, None]
+        with np.errstate(over="ignore"):
+            rhs = np.exp(ln_rhs)
+    viol, logged = _ref_violations(lhs, rhs, cfg.slack)
+    return _ref_collect(viol, xs, ts, lhs, rhs, cfg), logged
+
+
+def public_check(kind, g, interval, s, cfg):
+    if kind == "monotone":
+        return is_monotone_decreasing(g, interval, cfg)
+    if kind == "convex":
+        return is_convex(g, interval, cfg)
+    if kind == "s_convex":
+        return is_s_convex(g, interval, s, cfg)
+    if s == 1.0:
+        return is_geometrically_convex(g, interval, cfg)
+    return is_s_geometrically_convex(g, interval, s, cfg)
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(over="ignore"):
+            return fn()
+    except (ValueError, ArithmeticError) as e:
+        return (type(e).__name__, str(e))
+
+
+def _const(v):
+    return lambda x: np.full(np.shape(x), v) if np.shape(x) else v
+
+
+def _functions():
+    """(label, g, interval): models through AbsPower, plain callables, and
+    seeded random expressions with their derivatives."""
+    steep = make_model("x^300/300", 1.0, 10.0, f=lambda x: np.power(x, 300.0) / 300.0,
+                       fprime=lambda x: np.power(x, 299.0))
+    cases = []
+    for m, (a, b) in ((exp_model(1.0), (1.0, 2.0)), (exp_model(3.0), (1.0, 2.0)),
+                      (model_from_expr("1/x", 1.0, 2.0), (1.0, 2.0)),
+                      (model_from_expr("1 - ln(x)", 1.0, 2.0), (1.0, 2.0)),
+                      (model_from_expr("x^(-3)", 0.2, 2.0), (0.2, 2.0)),
+                      (power_model(0.5), (0.01, 1.0)), (steep, (1.0, 10.0))):
+        for q in (1.0, 2.0, 4.0):
+            cases.append((f"|{m.name}'|^{q}", AbsPower(m.fprime, q), (a, b)))
+    cases += [("sqrt", np.sqrt, (0.5, 2.0)), ("exp", np.exp, (0.1, 2.0)),
+              ("exp(8x)", lambda x: np.exp(8.0 * np.asarray(x)), (1.0, 2.0)),
+              ("square", lambda x: x * x, (0.5, 2.0)),
+              ("const 0.5", _const(0.5), (0.2, 0.8))]
+    rng = np.random.default_rng(20240611)
+    for n in range(10):
+        tree = random_expr(rng, 3)
+        dtree = exprparse.differentiate(tree)
+        cases.append((f"expr{n}", lambda x, e=tree: exprparse.eval_array(e, x), (0.5, 2.0)))
+        cases.append((f"|expr{n}'|^2",
+                      AbsPower(lambda x, e=dtree: exprparse.eval_array(e, x), 2.0),
+                      (0.5, 2.0)))
+    return cases
+
+
+_CHECKS = [("convex", 1.0), ("s_convex", 0.3), ("s_convex", 1.0),
+           ("geometric", 0.5), ("geometric", 1.0), ("monotone", 1.0)]
+
+
+def test_kernel_matches_full_cube_reference():
+    cfgs = [ClassCheckConfig(grid_points=9),
+            # witnesses gathered across several slabs
+            ClassCheckConfig(grid_points=33, max_witnesses=5000)]
+    many = logged_cases = errors = 0
+    for label, g, interval in _functions():
+        for cfg, (kind, s) in itertools.product(cfgs, _CHECKS):
+            ref = _outcome(lambda: reference_check(kind, g, interval, s, cfg))
+            got = _outcome(lambda: public_check(kind, g, interval, s, cfg))
+            if isinstance(ref, tuple) and isinstance(ref[0], CheckResult):
+                ref, logged = ref
+                logged_cases += logged
+                many += ref.violation_count > cfg.max_witnesses
+            else:
+                errors += 1
+            assert got == ref, (label, kind, s, cfg)
+    # the set reaches truncated witness lists, the log-scale branch and errors
+    assert many > 0 and logged_cases > 0 and errors > 0
+
+
+def test_kernel_matches_reference_across_many_slabs():
+    cfg = ClassCheckConfig(grid_points=65, max_witnesses=300)
+    for g, interval in ((AbsPower(exp_model(1.0).fprime, 2.0), (1.0, 2.0)),
+                        (_const(0.5), (0.2, 0.8))):
+        for kind, s in (("convex", 1.0), ("geometric", 0.5)):
+            ref, _ = reference_check(kind, g, interval, s, cfg)
+            assert public_check(kind, g, interval, s, cfg) == ref
+
+
+# ---------------------------------------------------------------------------
+# Log-scale branch
+# ---------------------------------------------------------------------------
+
+def _sqrt_bump(level):
+    # concave: at t = 1/2 on [1, 2] the midpoint exceeds the chord by about
+    # 1.8e-7, above the absolute slack 1e-9 but below it relative to 1e6
+    return lambda x: level + 1e-5 * np.sqrt(x)
+
+
+def test_log_scale_decides_when_both_sides_exceed_cutoff():
+    cfg = ClassCheckConfig(grid_points=9)
+    g = _sqrt_bump(1e6)
+    xs, ts = convexity._axes((1.0, 2.0), cfg)
+    t = ts[None, None, :]
+    lhs = g(convexity._linear_cube(xs, ts))
+    rhs = t * g(xs)[:, None, None] + (1.0 - t) * g(xs)[None, :, None]
+    assert (lhs > rhs + cfg.slack).any()          # the plain test would fail it
+    res = is_convex(g, (1.0, 2.0), cfg)
+    assert res.ok and res.violation_count == 0 and res.witnesses == ()
+
+
+def test_plain_comparison_below_cutoff():
+    res = is_convex(_sqrt_bump(1e2), (1.0, 2.0), ClassCheckConfig(grid_points=9))
+    assert not res.ok
+    assert all(w.lhs > w.rhs + 1e-9 for w in res.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# The per-interval sample of |f'|
+# ---------------------------------------------------------------------------
+
+CFG = ClassCheckConfig()
+
+
+def fresh(m, a, b, s, q, cfg=CFG):
+    """The hypothesis checks through plain callables, which bypass the sample."""
+    cls = is_s_geometrically_convex(lambda x: np.abs(m.fprime(x)) ** q, (a, b), s, cfg)
+    mono = is_monotone_decreasing(lambda x: np.abs(m.fprime(x)), (a, b), cfg)
+    return (cls.ok, cls.witnesses, mono.ok, mono.witnesses,
+            float(np.abs(m.fprime(a))))
+
+
+def report(m, a, b, s, q, cfg=CFG):
+    rep = theorem_hypotheses(m, a, b, s, q, cfg)
+    return (rep.class_ok, rep.witnesses["class"], rep.monotone_decreasing_ok,
+            rep.witnesses["monotone"], rep.params["fprime_a_abs"])
+
+
+def test_models_sharing_an_interval():
+    ms = [model_from_expr("1/x", 1.0, 2.0), exp_model(1.0),
+          model_from_expr("1 - ln(x)", 1.0, 2.0)]
+    for m in ms + ms[::-1]:
+        assert report(m, 1.0, 2.0, 1.0, 2.0) == fresh(m, 1.0, 2.0, 1.0, 2.0)
+        assert is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG) == \
+            is_convex(lambda x: np.abs(m.fprime(x)) ** 2.0, (1.0, 2.0), CFG)
+
+
+def test_same_interval_at_two_grid_sizes():
+    m = exp_model(1.0)
+    cfgs = [ClassCheckConfig(grid_points=9), ClassCheckConfig(grid_points=33)]
+    for cfg in cfgs + cfgs[::-1] + [ClassCheckConfig(grid_points=8)]:
+        assert report(m, 1.0, 2.0, 0.5, 1.5, cfg) == fresh(m, 1.0, 2.0, 0.5, 1.5, cfg)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_s_q_visit_order(order):
+    m = model_from_expr("x^0.5 - ln(x)", 0.2, 1.0)
+    pts = list(itertools.product((0.3, 0.5, 1.0), (1.0, 2.0, 4.0)))
+    np.random.default_rng(order).shuffle(pts)
+    for s, q in pts:
+        assert report(m, 0.2, 1.0, s, q) == fresh(m, 0.2, 1.0, s, q)
+
+
+def test_overflow_at_large_q_raises_for_that_q_only():
+    # |f'| = x^299 reaches 1e299 on [1, 10]: finite, but its square is not
+    m = make_model("x^300/300", 1.0, 10.0, f=lambda x: np.power(x, 300.0) / 300.0,
+                   fprime=lambda x: np.power(x, 299.0))
+    for qs in ((1.0, 2.0, 1.0), (2.0, 1.0, 2.0)):
+        for q in qs:
+            if q == 1.0:
+                assert theorem_hypotheses(m, 1.0, 10.0, 1.0, q, CFG).class_ok
+                assert is_convex(AbsPower(m.fprime, q), (1.0, 10.0), CFG).ok
+            else:
+                with np.errstate(over="ignore"), pytest.raises(DomainError):
+                    theorem_hypotheses(m, 1.0, 10.0, 1.0, q, CFG)
+                with np.errstate(over="ignore"), pytest.raises(DomainError):
+                    is_convex(AbsPower(m.fprime, q), (1.0, 10.0), CFG)
+
+
+def test_sample_is_read_only():
+    m = model_from_expr("1/x", 1.0, 2.0)
+    theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
+    is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
+    sample = convexity._pair_sample(m.fprime, *convexity._axes((1.0, 2.0), CFG))
+    for cube in (None, convexity._linear_cube, convexity._geometric_cube):
+        for arr in sample.abs_on(cube):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
+
+def test_abs_power_is_the_map_it_names():
+    m = model_from_expr("1 - ln(x)", 1.0, 2.0)
+    xs = np.linspace(1.0, 2.0, 7)
+    np.testing.assert_array_equal(AbsPower(m.fprime, 3.0)(xs), np.abs(m.fprime(xs)) ** 3.0)
+
+
+# ---------------------------------------------------------------------------
+# Every sampled point lies in [a, b]
+# ---------------------------------------------------------------------------
+
+class _Recorder:
+    def __init__(self, fn):
+        self.fn = fn
+        self.lo = math.inf
+        self.hi = -math.inf
+
+    def __call__(self, x):
+        arr = np.asarray(x, dtype=float)
+        self.lo = min(self.lo, float(arr.min()))
+        self.hi = max(self.hi, float(arr.max()))
+        return self.fn(x)
+
+
+def test_sampled_points_stay_in_interval():
+    rng = np.random.default_rng(5)
+    escapes = 0
+    for _ in range(25):
+        a = float(10.0 ** rng.uniform(-3.0, 1.0))
+        b = a * (1.0 + float(10.0 ** rng.uniform(-2.0, 1.0)))
+        for n in (9, 33, 65):
+            cfg = ClassCheckConfig(grid_points=n)
+            xs, ts = convexity._axes((a, b), cfg)
+            t = ts[None, None, :]
+            lin = t * xs[:, None, None] + (1.0 - t) * xs[None, :, None]
+            lnx = np.log(xs)
+            geo = np.exp(t * lnx[:, None, None] + (1.0 - t) * lnx[None, :, None])
+            escapes += (lin.min() < a) + (lin.max() > b) + (geo.min() < a) + (geo.max() > b)
+            for wrap in (lambda r: r, lambda r: AbsPower(r)):
+                rec = _Recorder(np.exp)
+                is_convex(wrap(rec), (a, b), cfg)
+                is_s_geometrically_convex(wrap(rec), (a, b), 1.0, cfg)
+                assert a <= rec.lo and rec.hi <= b, (a, b, n)
+    assert escapes > 0       # unclipped, the cubes do leave the interval

@@ -55,8 +55,8 @@ def gap_integral_form(m, a: float, b: float, tol: float = 1e-10) -> float:
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
 
-    def integrand(t: float) -> float:
-        return (1.0 - 2.0 * t) * float(m.fprime(t * a + (1.0 - t) * b))
+    def integrand(t):
+        return (1.0 - 2.0 * t) * m.fprime(t * a + (1.0 - t) * b)
 
     res = integrate(integrand, 0.0, 1.0, tol=tol)
     return 0.5 * (b - a) * res.value

@@ -32,6 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, NegativeValueError, NonPositiveValueError
+from .models import evaluate_points
 
 __all__ = [
     "ClassCheckConfig", "Witness", "CheckResult", "HypothesisReport", "AbsPower",
@@ -97,20 +98,6 @@ class AbsPower:
         return np.abs(self.fprime(x)) ** self.q
 
 
-def _evaluate(g: Callable, pts: np.ndarray) -> np.ndarray:
-    """g on an array of points, falling back to a scalar loop."""
-    flat = np.ravel(pts)
-    try:
-        vals = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape).copy()
-    except DomainError:
-        raise
-    except Exception:
-        vals = np.empty_like(flat)
-        for i, x in enumerate(flat):
-            vals[i] = float(g(float(x)))
-    return vals.reshape(np.shape(pts))
-
-
 def _clip(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # Every point lies between x and y in exact arithmetic, but rounding
     # puts some one ulp outside [xs[0], xs[-1]]: g is sampled on the
@@ -151,7 +138,7 @@ class _PairSample:
         """(points, |fprime| there) on the x grid, or on cube(xs, ts)."""
         def sample():
             pts = self.xs if cube is None else cube(self.xs, self.ts)
-            vals = np.abs(_evaluate(self.fprime, pts))
+            vals = np.abs(evaluate_points(self.fprime, pts))
             pts.flags.writeable = False
             vals.flags.writeable = False
             return pts, vals
@@ -183,7 +170,7 @@ def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
             vals = vals ** g.q
     else:
         pts = xs if cube is None else cube(xs, ts)
-        vals = _evaluate(g, pts)
+        vals = evaluate_points(g, pts)
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -351,41 +351,50 @@ def evaluate(e: Expr, x: float) -> float:
     return v
 
 
+def _rec_array(n: Expr, xs: np.ndarray):
+    # Module-level, not a closure: a self-referencing nested function would
+    # leave a reference cycle per call that pins xs until the gc runs.
+    # Constants stay Python floats: NumPy broadcasts them, and np.power
+    # takes its square, square-root and reciprocal shortcuts only for a
+    # scalar exponent, so an array gives each point the bits it gets alone.
+    k = n.kind
+    if k == "const":
+        return n.value
+    if k == "var":
+        return xs
+    if k == "neg":
+        return -_rec_array(n.args[0], xs)
+    if k == "exp":
+        return np.exp(_rec_array(n.args[0], xs))
+    if k == "ln":
+        a = _rec_array(n.args[0], xs)
+        return np.log(np.where(a > 0.0, a, np.nan))
+    l = _rec_array(n.args[0], xs)
+    r = _rec_array(n.args[1], xs)
+    if k == "add":
+        return l + r
+    if k == "sub":
+        return l - r
+    if k == "mul":
+        return l * r
+    if k == "div":
+        return np.where(r != 0.0, l / np.where(r != 0.0, r, 1.0), np.nan)
+    return np.power(l, r)
+
+
 def eval_array(e: Expr, xs) -> np.ndarray:
     """Vectorized evaluation; NaN/inf pass through for the caller to screen.
 
     Used by grid checks and quadrature adapters, which detect non-finite
-    samples at the point of consumption and report the offending x.
+    samples at the point of consumption and report the offending x.  The
+    result has the shape of xs, also for an x-free expression.
     """
     xs = np.asarray(xs, dtype=float)
-
-    def rec(n: Expr) -> np.ndarray:
-        k = n.kind
-        if k == "const":
-            return np.full(xs.shape, n.value)
-        if k == "var":
-            return xs
-        if k == "neg":
-            return -rec(n.args[0])
-        if k == "exp":
-            return np.exp(rec(n.args[0]))
-        if k == "ln":
-            a = rec(n.args[0])
-            return np.log(np.where(a > 0.0, a, np.nan))
-        l = rec(n.args[0])
-        r = rec(n.args[1])
-        if k == "add":
-            return l + r
-        if k == "sub":
-            return l - r
-        if k == "mul":
-            return l * r
-        if k == "div":
-            return np.where(r != 0.0, l / np.where(r != 0.0, r, 1.0), np.nan)
-        return np.power(l, r)
-
     with np.errstate(all="ignore"):
-        return rec(e)
+        out = _rec_array(e, xs)
+    if np.shape(out) != xs.shape:
+        out = np.full(xs.shape, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

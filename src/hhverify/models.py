@@ -47,23 +47,39 @@ def _chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * k / (n - 1))
 
 
+def evaluate_points(g: Callable, pts, point: Callable | None = None) -> np.ndarray:
+    """g on an array of points, in one call where g accepts arrays.
+
+    If that call raises anything but DomainError, g is taken as
+    scalar-only and called once per point in C order, through
+    ``point(x)`` (default ``float(g(x))``).  Returns a fresh float array
+    shaped like pts.
+    """
+    flat = np.ravel(pts)
+    try:
+        vals = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape).copy()
+    except DomainError:
+        raise
+    except Exception:
+        vals = np.empty_like(flat)
+        for i, x in enumerate(flat):
+            x = float(x)
+            vals[i] = float(g(x)) if point is None else point(x)
+    return vals.reshape(np.shape(pts))
+
+
 def _probe(name: str, lo: float, hi: float, f: Callable, fprime: Callable) -> None:
     grid = _chebyshev_grid(lo, hi, PROBE_POINTS)
     for label, fn in (("f", f), ("f'", fprime)):
-        try:
-            vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
-        except DomainError:
-            raise
-        except Exception:  # scalar-only callables
-            vals = np.empty_like(grid)
-            for i, x in enumerate(grid):
-                try:
-                    vals[i] = float(fn(float(x)))
-                except DomainError:
-                    raise
-                except Exception as e:
-                    raise DomainError(float(x), f"{label} of model {name!r} failed "
-                                      f"({type(e).__name__})") from None
+        def point(x: float, fn=fn, label=label) -> float:
+            try:
+                return float(fn(x))
+            except DomainError:
+                raise
+            except Exception as e:
+                raise DomainError(x, f"{label} of model {name!r} failed "
+                                  f"({type(e).__name__})") from None
+        vals = evaluate_points(fn, grid, point)
         bad = ~np.isfinite(vals)
         if bad.any():
             x = float(grid[np.argmax(bad)])
@@ -163,18 +179,3 @@ def model_from_spec(spec: Mapping) -> FunctionModel:
     if name and m.name != name:
         m = FunctionModel(name, m.lo, m.hi, m.f, m.fprime, m.params)
     return m
-
-
-def finite_difference(fn: Callable, x: float, h: float | None = None) -> float:
-    """Central difference with the step policy used by the derivative tests."""
-    if h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    return (float(fn(x + h)) - float(fn(x - h))) / (2.0 * h)
-
-
-def _power_weight_gap(s: float, q: float, t: float) -> tuple[float, float]:
-    """The two exponent-gap products that certify the power family's class
-    membership: (s-1)q(t^s - t) and (s-1)q((1-t)^s - (1-t)); both must be <= 0.
-    """
-    c = (s - 1.0) * q
-    return c * (t ** s - t), c * ((1.0 - t) ** s - (1.0 - t))

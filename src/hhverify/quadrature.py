@@ -11,6 +11,18 @@ for larger ones.  Error estimates are the conservative |K15 - G7| local
 differences, which in practice overestimate the true Kronrod error by
 several orders of magnitude.
 
+Integrand calls: each panel calls the integrand once, with a float array
+of its 15 nodes.  An integrand that raises on the array is scalar-only and
+gets the nodes one Python float at a time instead.  The sums are taken in
+Python floats in a fixed order, so the result is the same bits either way
+as long as the array call gives each node the value a one-point call
+would.  The built-in and expression models do.  Python's float ``**``
+and NumPy's can differ in the last bit, and so can a NumPy power whose
+exponent is an array holding 2, 0.5 or -1: it skips the square, square
+root and reciprocal shortcuts a scalar exponent takes.  A non-finite value
+raises NonFiniteSample at the first such node in the order center, then
+c - h*x_j and c + h*x_j for each abscissa x_j.
+
 Contract note for callers: integrands with the |1-2t| kink must be
 pre-split at t = 1/2 (adaptive rules converge slowly across kinks).
 """
@@ -21,7 +33,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample
+from .models import evaluate_points
 
 __all__ = ["QuadResult", "integrate", "mean_integral"]
 
@@ -69,16 +84,26 @@ def _sample(g: Callable[[float], float], x: float) -> float:
     return v
 
 
-def _gk15(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
     """One Kronrod panel; returns (K15 value, |K15 - G7| estimate)."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fc = _sample(g, c)
-    resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
+    # Node order: c, then c - h*x_j, c + h*x_j for each abscissa.
+    nodes = [c]
+    for x in _XGK:
+        x_off = h * x
+        nodes += (c - x_off, c + x_off)
+    vals = evaluate_points(g, nodes, lambda x: _sample(g, x))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise NonFiniteSample(nodes[int(np.argmin(finite))])
+    fx = vals.tolist()
+    # Python floats, summed in a fixed order: the same bits whether g took
+    # the array or fell back to scalar calls.
+    resk = _WGK_CENTER * fx[0]
+    resg = _WG_CENTER * fx[0]
     for j in range(7):
-        x_off = h * _XGK[j]
-        pair = _sample(g, c - x_off) + _sample(g, c + x_off)
+        pair = fx[2 * j + 1] + fx[2 * j + 2]
         resk += _WGK[j] * pair
         if j % 2 == 1:
             resg += _WG[j // 2] * pair
@@ -152,5 +177,5 @@ def mean_integral(m, a: float, b: float, tol: float = 1e-10) -> float:
         raise ValueError(f"need a < b, got ({a}, {b})")
     if not (m.lo <= a and b <= m.hi):
         raise ValueError(f"[{a}, {b}] outside model domain [{m.lo}, {m.hi}]")
-    res = integrate(lambda x: float(m.f(x)), a, b, tol=tol)
+    res = integrate(m.f, a, b, tol=tol)
     return res.value / (b - a)

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -15,7 +16,8 @@ from hhverify.convexity import (ClassCheckConfig, check_pointwise_key,
                                 is_s_geometrically_convex)
 from hhverify.models import exp_model, model_from_expr, power_model
 from hhverify.quadrature import integrate
-from hhverify.records import records_equal, records_text, read_json, write_json
+from hhverify.records import (VERDICTS, records_equal, records_text, read_json,
+                              write_json)
 from hhverify.sweep import PASS_SLACK, run_sweep
 
 
@@ -203,3 +205,22 @@ def test_c10_determinism_and_serialization(default_sweep, tmp_path):
     write_json(records, str(path))
     assert records_equal(read_json(str(path)), records)
     ok("C10 determinism and serialization")
+
+
+# The shipped config's report, pinned.  The residual digest covers the
+# non-wire oracle_residual of every record, as float.hex() in report order,
+# so a rounding change in the quadrature oracle shows even where the CSV's
+# printed digits hide it.
+DEFAULT_CSV_SHA256 = "4cb03320728de59d07b1ab5719eb8254892534359eb30fd87108f409c0a0f867"
+DEFAULT_RESIDUALS_SHA256 = "54f6b17466fd48dcce33224ac28f0e2587a7972dc01857de946a2a71ed1afa48"
+
+
+def test_c11_default_report_bytes(default_sweep):
+    _, records, summary = default_sweep
+    text = records_text(records, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CSV_SHA256
+    counts = [summary["by_verdict"].get(v, 0) for v in VERDICTS]
+    assert (len(records), counts) == (940, [444, 0, 466, 30])
+    residuals = ",".join(r.oracle_residual.hex() for r in records)
+    assert hashlib.sha256(residuals.encode()).hexdigest() == DEFAULT_RESIDUALS_SHA256
+    ok("C11 default report bytes and oracle residuals")

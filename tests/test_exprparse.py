@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -148,3 +149,53 @@ def test_derivative_trees_reparse():
         t = ep.differentiate(random_expr(rng, 3))
         p = ep.pretty(t)
         assert ep.parse(p) == t, p
+
+
+def _x_free_exponents(t) -> bool:
+    if t.kind == "pow" and ep.contains_var(t.args[1]):
+        return False
+    return all(_x_free_exponents(c) for c in t.args)
+
+
+def test_eval_array_matches_pointwise():
+    # An array of points gives, bit for bit, what each point gives alone:
+    # quadrature evaluates a panel's nodes at once and must not change its
+    # sum.  x-dependent exponents are left out: one such as (x + x)/x is
+    # exactly 2 everywhere, and an exponent array of 2s skips the square
+    # shortcut a single point takes.
+    rng = np.random.default_rng(2024)
+    xs = rng.uniform(1e-4, 3.0, 45)
+    trees = [ep.parse(s) for s in ("x^0.2", "1 - ln(x)", "x^0.5 - ln(x)",
+                                   "1/x", "x^-2", "exp(-x)*x^2")]
+    while len(trees) < 200:
+        t = random_expr(rng, int(rng.integers(1, 4)))
+        if _x_free_exponents(t):
+            trees.append(t)
+    for t in trees + [ep.differentiate(t) for t in trees]:
+        whole = ep.eval_array(t, xs)
+        alone = np.array([float(ep.eval_array(t, float(x))) for x in xs])
+        assert whole.shape == xs.shape
+        np.testing.assert_array_equal(whole, alone, err_msg=ep.pretty(t))
+
+
+@pytest.mark.parametrize("src", ["2", "2*3 - 1", "exp(1)", "ln(2)", "1/0"])
+def test_eval_array_x_free_keeps_shape(src):
+    xs = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+    got = ep.eval_array(ep.parse(src), xs)
+    assert got.shape == xs.shape
+    want = float(ep.eval_array(ep.parse(src), 1.5))
+    assert np.array_equal(got, np.full(xs.shape, want), equal_nan=True)
+    assert np.shape(ep.eval_array(ep.parse(src), 1.5)) == ()
+
+
+def test_eval_array_leaves_no_reference_cycle():
+    # A cycle per call would keep each n^3 input alive until the gc ran.
+    tree = ep.differentiate(ep.parse("x^0.5 - ln(x) + 2*x"))
+    xs = np.linspace(0.5, 1.5, 17 ** 3).reshape(17, 17, 17)
+    gc.collect()
+    gc.disable()
+    try:
+        ep.eval_array(tree, xs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

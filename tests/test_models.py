@@ -4,9 +4,23 @@ import numpy as np
 import pytest
 
 from hhverify.errors import DomainError
-from hhverify.models import (_chebyshev_grid, _power_weight_gap, exp_model,
-                             finite_difference, make_model, model_from_expr,
-                             model_from_spec, power_model)
+from hhverify.models import (_chebyshev_grid, exp_model, make_model,
+                             model_from_expr, model_from_spec, power_model)
+
+
+def finite_difference(fn, x: float, h: float | None = None) -> float:
+    """Central difference with the step policy used by the derivative tests."""
+    if h is None:
+        h = 1e-5 * max(1.0, abs(x))
+    return (float(fn(x + h)) - float(fn(x - h))) / (2.0 * h)
+
+
+def _power_weight_gap(s: float, q: float, t: float) -> tuple[float, float]:
+    """The two exponent-gap products that certify the power family's class
+    membership: (s-1)q(t^s - t) and (s-1)q((1-t)^s - (1-t)); both must be <= 0.
+    """
+    c = (s - 1.0) * q
+    return c * (t ** s - t), c * ((1.0 - t) ** s - (1.0 - t))
 
 
 REGISTERED = [

@@ -15,9 +15,9 @@ from .gfuncs import GValue, g_full, g_lower, g_upper
 from .models import (FunctionModel, exp_model, make_model, model_from_expr,
                      power_model)
 from .quadrature import QuadResult, integrate, mean_integral
-from .records import BoundRecord, CSV_COLUMNS, THEOREM_TAGS, VERDICTS
-from .sweep import (SweepConfig, Tolerances, default_config, load_config,
-                    parse_config, run_sweep, summarize)
+from .records import BoundRecord, CSV_COLUMNS, VERDICTS
+from .sweep import (THEOREM_TAGS, SweepConfig, Tolerances, default_config,
+                    load_config, parse_config, run_sweep, summarize)
 from .tightness import TightnessResult, optimize_tightness
 
 __version__ = "0.1.0"

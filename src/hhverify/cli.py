@@ -14,6 +14,7 @@ Exit codes: 0 = no violations, 2 = violations found, 1 = error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -21,11 +22,11 @@ import numpy as np
 from . import bounds, exprparse, means, sweep
 from .convexity import (ClassCheckConfig, is_convex, is_geometrically_convex,
                         is_monotone_decreasing, is_s_convex,
-                        is_s_geometrically_convex, theorem_hypotheses)
+                        is_s_geometrically_convex)
 from .errors import ConfigError, EmptyFeasibleSetError, ParseError
-from .models import exp_model, model_from_expr, power_model
+from .models import FunctionModel, model_from_expr, model_from_spec
 from .records import records_text, write_csv, write_json
-from .tightness import optimize_tightness
+from .tightness import SEARCH_TAGS, optimize_tightness
 
 _CLASS_KINDS = ("convex", "s-convex", "geo-convex", "s-geo-convex", "decreasing")
 
@@ -49,27 +50,16 @@ def _parse_range(text: str) -> tuple[float, float]:
     raise ValueError(f"range must be 'v' or 'lo,hi' with lo <= hi, got {text!r}")
 
 
-def _build_model(args) -> object:
-    if getattr(args, "builtin", None):
-        if args.builtin == "power":
-            if args.s is None:
-                raise ValueError("--builtin power needs --s")
-            kwargs = {}
-            if args.domain:
-                kwargs["lo"], kwargs["hi"] = _parse_domain(args.domain)
-            return power_model(args.s, **kwargs)
-        if args.builtin == "exp":
-            if args.rate is None:
-                raise ValueError("--builtin exp needs --rate")
-            kwargs = {}
-            if args.domain:
-                kwargs["lo"], kwargs["hi"] = _parse_domain(args.domain)
-            return exp_model(args.rate, **kwargs)
-        raise ValueError(f"unknown builtin {args.builtin!r}")
-    if not args.f or not args.domain:
-        raise ValueError("need --f <expr> with --domain lo,hi (or --builtin)")
-    lo, hi = _parse_domain(args.domain)
-    return model_from_expr(args.f, lo, hi)
+def _model(args) -> FunctionModel:
+    """The model named by the model flags; --s doubles as the power
+    family's s."""
+    spec = {key: value for key, value in (("builtin", args.builtin),
+                                          ("expr", args.f), ("s", args.s),
+                                          ("rate", args.rate))
+            if value is not None}
+    if args.domain:
+        spec["domain"] = _parse_domain(args.domain)
+    return model_from_spec(spec)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -125,32 +115,22 @@ def _require_s(args) -> float:
 
 
 def cmd_eval_bound(args) -> int:
-    m = _build_model(args)
+    m = _model(args)
     a, b = args.a, args.b
     s = args.s if args.s is not None else 1.0
     q = args.q if args.q is not None else 2.0
     tag = args.theorem
+    bound = sweep.BOUND_TABLE[tag]
 
-    if tag.startswith("prop"):
-        lhs = means.prop_lhs(a, b, s)
-        rhs = {"prop41": lambda: means.prop41_rhs(a, b, s),
-               "prop32": lambda: means.prop32_rhs(a, b, s, q),
-               "prop33": lambda: means.prop33_rhs(a, b, s, q)}[tag]()
-    else:
-        lhs = bounds.trapezoid_mean_gap(m, a, b)
-        rhs = {"eq8": lambda: bounds.rhs_eq8(m, a, b),
-               "eq9": lambda: bounds.rhs_eq9(m, a, b, bounds.conjugate_exponent(q)),
-               "eq10": lambda: bounds.rhs_eq10(m, a, b, s),
-               "eq11": lambda: bounds.rhs_eq11(m, a, b, s, q),
-               "eq111": lambda: bounds.rhs_eq111(m, a, b, s, q)}[tag]()
-
-    hyp = theorem_hypotheses(m, a, b, s, q)
+    lhs = (means.prop_lhs(a, b, s) if bound.is_prop
+           else bounds.trapezoid_mean_gap(m, a, b))
+    rhs = bound.rhs(m, a, b, s, q)
+    flags = sweep.hypothesis_flags(bound, m, a, b, s, q, ClassCheckConfig())
     print(f"model: {m.name}")
     print(f"{tag}: lhs={lhs:.12g} rhs={rhs:.12g} gap={rhs - lhs:.12g} "
           f"ratio={(lhs / rhs if rhs > 0 else float('nan')):.12g}")
-    print(f"hypotheses: class={hyp.class_ok} monotone={hyp.monotone_decreasing_ok} "
-          f"fprime_a_le_1={hyp.fprime_a_le_1}")
-    if hyp.all_pass and lhs > rhs + sweep.PASS_SLACK:
+    print("hypotheses: class={} monotone={} fprime_a_le_1={}".format(*flags))
+    if sweep._verdict(flags, lhs, rhs) == "violation":
         print("VIOLATION")
         return 2
     return 0
@@ -158,15 +138,12 @@ def cmd_eval_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = sweep.load_config(args.config) if args.config else sweep.default_config()
-    if args.seed is not None:
-        cfg = sweep.SweepConfig(**{**cfg.__dict__, "seed": args.seed})
     if args.f:
         if not args.domain:
             raise ValueError("ad-hoc --f model needs --domain lo,hi")
         lo, hi = _parse_domain(args.domain)
         extra = {"name": f"cli:{args.f}", "expr": args.f, "domain": [lo, hi]}
-        cfg = sweep.SweepConfig(**{**cfg.__dict__,
-                                   "models": cfg.models + (extra,)})
+        cfg = dataclasses.replace(cfg, models=cfg.models + (extra,))
     records = sweep.run_sweep(cfg)
     summary = sweep.summarize(records)
     if args.out:
@@ -182,7 +159,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tightness(args) -> int:
-    m = _build_model(args)
+    m = _model(args)
     box = {"a": _parse_range(args.a_range), "b": _parse_range(args.b_range)}
     if args.s_range:
         box["s"] = _parse_range(args.s_range)
@@ -253,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_class)
 
     p = sub.add_parser("eval-bound", help="evaluate one bound at a point")
-    p.add_argument("--theorem", required=True,
-                   choices=("eq8", "eq9", "eq10", "eq11", "eq111",
-                            "prop41", "prop32", "prop33"))
+    p.add_argument("--theorem", required=True, choices=sweep.THEOREM_TAGS)
     _add_model_flags(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -267,14 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config JSON path (default: shipped config)")
     p.add_argument("--out", help="report output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int)
     p.add_argument("--f", help="extra ad-hoc expression model")
     p.add_argument("--domain", help="'lo,hi' for the ad-hoc model")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tightness", help="maximize lhs/rhs over a box")
-    p.add_argument("--theorem", required=True,
-                   choices=("eq8", "eq9", "eq10", "eq11", "eq111"))
+    p.add_argument("--theorem", required=True, choices=SEARCH_TAGS)
     _add_model_flags(p)
     p.add_argument("--a-range", required=True, help="'lo,hi' or a single value")
     p.add_argument("--b-range", required=True)

@@ -18,7 +18,8 @@ from . import exprparse
 from .errors import DomainError
 
 __all__ = ["FunctionModel", "make_model", "power_model", "exp_model",
-           "model_from_expr", "PROBE_POINTS"]
+           "model_from_expr", "model_from_spec", "missing_spec_key",
+           "PROBE_POINTS"]
 
 PROBE_POINTS = 64
 
@@ -148,7 +149,25 @@ def model_from_expr(src: str, lo: float, hi: float,
     return make_model(name or src, lo, hi, f, fprime, params={})
 
 
-_BUILTINS = {"power": power_model, "exp": exp_model}
+# builtin name -> (constructor, the parameter it is built from)
+_BUILTINS = {"power": (power_model, "s"), "exp": (exp_model, "rate")}
+
+
+def _builtin(kind) -> tuple[Callable, str] | None:
+    # Specs come from JSON, so kind may be any JSON value.
+    return _BUILTINS.get(kind) if isinstance(kind, str) else None
+
+
+def missing_spec_key(spec: Mapping) -> str | None:
+    """The key a builtin or expression model spec requires and lacks."""
+    if "builtin" in spec:
+        builtin = _builtin(spec["builtin"])
+        key = builtin[1] if builtin else None
+    elif "expr" in spec:
+        key = "domain"
+    else:
+        return None
+    return key if key is not None and key not in spec else None
 
 
 def model_from_spec(spec: Mapping) -> FunctionModel:
@@ -157,20 +176,21 @@ def model_from_spec(spec: Mapping) -> FunctionModel:
     Either ``{"builtin": "power", "s": 0.5, ["domain": [lo, hi]]}`` /
     ``{"builtin": "exp", "rate": 1.0, ...}`` or
     ``{"expr": "1 - ln(x)", "domain": [lo, hi]}``; an optional ``name``
-    overrides the derived one.
+    overrides the derived one.  A malformed spec raises ValueError.
     """
+    missing = missing_spec_key(spec)
+    if missing is not None:
+        raise ValueError(f"model spec needs {missing!r}")
     name = spec.get("name")
     if "builtin" in spec:
-        kind = spec["builtin"]
-        if kind == "power":
-            kwargs = {"s": spec["s"]}
-        elif kind == "exp":
-            kwargs = {"rate": spec["rate"]}
-        else:
-            raise ValueError(f"unknown builtin {kind!r}")
+        builtin = _builtin(spec["builtin"])
+        if builtin is None:
+            raise ValueError(f"unknown builtin {spec['builtin']!r}")
+        build, param = builtin
+        kwargs = {param: spec[param]}
         if "domain" in spec:
             kwargs["lo"], kwargs["hi"] = spec["domain"]
-        m = _BUILTINS[kind](**kwargs)
+        m = build(**kwargs)
     elif "expr" in spec:
         lo, hi = spec["domain"]
         m = model_from_expr(spec["expr"], lo, hi, name=name)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-__all__ = ["BoundRecord", "CSV_COLUMNS", "VERDICTS", "THEOREM_TAGS",
+__all__ = ["BoundRecord", "CSV_COLUMNS", "VERDICTS",
            "write_csv", "write_json", "read_csv", "read_json",
            "records_text", "records_equal", "sort_records"]
 
@@ -25,9 +25,6 @@ CSV_COLUMNS = ["model", "theorem", "a", "b", "s", "q", "lhs", "rhs", "gap",
                "verdict", "discrepancy"]
 
 VERDICTS = ("pass", "violation", "outside-hypotheses", "eval-error")
-
-THEOREM_TAGS = ("eq8", "eq9", "eq10", "eq11", "eq111",
-                "prop41", "prop32", "prop33")
 
 
 @dataclass

@@ -17,16 +17,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import bounds, means
 from .convexity import AbsPower, ClassCheckConfig, is_convex, theorem_hypotheses
 from .errors import ConfigError
-from .models import FunctionModel, model_from_spec
+from .models import FunctionModel, missing_spec_key, model_from_spec
 from .records import BoundRecord, make_ratio, sort_records
 
 __all__ = ["Tolerances", "SweepConfig", "load_config", "parse_config",
-           "default_config", "run_sweep", "summarize", "PASS_SLACK"]
+           "default_config", "BoundSpec", "BOUND_TABLE", "THEOREM_TAGS",
+           "hypothesis_flags", "run_sweep", "summarize", "PASS_SLACK"]
 
 SCHEMA_VERSION = 1
 
@@ -49,7 +50,6 @@ class SweepConfig:
     s_grid: tuple[float, ...]
     q_grid: tuple[float, ...]
     tolerances: Tolerances = Tolerances()
-    seed: int = 0
     class_grid_points: int = 33
     schema_version: int = SCHEMA_VERSION
 
@@ -73,6 +73,8 @@ def parse_config(raw: Mapping) -> SweepConfig:
         _expect(isinstance(spec, Mapping), f"models[{i}]", "must be an object")
         _expect("builtin" in spec or "expr" in spec,
                 f"models[{i}]", "needs 'builtin' or 'expr'")
+        missing = missing_spec_key(spec)
+        _expect(missing is None, f"models[{i}].{missing}", "required")
         name = spec.get("name", spec.get("expr", ""))
         _expect("," not in str(name), f"models[{i}].name",
                 "model names may not contain commas")
@@ -110,6 +112,7 @@ def parse_config(raw: Mapping) -> SweepConfig:
                 f"tolerances.{key}", "must be > 0")
         tols[key] = float(v)
 
+    # Accepted so that existing configs still load; nothing reads it.
     seed = raw.get("seed", 0)
     _expect(isinstance(seed, int) and seed >= 0, "seed",
             "must be a nonnegative integer")
@@ -119,7 +122,7 @@ def parse_config(raw: Mapping) -> SweepConfig:
     return SweepConfig(
         models=tuple(dict(m) for m in models),
         a_grid=a_grid, b_grid=b_grid, s_grid=s_grid, q_grid=q_grid,
-        tolerances=Tolerances(**tols), seed=seed, class_grid_points=gp,
+        tolerances=Tolerances(**tols), class_grid_points=gp,
     )
 
 
@@ -141,6 +144,116 @@ def default_config() -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
+# The bound table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """How one bound is evaluated, gated and swept.
+
+    ``gate`` is "convex" (|f'|^q convex, the classical baselines' only
+    hypothesis) or "bundle" (``theorem_hypotheses``).  ``q_rule`` is "1"
+    (q = 1 only), ">1" (the grid's q > 1) or "all" (every grid q).  The
+    special-means propositions carry ``identity``, which returns their
+    identity-check discrepancy tags.
+    """
+    rhs: Callable              # rhs(model, a, b, s, q)
+    gate: str
+    over_s: bool               # iterate s_grid; otherwise s = 1
+    q_rule: str
+    identity: Callable | None = None   # identity(a, b, s, q, tol) -> tags
+
+    @property
+    def is_prop(self) -> bool:
+        return self.identity is not None
+
+    def q_values(self, grid: tuple[float, ...]) -> tuple[float, ...]:
+        if self.q_rule == "1":
+            return (1.0,)
+        if self.q_rule == ">1":
+            return tuple(q for q in grid if q > 1.0)
+        return grid
+
+
+def _tags41(a: float, b: float, s: float, q: float, tol: float) -> list[str]:
+    try:
+        if means.dual_route_bb(a, b, s, tol=tol).classification == "discrepant":
+            return ["bb-discrepant"]
+    except Exception as e:
+        return [f"bb-error:{type(e).__name__}"]
+    return []
+
+
+def _tags32(a: float, b: float, s: float, q: float, tol: float) -> list[str]:
+    tags = []
+    try:
+        if means.residual_cc(a, b, s, q) > tol:
+            tags.append("cc-discrepant")
+        # Printed prefactor vs the kernel-route prefactor differ by
+        # b^(sq(1-s)); tag when that factor is materially below 1.
+        if abs(1.0 - b ** (s * q * (1.0 - s))) > tol:
+            tags.append("rhs-path")
+    except Exception as e:
+        tags.append(f"cc-error:{type(e).__name__}")
+    return tags
+
+
+def _tags33(a: float, b: float, s: float, q: float, tol: float) -> list[str]:
+    tags = []
+    try:
+        if means.deviation_dd(a, b, s, q) > tol:
+            tags.append("dd-discrepant")
+        ee = means.deviation_ee(a, b, s, q, tol=tol)
+        if ee.classification == "discrepant":
+            tags.append("ee-discrepant")
+        if ee.means_value < 0.0:
+            tags.append("v-negative")
+    except Exception as e:
+        tags.append(f"identity-error:{type(e).__name__}")
+    return tags
+
+
+# Every bound the toolkit checks, in THEOREM_TAGS order.  The rhs lambdas
+# look their evaluator up on the module at call time, so a patched
+# bounds.rhs_* or means.prop*_rhs reaches every caller.
+BOUND_TABLE: dict[str, BoundSpec] = {
+    "eq8": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq8(m, a, b),
+                     "convex", False, "1"),
+    "eq9": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq9(
+                         m, a, b, bounds.conjugate_exponent(q)),
+                     "convex", False, ">1"),
+    "eq10": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq10(m, a, b, s),
+                      "bundle", True, "1"),
+    "eq11": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq11(m, a, b, s, q),
+                      "bundle", True, ">1"),
+    "eq111": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq111(m, a, b, s, q),
+                       "bundle", True, "all"),
+    "prop41": BoundSpec(lambda m, a, b, s, q: means.prop41_rhs(a, b, s),
+                        "bundle", True, "1", _tags41),
+    "prop32": BoundSpec(lambda m, a, b, s, q: means.prop32_rhs(a, b, s, q),
+                        "bundle", True, ">1", _tags32),
+    "prop33": BoundSpec(lambda m, a, b, s, q: means.prop33_rhs(a, b, s, q),
+                        "bundle", True, "all", _tags33),
+}
+
+THEOREM_TAGS = tuple(BOUND_TABLE)
+
+
+def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
+                     s: float, q: float,
+                     check_cfg: ClassCheckConfig) -> tuple[bool, bool, bool]:
+    """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
+
+    The classical baselines need only |f'|^q convex; their monotonicity
+    and derivative-size flags are vacuously true.
+    """
+    if bound.gate == "convex":
+        return (is_convex(AbsPower(m.fprime, q), (a, b), check_cfg).ok, True, True)
+    h = theorem_hypotheses(m, a, b, s, q, check_cfg)
+    return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
+
+
+# ---------------------------------------------------------------------------
 # Sweep execution
 # ---------------------------------------------------------------------------
 
@@ -152,8 +265,7 @@ class _ModelContext:
     check_cfg: ClassCheckConfig
     lhs_cache: dict = field(default_factory=dict)
     residual_cache: dict = field(default_factory=dict)
-    hyp_cache: dict = field(default_factory=dict)
-    convex_cache: dict = field(default_factory=dict)
+    flags_cache: dict = field(default_factory=dict)
 
     def lhs(self, a: float, b: float) -> float:
         key = (a, b)
@@ -170,19 +282,13 @@ class _ModelContext:
             self.residual_cache[key] = abs(self.lhs(a, b) - abs(signed))
         return self.residual_cache[key]
 
-    def hypotheses(self, a: float, b: float, s: float, q: float):
-        key = (a, b, s, q)
-        if key not in self.hyp_cache:
-            self.hyp_cache[key] = theorem_hypotheses(
-                self.model, a, b, s, q, self.check_cfg)
-        return self.hyp_cache[key]
-
-    def fprime_q_convex(self, a: float, b: float, q: float) -> bool:
-        key = (a, b, q)
-        if key not in self.convex_cache:
-            self.convex_cache[key] = is_convex(
-                AbsPower(self.model.fprime, q), (a, b), self.check_cfg).ok
-        return self.convex_cache[key]
+    def flags(self, bound: BoundSpec, a: float, b: float, s: float,
+              q: float) -> tuple[bool, bool, bool]:
+        key = (bound.gate, a, b, s, q)
+        if key not in self.flags_cache:
+            self.flags_cache[key] = hypothesis_flags(
+                bound, self.model, a, b, s, q, self.check_cfg)
+        return self.flags_cache[key]
 
 
 def _verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:
@@ -191,39 +297,33 @@ def _verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:
     return "pass" if lhs <= rhs + PASS_SLACK else "violation"
 
 
-def _safe_flags(fetch) -> tuple[tuple[bool, bool, bool] | None, str]:
-    """Run a hypothesis-check thunk; evaluation failures become a tag
-    instead of aborting the sweep."""
+def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, a: float,
+            b: float, s: float, q: float) -> BoundRecord:
+    """One bound at one point.  Failures become tags on an eval-error
+    record instead of aborting the sweep; calls run in the order identity
+    tags, hypotheses, lhs, rhs, gap-identity residual."""
+    m = ctx.model
+    nan = math.nan
+    tags = (bound.identity(a, b, s, q, ctx.cfg.tolerances.identity_tol)
+            if bound.is_prop else [])
     try:
-        return fetch(), ""
+        flags = ctx.flags(bound, a, b, s, q)
     except Exception as e:
-        return None, f"hyp-error:{type(e).__name__}"
-
-
-def _emit(records: list, ctx: _ModelContext, theorem: str, a: float, b: float,
-          s: float, q: float, rhs_fn,
-          flags: tuple[bool, bool, bool] | None, flag_tag: str = "") -> None:
-    name = ctx.model.name
-    tags = [flag_tag] if flag_tag else []
-    if flags is None:
-        records.append(BoundRecord(
-            name, theorem, a, b, s, q, math.nan, math.nan, math.nan, math.nan,
-            False, False, False, "eval-error", ";".join(tags)))
-        return
+        tags.append(f"hyp-error:{type(e).__name__}")
+        return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
+                           False, False, False, "eval-error", ";".join(tags))
     try:
-        lhs = ctx.lhs(a, b)
-        rhs = rhs_fn()
-        residual = ctx.gap_residual(a, b)
+        lhs = means.prop_lhs(a, b, s) if bound.is_prop else ctx.lhs(a, b)
+        rhs = bound.rhs(m, a, b, s, q)
+        residual = nan if bound.is_prop else ctx.gap_residual(a, b)
     except Exception as e:
         tags.append(f"error:{type(e).__name__}")
-        records.append(BoundRecord(
-            name, theorem, a, b, s, q, math.nan, math.nan, math.nan, math.nan,
-            *flags, "eval-error", ";".join(tags)))
-        return
-    records.append(BoundRecord(
-        name, theorem, a, b, s, q, lhs, rhs, rhs - lhs, make_ratio(lhs, rhs),
+        return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
+                           *flags, "eval-error", ";".join(tags))
+    return BoundRecord(
+        m.name, theorem, a, b, s, q, lhs, rhs, rhs - lhs, make_ratio(lhs, rhs),
         *flags, _verdict(flags, lhs, rhs), ";".join(tags),
-        oracle_residual=residual))
+        oracle_residual=residual)
 
 
 def _pairs(cfg: SweepConfig, m: FunctionModel) -> list[tuple[float, float]]:
@@ -235,9 +335,8 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
     """One record per (model, parameters, bound) tuple, deterministic order.
 
     The classical baselines eq8/eq9 are s-independent; their records carry
-    s = 1 and (for eq8) q = 1 as placeholders, and their hypothesis flags
-    are (|f'|^q convex, true, true) since monotonicity and the derivative
-    side condition are not among their preconditions.
+    s = 1 and (for eq8) q = 1 as placeholders.  The special-means
+    propositions are swept for the power family at s < 1 and b <= 1.
     """
     check_cfg = ClassCheckConfig(grid_points=cfg.class_grid_points,
                                  slack=cfg.tolerances.slack)
@@ -246,112 +345,15 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
         model = model_from_spec(spec)
         ctx = _ModelContext(model, cfg, check_cfg)
         is_power = spec.get("builtin") == "power"
-
-        def hyp_flags(a, b, s, q):
-            h = ctx.hypotheses(a, b, s, q)
-            return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
-
+        # (a, b) outermost: the class checks keep one interval's |f'| sample.
         for a, b in _pairs(cfg, model):
-            flags, tag = _safe_flags(
-                lambda: (ctx.fprime_q_convex(a, b, 1.0), True, True))
-            _emit(records, ctx, "eq8", a, b, 1.0, 1.0,
-                  lambda: bounds.rhs_eq8(model, a, b), flags, tag)
-            for q in cfg.q_grid:
-                if q > 1.0:
-                    p = bounds.conjugate_exponent(q)
-                    flags, tag = _safe_flags(
-                        lambda: (ctx.fprime_q_convex(a, b, q), True, True))
-                    _emit(records, ctx, "eq9", a, b, 1.0, q,
-                          lambda: bounds.rhs_eq9(model, a, b, p), flags, tag)
-            for s in cfg.s_grid:
-                flags1, tag1 = _safe_flags(lambda: hyp_flags(a, b, s, 1.0))
-                _emit(records, ctx, "eq10", a, b, s, 1.0,
-                      lambda: bounds.rhs_eq10(model, a, b, s), flags1, tag1)
-                for q in cfg.q_grid:
-                    flags, tag = _safe_flags(lambda: hyp_flags(a, b, s, q))
-                    if q > 1.0:
-                        _emit(records, ctx, "eq11", a, b, s, q,
-                              lambda: bounds.rhs_eq11(model, a, b, s, q),
-                              flags, tag)
-                    _emit(records, ctx, "eq111", a, b, s, q,
-                          lambda: bounds.rhs_eq111(model, a, b, s, q),
-                          flags, tag)
-                if is_power and s < 1.0 and b <= 1.0:
-                    _emit_props(records, ctx, a, b, s, cfg)
+            for theorem, bound in BOUND_TABLE.items():
+                for s in cfg.s_grid if bound.over_s else (1.0,):
+                    if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):
+                        continue
+                    for q in bound.q_values(cfg.q_grid):
+                        records.append(_record(ctx, theorem, bound, a, b, s, q))
     return sort_records(records)
-
-
-def _prop_record(records: list, ctx: _ModelContext, theorem: str, a: float,
-                 b: float, s: float, q: float, rhs_fn, tags: list[str]) -> None:
-    name = ctx.model.name
-    flags, flag_tag = _safe_flags(lambda: _hyp_tuple(ctx, a, b, s, q))
-    if flags is None:
-        records.append(BoundRecord(
-            name, theorem, a, b, s, q, math.nan, math.nan, math.nan, math.nan,
-            False, False, False, "eval-error", ";".join(tags + [flag_tag])))
-        return
-    try:
-        lhs = means.prop_lhs(a, b, s)
-        rhs = rhs_fn()
-    except Exception as e:
-        all_tags = tags + [f"error:{type(e).__name__}"]
-        records.append(BoundRecord(
-            name, theorem, a, b, s, q, math.nan, math.nan, math.nan, math.nan,
-            *flags, "eval-error", ";".join(all_tags)))
-        return
-    records.append(BoundRecord(
-        name, theorem, a, b, s, q, lhs, rhs, rhs - lhs, make_ratio(lhs, rhs),
-        *flags, _verdict(flags, lhs, rhs), ";".join(tags)))
-
-
-def _hyp_tuple(ctx: _ModelContext, a: float, b: float, s: float, q: float):
-    h = ctx.hypotheses(a, b, s, q)
-    return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
-
-
-def _emit_props(records: list, ctx: _ModelContext, a: float, b: float,
-                s: float, cfg: SweepConfig) -> None:
-    """Special-means proposition records for the power family, with the
-    dual-route identity checks folded in as discrepancy tags."""
-    id_tol = cfg.tolerances.identity_tol
-
-    tags41 = []
-    try:
-        if means.dual_route_bb(a, b, s, tol=id_tol).classification == "discrepant":
-            tags41.append("bb-discrepant")
-    except Exception as e:
-        tags41.append(f"bb-error:{type(e).__name__}")
-    _prop_record(records, ctx, "prop41", a, b, s, 1.0,
-                 lambda: means.prop41_rhs(a, b, s), tags41)
-
-    for q in cfg.q_grid:
-        if q > 1.0:
-            tags32 = []
-            try:
-                if means.residual_cc(a, b, s, q) > id_tol:
-                    tags32.append("cc-discrepant")
-                # Printed prefactor vs the kernel-route prefactor differ by
-                # b^(sq(1-s)); tag when that factor is materially below 1.
-                if abs(1.0 - b ** (s * q * (1.0 - s))) > id_tol:
-                    tags32.append("rhs-path")
-            except Exception as e:
-                tags32.append(f"cc-error:{type(e).__name__}")
-            _prop_record(records, ctx, "prop32", a, b, s, q,
-                         lambda: means.prop32_rhs(a, b, s, q), tags32)
-
-        tags33 = []
-        try:
-            if means.deviation_dd(a, b, s, q) > id_tol:
-                tags33.append("dd-discrepant")
-            ee = means.deviation_ee(a, b, s, q, tol=id_tol)
-            if ee.classification == "discrepant":
-                tags33.append("ee-discrepant")
-            if ee.means_value < 0.0:
-                tags33.append("v-negative")
-        except Exception as e:
-            tags33.append(f"identity-error:{type(e).__name__}")
-        _prop_record(records, ctx, "prop33", a, b, s, q,
-                     lambda: means.prop33_rhs(a, b, s, q), tags33)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def summarize(records: list[BoundRecord]) -> dict:
         slot[r.verdict] = slot.get(r.verdict, 0) + 1
 
     prop_rates = {}
-    for tag in ("prop41", "prop32", "prop33"):
+    for tag in (t for t, bound in BOUND_TABLE.items() if bound.is_prop):
         rs = [r for r in records if r.theorem == tag]
         if not rs:
             continue

@@ -19,11 +19,18 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import bounds
-from .convexity import ClassCheckConfig, theorem_hypotheses
+# theorem_hypotheses is not called here; perfbench/tracer.py patches it by name.
+from .convexity import ClassCheckConfig, theorem_hypotheses  # noqa: F401
 from .errors import EmptyFeasibleSetError
 from .models import FunctionModel
+from .sweep import BOUND_TABLE, hypothesis_flags
 
-__all__ = ["TightnessResult", "optimize_tightness"]
+__all__ = ["TightnessResult", "optimize_tightness", "SEARCH_TAGS"]
+
+# The propositions bound special means, not the model's f, so a search takes
+# the other bounds.
+SEARCH_TAGS = tuple(tag for tag, bound in BOUND_TABLE.items()
+                    if not bound.is_prop)
 
 _RATIO_GUARD = 1.0 + 1e-9
 
@@ -62,20 +69,11 @@ class _Box:
                    rng("s", (1.0, 1.0)), rng("q", (1.0, 1.0)))
 
 
-_RHS = {
-    "eq8": lambda m, a, b, s, q: bounds.rhs_eq8(m, a, b),
-    "eq9": lambda m, a, b, s, q: bounds.rhs_eq9(m, a, b, bounds.conjugate_exponent(q)),
-    "eq10": lambda m, a, b, s, q: bounds.rhs_eq10(m, a, b, s),
-    "eq11": lambda m, a, b, s, q: bounds.rhs_eq11(m, a, b, s, q),
-    "eq111": lambda m, a, b, s, q: bounds.rhs_eq111(m, a, b, s, q),
-}
-
-
 class _Objective:
     def __init__(self, theorem: str, model: FunctionModel, box: _Box,
                  require_hypotheses: bool, quad_tol: float,
                  check_cfg: ClassCheckConfig):
-        self.theorem = theorem
+        self.bound = BOUND_TABLE[theorem]
         self.model = model
         self.box = box
         self.require = require_hypotheses
@@ -91,7 +89,7 @@ class _Objective:
             return False
         if not (a + 1e-9 < b and self.model.contains(a, b)):
             return False
-        if self.theorem in ("eq9", "eq11") and not q > 1.0:
+        if self.bound.q_rule == ">1" and not q > 1.0:
             return False
         return True
 
@@ -106,13 +104,13 @@ class _Objective:
             return result
         self.evals += 1
         try:
-            hyp = theorem_hypotheses(self.model, a, b, s, q, self.check_cfg)
-            hyp_ok = hyp.all_pass
+            hyp_ok = all(hypothesis_flags(self.bound, self.model, a, b, s, q,
+                                          self.check_cfg))
             if self.require and not hyp_ok:
                 result = (-math.inf, False)
                 self.cache[key] = result
                 return result
-            rhs = _RHS[self.theorem](self.model, a, b, s, q)
+            rhs = self.bound.rhs(self.model, a, b, s, q)
             lhs = bounds.trapezoid_mean_gap(self.model, a, b, tol=self.quad_tol)
         except Exception:
             result = (-math.inf, False)
@@ -134,8 +132,8 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     ``box`` maps "a"/"b"/"s"/"q" to (lo, hi) ranges or fixed scalars.
     Deterministic for fixed arguments.
     """
-    if theorem not in _RHS:
-        raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(_RHS)})")
+    if theorem not in SEARCH_TAGS:
+        raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(SEARCH_TAGS)})")
     b = _Box.from_mapping(box)
     obj = _Objective(theorem, model, b, require_hypotheses, quad_tol,
                      check_cfg or ClassCheckConfig())

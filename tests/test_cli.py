@@ -4,6 +4,7 @@ import pytest
 
 from hhverify.cli import main
 from hhverify.records import CSV_COLUMNS, read_csv
+from hhverify.sweep import parse_config, run_sweep
 
 
 def run(argv, capsys):
@@ -100,6 +101,19 @@ class TestEvalBound:
                             "--a", "1", "--b", "2"], capsys)
         assert code == 1
 
+    def test_eq8_flags_match_the_sweep(self, capsys):
+        spec = {"name": "exp1", "builtin": "exp", "rate": 1.0, "domain": [1.0, 2.0]}
+        cfg = parse_config({"models": [spec], "a_grid": [1.0], "b_grid": [2.0],
+                            "s_grid": [1.0], "q_grid": [1.0]})
+        rec = next(r for r in run_sweep(cfg) if r.theorem == "eq8")
+        code, out, _ = run(["eval-bound", "--theorem", "eq8", "--builtin", "exp",
+                            "--rate", "1", "--domain", "1,2",
+                            "--a", "1", "--b", "2"], capsys)
+        assert code == 0
+        assert (f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
+                f"fprime_a_le_1={rec.hyp_fprime_a}") in out
+        assert rec.hyp_class
+
 
 class TestVerify:
     def test_csv_output_and_exit_0(self, cfg_path, tmp_path, capsys):
@@ -138,6 +152,15 @@ class TestVerify:
         assert code == 0
         records = read_csv(out_path)
         assert any(r.model == "cli:1/x" for r in records)
+
+    def test_seed_key_is_inert(self, cfg_path, tmp_path, capsys):
+        unseeded = tmp_path / "unseeded.json"
+        unseeded.write_text(json.dumps({k: v for k, v in SMALL_CFG.items()
+                                        if k != "seed"}), encoding="utf-8")
+        p1, p2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
+        run(["verify", "--config", cfg_path, "--out", p1], capsys)
+        run(["verify", "--config", str(unseeded), "--out", p2], capsys)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 import hhverify as hv
+from hhverify.cli import build_parser
 from hhverify.errors import ConfigError, EmptyFeasibleSetError
 from hhverify.records import (BoundRecord, CSV_COLUMNS, make_ratio, read_csv,
                               read_json, records_equal, records_text,
                               write_csv, write_json)
-from hhverify.sweep import PASS_SLACK, parse_config, run_sweep
+from hhverify.sweep import BOUND_TABLE, PASS_SLACK, parse_config, run_sweep
 from hhverify.tightness import optimize_tightness
 
 
@@ -31,7 +33,6 @@ class TestConfig:
     def test_parse_roundtrip_defaults(self):
         cfg = mini_config()
         assert cfg.tolerances.quad_tol == 1e-10
-        assert cfg.seed == 7
 
     @pytest.mark.parametrize("overrides, path_fragment", [
         ({"models": []}, "models"),
@@ -45,6 +46,9 @@ class TestConfig:
         ({"tolerances": {"quad_tol": 0.0}}, "tolerances.quad_tol"),
         ({"seed": -1}, "seed"),
         ({"schema_version": 99}, "schema_version"),
+        ({"models": [{"expr": "x"}]}, "models[0].domain"),
+        ({"models": [{"builtin": "power"}]}, "models[0].s"),
+        ({"models": [{"builtin": "exp", "domain": [1, 2]}]}, "models[0].rate"),
     ])
     def test_validation_names_field_paths(self, overrides, path_fragment):
         with pytest.raises(ConfigError) as exc:
@@ -284,3 +288,38 @@ class TestTightness:
         m = hv.model_from_expr("x", 0.5, 2.0)
         with pytest.raises(ValueError):
             optimize_tightness("eq99", m, {"a": (0.5, 1.0), "b": (1.1, 2.0)})
+
+    def test_baseline_gated_on_its_own_hypothesis(self):
+        # |f'| = e^(-x) is convex but geometrically concave: eq8 needs only
+        # the former, as in the sweep's eq8 records.
+        res = optimize_tightness("eq8", hv.exp_model(1.0), {"a": (1, 2), "b": (1, 2)})
+        assert res.hypotheses_pass
+        assert not res.violation
+
+
+def _theorem_choices(command: str) -> tuple:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(tuple(a.choices) for a in sub.choices[command]._actions
+                if a.dest == "theorem")
+
+
+class TestBoundTable:
+    def test_every_consumer_reads_the_table(self, default_sweep):
+        _, records, summary = default_sweep
+        props = {tag for tag, bound in BOUND_TABLE.items() if bound.is_prop}
+        others = [tag for tag in BOUND_TABLE if tag not in props]
+        assert hv.THEOREM_TAGS == tuple(BOUND_TABLE) == _theorem_choices("eval-bound")
+        assert {r.theorem for r in records} == set(BOUND_TABLE)
+        assert list(_theorem_choices("tightness")) == others
+        m = hv.model_from_expr("x", 0.5, 2.0)
+        accepted = []
+        for tag in BOUND_TABLE:
+            try:
+                optimize_tightness(tag, m, {"a": 1.0, "b": 2.0, "q": 2.0},
+                                   coarse_points=2, max_iters=0)
+            except ValueError:
+                continue
+            accepted.append(tag)
+        assert accepted == others
+        assert set(summary["prop_pass_rates"]) == props

@@ -119,6 +119,9 @@ def test_model_from_spec_variants():
         model_from_spec({"builtin": "sinusoid"})
     with pytest.raises(ValueError):
         model_from_spec({"name": "nothing"})
+    for spec in ({"expr": "x"}, {"builtin": "power"}, {"builtin": "exp"}):
+        with pytest.raises(ValueError):
+            model_from_spec(spec)
 
 
 def test_make_model_probes_fprime_too():

@@ -17,12 +17,10 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import bounds, exprparse, means, sweep
-from .convexity import (ClassCheckConfig, is_convex, is_geometrically_convex,
-                        is_monotone_decreasing, is_s_convex,
-                        is_s_geometrically_convex)
+from .convexity import (AbsPower, ClassCheckConfig, is_convex,
+                        is_geometrically_convex, is_monotone_decreasing,
+                        is_s_convex, is_s_geometrically_convex)
 from .errors import ConfigError, EmptyFeasibleSetError, ParseError
 from .models import FunctionModel, model_from_expr, model_from_spec
 from .records import records_text, write_csv, write_json
@@ -75,10 +73,7 @@ def cmd_check_class(args) -> int:
     cfg = ClassCheckConfig(grid_points=args.grid, slack=args.slack)
     if args.on_derivative:
         m = model_from_expr(args.f, lo, hi)
-        q = args.q if args.q is not None else 1.0
-
-        def g(x):
-            return np.abs(m.fprime(x)) ** q
+        g = AbsPower(m.fprime, args.q if args.q is not None else 1.0)
     else:
         tree = exprparse.parse(args.f)
 

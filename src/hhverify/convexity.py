@@ -16,17 +16,17 @@ rows at a time.  For ``AbsPower(fprime, q)``, the |f'|^q that the bounds'
 hypotheses are about, |fprime| is sampled once per (fprime, a, b, n): on
 the x grid, on the linear cube t*x + (1-t)*y and on the geometric cube
 x^t * y^(1-t), each on first use.  Each further (s, q) on that interval
-then costs a power of the sample and a few O(n^3) array passes, and
-``theorem_hypotheses`` runs the monotone check and |f'(a)| once per
-interval.  Only the latest interval's sample is kept: read-only, it holds
-the two point cubes and |fprime| on them, four n^3 float64 arrays
-(about 9 MB at n = 65).
+then costs a power of the sample and a few O(n^3) array passes; the
+monotone check reads the x-grid sample.  Only the latest interval's
+sample is kept: read-only, it holds the two point cubes and |fprime| on
+them, four n^3 float64 arrays (about 9 MB at n = 65).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -89,7 +89,8 @@ class AbsPower:
 
     The checks recognise it and sample |fprime| once per grid, so another q
     or s on the same interval costs a power and a comparison, not a
-    re-evaluation.  fprime must be a pure function.
+    re-evaluation.  fprime must be a pure, hashable function: it keys
+    the sample.
     """
     fprime: Callable
     q: float = 1.0
@@ -118,46 +119,14 @@ def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return _clip(np.exp(t * lnx[:, None, None] + (1.0 - t) * lnx[None, :, None]), xs)
 
 
-class _PairSample:
-    """|fprime| on the grid of one interval, each point set evaluated on
-    first use and kept read-only, plus memoised per-interval results."""
-
-    def __init__(self, fprime: Callable, xs: np.ndarray, ts: np.ndarray):
-        self.fprime = fprime
-        self.key = (xs[0], xs[-1], len(xs))
-        self.xs = xs
-        self.ts = ts
-        self._memo: dict = {}
-
-    def memo(self, key, compute: Callable):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def abs_on(self, cube: Callable | None) -> tuple[np.ndarray, np.ndarray]:
-        """(points, |fprime| there) on the x grid, or on cube(xs, ts)."""
-        def sample():
-            pts = self.xs if cube is None else cube(self.xs, self.ts)
-            vals = np.abs(evaluate_points(self.fprime, pts))
-            pts.flags.writeable = False
-            vals.flags.writeable = False
-            return pts, vals
-        return self.memo(cube, sample)
-
-
 # Callers reach the checks through their public signatures only, so the
 # sample is kept here.  One slot: a sweep finishes each interval before the
 # next, and memory stays at one interval's cubes.
-_latest_sample: _PairSample | None = None
-
-
-def _pair_sample(fprime: Callable, xs: np.ndarray, ts: np.ndarray) -> _PairSample:
-    global _latest_sample
-    sample = _latest_sample
-    if (sample is None or sample.fprime is not fprime
-            or sample.key != (xs[0], xs[-1], len(xs))):
-        sample = _latest_sample = _PairSample(fprime, xs, ts)
-    return sample
+@lru_cache(maxsize=1)
+def _abs_samples(fprime: Callable, lo: float, hi: float, n: int) -> dict:
+    """(points, |fprime| there) per point set of one interval's grid, keyed
+    by cube (None for the x grid); ``_sampled`` fills it on first use."""
+    return {}
 
 
 def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
@@ -165,7 +134,13 @@ def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
     """(points, g there) on the x grid, or on cube(xs, ts); a non-finite
     value raises DomainError naming its point."""
     if isinstance(g, AbsPower):
-        pts, vals = _pair_sample(g.fprime, xs, ts).abs_on(cube)
+        samples = _abs_samples(g.fprime, xs[0], xs[-1], len(xs))
+        if cube not in samples:
+            pts = xs if cube is None else cube(xs, ts)
+            vals = np.abs(evaluate_points(g.fprime, pts))
+            pts.flags.writeable = vals.flags.writeable = False
+            samples[cube] = pts, vals
+        pts, vals = samples[cube]
         if g.q != 1.0:
             vals = vals ** g.q
     else:
@@ -226,16 +201,44 @@ def _axes(interval: tuple[float, float], cfg: ClassCheckConfig):
     return xs, ts
 
 
+def _check(g: Callable, interval: tuple[float, float], s: float,
+           geometric: bool, cfg: ClassCheckConfig,
+           nonnegative: bool = False) -> CheckResult:
+    """The class inequality with weights t^s and (1-t)^s on the grid:
+    g(t*x + (1-t)*y) <= t^s*g(x) + (1-t)^s*g(y), or, geometric,
+    g(x^t * y^(1-t)) <= g(x)^(t^s) * g(y)^((1-t)^s) with g > 0 required.
+    ``nonnegative`` rejects a linear g below -slack on the x grid."""
+    if geometric and not interval[0] > 0.0:
+        raise ValueError(f"interval must lie in (0, inf), got {interval}")
+    xs, ts = _axes(interval, cfg)
+    _, gx = _sampled(g, xs, ts)
+    if geometric:
+        _require_positive(xs, gx)
+    elif nonnegative:
+        neg = gx < -cfg.slack
+        if neg.any():
+            i = int(np.argmax(neg))
+            raise NegativeValueError(float(xs[i]), float(gx[i]))
+    pts, lhs = _sampled(g, xs, ts, _geometric_cube if geometric else _linear_cube)
+    t = ts[None, None, :]
+    wx, wy = t ** s, (1.0 - t) ** s
+    if geometric:
+        _require_positive(pts, lhs)
+        gx = np.log(gx)
+
+    def rhs_rows(rows):
+        rhs = wx * gx[rows, None, None] + wy * gx[None, :, None]
+        if not geometric:
+            return rhs
+        with np.errstate(over="ignore"):
+            return np.exp(rhs)
+    return _compare(lhs, rhs_rows, xs, ts, cfg)
+
+
 def is_convex(g: Callable, interval: tuple[float, float],
               cfg: ClassCheckConfig = ClassCheckConfig()) -> CheckResult:
     """g(t*x + (1-t)*y) <= t*g(x) + (1-t)*g(y) on the grid."""
-    xs, ts = _axes(interval, cfg)
-    _, gx = _sampled(g, xs, ts)
-    _, lhs = _sampled(g, xs, ts, _linear_cube)
-    t = ts[None, None, :]
-    return _compare(
-        lhs, lambda rows: t * gx[rows, None, None] + (1.0 - t) * gx[None, :, None],
-        xs, ts, cfg)
+    return _check(g, interval, 1.0, False, cfg)
 
 
 def is_s_convex(g: Callable, interval: tuple[float, float], s: float,
@@ -248,43 +251,13 @@ def is_s_convex(g: Callable, interval: tuple[float, float], s: float,
     """
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
-    xs, ts = _axes(interval, cfg)
-    _, gx = _sampled(g, xs, ts)
-    neg = gx < -cfg.slack
-    if neg.any():
-        i = int(np.argmax(neg))
-        raise NegativeValueError(float(xs[i]), float(gx[i]))
-    _, lhs = _sampled(g, xs, ts, _linear_cube)
-    t = ts[None, None, :]
-    wx, wy = t ** s, (1.0 - t) ** s
-    return _compare(
-        lhs, lambda rows: wx * gx[rows, None, None] + wy * gx[None, :, None],
-        xs, ts, cfg)
-
-
-def _geometric_check(g: Callable, interval: tuple[float, float], s: float,
-                     cfg: ClassCheckConfig) -> CheckResult:
-    if not interval[0] > 0.0:
-        raise ValueError(f"interval must lie in (0, inf), got {interval}")
-    xs, ts = _axes(interval, cfg)
-    _, gx = _sampled(g, xs, ts)
-    _require_positive(xs, gx)
-    pts, lhs = _sampled(g, xs, ts, _geometric_cube)
-    _require_positive(pts, lhs)
-    t = ts[None, None, :]
-    wx, wy = t ** s, (1.0 - t) ** s
-    lg = np.log(gx)
-
-    def rhs_rows(rows):
-        with np.errstate(over="ignore"):
-            return np.exp(wx * lg[rows, None, None] + wy * lg[None, :, None])
-    return _compare(lhs, rhs_rows, xs, ts, cfg)
+    return _check(g, interval, s, False, cfg, nonnegative=True)
 
 
 def is_geometrically_convex(g: Callable, interval: tuple[float, float],
                             cfg: ClassCheckConfig = ClassCheckConfig()) -> CheckResult:
     """g(x^t * y^(1-t)) <= g(x)^t * g(y)^(1-t) on the grid (g > 0 required)."""
-    return _geometric_check(g, interval, 1.0, cfg)
+    return _check(g, interval, 1.0, True, cfg)
 
 
 def is_s_geometrically_convex(g: Callable, interval: tuple[float, float], s: float,
@@ -298,7 +271,7 @@ def is_s_geometrically_convex(g: Callable, interval: tuple[float, float], s: flo
     """
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
-    return _geometric_check(g, interval, s, cfg)
+    return _check(g, interval, s, True, cfg)
 
 
 def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
@@ -363,12 +336,8 @@ def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
 
     fprime = m.fprime
     class_res = is_s_geometrically_convex(AbsPower(fprime, q), (a, b), s, cfg)
-    # The class check has just sampled this interval; monotonicity and
-    # |f'(a)| do not depend on (s, q), so they run once per interval.
-    sample = _pair_sample(fprime, *_axes((a, b), cfg))
-    mono_res = sample.memo(("monotone", cfg), lambda: is_monotone_decreasing(
-        AbsPower(fprime), (a, b), cfg))
-    fpa = sample.memo("fprime_a", lambda: float(np.abs(fprime(a))))
+    mono_res = is_monotone_decreasing(AbsPower(fprime), (a, b), cfg)
+    fpa = float(np.abs(fprime(a)))
     return HypothesisReport(
         class_ok=class_res.ok,
         monotone_decreasing_ok=mono_res.ok,

@@ -293,59 +293,16 @@ def differentiate(e: Expr) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _ev(e: Expr, x: float) -> float:
-    k = e.kind
-    if k == "const":
-        return e.value
-    if k == "var":
-        return x
-    if k == "neg":
-        return -_ev(e.args[0], x)
-    if k in ("add", "sub", "mul", "div", "pow"):
-        l = _ev(e.args[0], x)
-        r = _ev(e.args[1], x)
-        if k == "add":
-            return l + r
-        if k == "sub":
-            return l - r
-        if k == "mul":
-            return l * r
-        if k == "div":
-            if r == 0.0:
-                raise DomainError(x, "division by zero")
-            return l / r
-        # pow
-        if l < 0.0 and r != math.floor(r):
-            raise DomainError(x, f"negative base {l!r} with non-integer exponent")
-        if l == 0.0 and r < 0.0:
-            raise DomainError(x, "zero base with negative exponent")
-        try:
-            return l ** r
-        except OverflowError:
-            raise DomainError(x, "overflow in power") from None
-    if k == "exp":
-        try:
-            return math.exp(_ev(e.args[0], x))
-        except OverflowError:
-            raise DomainError(x, "overflow in exp") from None
-    if k == "ln":
-        u = _ev(e.args[0], x)
-        if u <= 0.0:
-            raise DomainError(x, f"ln of non-positive value {u!r}")
-        return math.log(u)
-    raise ValueError(f"unknown node kind {k!r}")
-
-
 def evaluate(e: Expr, x: float) -> float:
-    """Evaluate at a positive point; never returns a silent NaN.
+    """The one-point form of eval_array; never returns a silent NaN.
 
-    Raises DomainError when x <= 0, when a sub-expression leaves its
-    domain, or when the result is not finite.
+    Raises DomainError when x <= 0 or when the result is not finite: a
+    sub-expression that leaves its domain gives NaN, as in eval_array.
     """
     x = float(x)
     if not x > 0.0:
         raise DomainError(x, "evaluation point must be positive")
-    v = _ev(e, x)
+    v = float(eval_array(e, x))
     if not math.isfinite(v):
         raise DomainError(x, f"non-finite result {v!r}")
     return v

@@ -59,6 +59,10 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
 def parse_config(raw: Mapping) -> SweepConfig:
     """Validate a config mapping; errors carry the offending field path."""
     _expect(isinstance(raw, Mapping), "<root>", "config must be an object")
@@ -78,10 +82,14 @@ def parse_config(raw: Mapping) -> SweepConfig:
         name = spec.get("name", spec.get("expr", ""))
         _expect("," not in str(name), f"models[{i}].name",
                 "model names may not contain commas")
+        for key in ("s", "rate"):
+            _expect(key not in spec or _finite(spec[key]), f"models[{i}].{key}",
+                    "must be a finite number")
         if "domain" in spec:
             dom = spec["domain"]
-            _expect(isinstance(dom, Sequence) and len(dom) == 2,
-                    f"models[{i}].domain", "must be [lo, hi]")
+            _expect(isinstance(dom, Sequence) and len(dom) == 2
+                    and all(_finite(v) for v in dom),
+                    f"models[{i}].domain", "must be [lo, hi], two finite numbers")
             _expect(0.0 < dom[0] < dom[1], f"models[{i}].domain",
                     f"need 0 < lo < hi, got {list(dom)}")
 
@@ -90,8 +98,7 @@ def parse_config(raw: Mapping) -> SweepConfig:
         _expect(isinstance(g, Sequence) and len(g) > 0, key, "must be nonempty")
         vals = []
         for j, v in enumerate(g):
-            _expect(isinstance(v, (int, float)) and math.isfinite(v),
-                    f"{key}[{j}]", "must be a finite number")
+            _expect(_finite(v), f"{key}[{j}]", "must be a finite number")
             _expect(predicate(float(v)), f"{key}[{j}]", what)
             vals.append(float(v))
         return tuple(vals)
@@ -245,8 +252,11 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
     """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
 
     The classical baselines need only |f'|^q convex; their monotonicity
-    and derivative-size flags are vacuously true.
+    and derivative-size flags are vacuously true.  A q = 1 bound is gated
+    at q = 1, whatever q the caller passes.
     """
+    if bound.q_rule == "1":
+        q = 1.0
     if bound.gate == "convex":
         return (is_convex(AbsPower(m.fprime, q), (a, b), check_cfg).ok, True, True)
     h = theorem_hypotheses(m, a, b, s, q, check_cfg)

@@ -3,6 +3,7 @@ log-scale branch, the per-interval |f'| sample, and the cube points."""
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -281,16 +282,34 @@ def test_overflow_at_large_q_raises_for_that_q_only():
                     is_convex(AbsPower(m.fprime, q), (1.0, 10.0), CFG)
 
 
+def _cached(fprime, a, b, cfg=CFG):
+    xs, _ = convexity._axes((a, b), cfg)
+    return convexity._abs_samples(fprime, xs[0], xs[-1], len(xs))
+
+
 def test_sample_is_read_only():
     m = model_from_expr("1/x", 1.0, 2.0)
     theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
-    sample = convexity._pair_sample(m.fprime, *convexity._axes((1.0, 2.0), CFG))
-    for cube in (None, convexity._linear_cube, convexity._geometric_cube):
-        for arr in sample.abs_on(cube):
+    samples = _cached(m.fprime, 1.0, 2.0)
+    assert set(samples) == {None, convexity._linear_cube, convexity._geometric_cube}
+    for arrays in samples.values():
+        for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
+
+
+def test_only_the_latest_interval_is_kept():
+    m = exp_model(1.0)
+    theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
+    is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
+    first = [weakref.ref(arr) for arrays in _cached(m.fprime, 1.0, 2.0).values()
+             for arr in arrays]
+    assert len(first) == 6 and all(ref() is not None for ref in first)
+    theorem_hypotheses(m, 1.0, 1.5, 1.0, 2.0, CFG)
+    is_convex(AbsPower(m.fprime, 2.0), (1.0, 1.5), CFG)
+    assert all(ref() is None for ref in first)
 
 
 def test_abs_power_is_the_map_it_names():

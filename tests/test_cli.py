@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from hhverify import cli
 from hhverify.cli import main
+from hhverify.convexity import (AbsPower, ClassCheckConfig,
+                                is_s_geometrically_convex)
+from hhverify.models import model_from_expr
 from hhverify.records import CSV_COLUMNS, read_csv
 from hhverify.sweep import parse_config, run_sweep
 
@@ -55,6 +59,26 @@ class TestCheckClass:
                             "--f", "x^0.5/0.5", "--domain", "0.01,1",
                             "--s", "0.5", "--q", "2", "--on-derivative"], capsys)
         assert code == 0
+
+    def test_on_derivative_checks_abs_power(self, capsys, monkeypatch):
+        # The CLI checks the map the sweep checks: AbsPower(f', q).
+        seen = []
+
+        def spy(g, *args):
+            seen.append(g)
+            return is_s_geometrically_convex(g, *args)
+        monkeypatch.setattr(cli, "is_s_geometrically_convex", spy)
+        code, out, _ = run(["check-class", "--kind", "s-geo-convex",
+                            "--f", "exp(-(x))", "--domain", "1,2",
+                            "--s", "0.5", "--q", "2", "--on-derivative"], capsys)
+        m = model_from_expr("exp(-(x))", 1.0, 2.0)
+        res = is_s_geometrically_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), 0.5,
+                                        ClassCheckConfig())
+        assert [(type(g), g.q) for g in seen] == [(AbsPower, 2.0)]
+        assert code == 2 and not res.ok
+        assert f"VIOLATED\n  violations: {res.violation_count}\n" in out
+        w = res.witnesses[0]
+        assert f"witness x={w.x:.6g} y={w.y:.6g} t={w.t:.6g} " in out
 
     def test_decreasing(self, capsys):
         code, _, _ = run(["check-class", "--kind", "decreasing",
@@ -115,6 +139,22 @@ class TestEvalBound:
         assert rec.hyp_class
 
 
+    def test_q1_bound_gated_at_q1(self, capsys):
+        # eq8 is a q = 1 bound: --q 2 must not gate it at |f'|^2.
+        cfg = parse_config({"models": [{"expr": "x^1.5", "domain": [1.0, 2.0]}],
+                            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [1.0],
+                            "q_grid": [1.0, 2.0]})
+        rec = next(r for r in run_sweep(cfg) if r.theorem == "eq8")
+        assert rec.verdict == "outside-hypotheses"
+        want = (f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
+                f"fprime_a_le_1={rec.hyp_fprime_a}")
+        for q in ([], ["--q", "1"], ["--q", "2"]):
+            code, out, _ = run(["eval-bound", "--theorem", "eq8", "--f", "x^1.5",
+                                "--domain", "1,2", "--a", "1", "--b", "2"] + q,
+                               capsys)
+            assert code == 0 and want in out, q
+
+
 class TestVerify:
     def test_csv_output_and_exit_0(self, cfg_path, tmp_path, capsys):
         out_path = str(tmp_path / "report.csv")
@@ -161,6 +201,17 @@ class TestVerify:
         run(["verify", "--config", cfg_path, "--out", p1], capsys)
         run(["verify", "--config", str(unseeded), "--out", p2], capsys)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize("spec, path", [
+        ({"builtin": "power", "s": [0.5]}, "models[0].s"),
+        ({"expr": "x", "domain": ["a", 2]}, "models[0].domain"),
+    ])
+    def test_mistyped_model_value_exit_1(self, tmp_path, capsys, spec, path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**SMALL_CFG, "models": [spec]}), encoding="utf-8")
+        code, _, err = run(["verify", "--config", str(p)], capsys)
+        assert code == 1
+        assert path in err
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

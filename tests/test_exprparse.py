@@ -199,3 +199,30 @@ def test_eval_array_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_evaluate_is_the_one_point_eval_array():
+    # Bit for bit where eval_array is finite, DomainError exactly where not.
+    rng = np.random.default_rng(4242)
+    finite = errors = 0
+    for _ in range(1500):
+        t = random_expr(rng, int(rng.integers(0, 5)))
+        x = float(rng.uniform(1e-3, 3.0))
+        for tree in (t, ep.differentiate(t)):
+            want = float(ep.eval_array(tree, x))
+            if math.isfinite(want):
+                assert ep.evaluate(tree, x).hex() == want.hex(), ep.pretty(tree)
+                finite += 1
+            else:
+                with pytest.raises(DomainError):
+                    ep.evaluate(tree, x)
+                errors += 1
+    assert finite > 1000 and errors > 10
+
+
+def test_evaluate_follows_nan_propagation():
+    # exp(1000) overflows, but exp(-inf) is 0: a finite result, as in
+    # eval_array.  An infinite result still raises.
+    assert ev("exp(-exp(x))", 1000.0) == 0.0
+    with pytest.raises(DomainError):
+        ev("exp(exp(x))", 1000.0)

@@ -49,6 +49,12 @@ class TestConfig:
         ({"models": [{"expr": "x"}]}, "models[0].domain"),
         ({"models": [{"builtin": "power"}]}, "models[0].s"),
         ({"models": [{"builtin": "exp", "domain": [1, 2]}]}, "models[0].rate"),
+        ({"models": [{"builtin": "power", "s": [0.5]}]}, "models[0].s"),
+        ({"models": [{"builtin": "power", "s": math.nan}]}, "models[0].s"),
+        ({"models": [{"builtin": "exp", "rate": "1"}]}, "models[0].rate"),
+        ({"models": [{"expr": "x", "domain": ["a", 2]}]}, "models[0].domain"),
+        ({"models": [{"expr": "x", "domain": [1, math.inf]}]}, "models[0].domain"),
+        ({"models": [{"expr": "x", "domain": "12"}]}, "models[0].domain"),
     ])
     def test_validation_names_field_paths(self, overrides, path_fragment):
         with pytest.raises(ConfigError) as exc:
@@ -295,6 +301,22 @@ class TestTightness:
         res = optimize_tightness("eq8", hv.exp_model(1.0), {"a": (1, 2), "b": (1, 2)})
         assert res.hypotheses_pass
         assert not res.violation
+
+    def test_q1_bound_gated_at_q1(self):
+        # |f'|^2 = 2.25x is convex, |f'| = 1.5 x^0.5 is not: eq8 is a q = 1
+        # bound, so the box's q = 2 must not gate it.
+        m = hv.model_from_expr("x^1.5", 1.0, 2.0)
+        cfg = parse_config({"models": [{"expr": "x^1.5", "domain": [1.0, 2.0]}],
+                            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [1.0],
+                            "q_grid": [1.0, 2.0]})
+        rec = next(r for r in run_sweep(cfg) if r.theorem == "eq8")
+        assert rec.verdict == "outside-hypotheses"
+        box = {"a": (1, 1), "b": (2, 2), "q": (2, 2)}
+        res = optimize_tightness("eq8", m, box, require_hypotheses=False)
+        assert res.hypotheses_pass == (rec.hyp_class and rec.hyp_monotone
+                                       and rec.hyp_fprime_a) == False
+        with pytest.raises(EmptyFeasibleSetError):
+            optimize_tightness("eq8", m, box)
 
 
 def _theorem_choices(command: str) -> tuple:

@@ -7,10 +7,9 @@ from .bounds import (alpha_ratio, factor_abs, factor_holder, factor_power_mean,
                      gap_integral_form, rhs_eq8, rhs_eq9, rhs_eq10, rhs_eq11,
                      rhs_eq111, trapezoid_mean_gap)
 from .convexity import (ClassCheckConfig, CheckResult, HypothesisReport,
-                        Witness, check_pointwise_key, is_convex,
-                        is_geometrically_convex, is_monotone_decreasing,
-                        is_s_convex, is_s_geometrically_convex,
-                        theorem_hypotheses)
+                        Witness, is_convex, is_geometrically_convex,
+                        is_monotone_decreasing, is_s_convex,
+                        is_s_geometrically_convex, theorem_hypotheses)
 from .gfuncs import GValue, g_full, g_lower, g_upper
 from .models import (FunctionModel, exp_model, make_model, model_from_expr,
                      power_model)
@@ -27,7 +26,7 @@ __all__ = [
     "gap_integral_form", "rhs_eq8", "rhs_eq9", "rhs_eq10", "rhs_eq11",
     "rhs_eq111", "trapezoid_mean_gap",
     "ClassCheckConfig", "CheckResult", "HypothesisReport", "Witness",
-    "check_pointwise_key", "is_convex", "is_geometrically_convex",
+    "is_convex", "is_geometrically_convex",
     "is_monotone_decreasing", "is_s_convex", "is_s_geometrically_convex",
     "theorem_hypotheses",
     "GValue", "g_full", "g_lower", "g_upper",

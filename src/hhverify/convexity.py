@@ -38,7 +38,7 @@ __all__ = [
     "ClassCheckConfig", "Witness", "CheckResult", "HypothesisReport", "AbsPower",
     "is_convex", "is_s_convex", "is_geometrically_convex",
     "is_s_geometrically_convex", "is_monotone_decreasing",
-    "check_pointwise_key", "theorem_hypotheses",
+    "theorem_hypotheses",
 ]
 
 # Above this magnitude, inequality comparisons move to log scale so that
@@ -196,8 +196,18 @@ def _axes(interval: tuple[float, float], cfg: ClassCheckConfig):
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     n = cfg.grid_points if cfg.grid_points % 2 == 1 else cfg.grid_points + 1
+    return _grid(lo, hi, n)
+
+
+# One slot, as for _abs_samples: a sweep runs every check on one interval
+# before it moves to the next.
+@lru_cache(maxsize=1)
+def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and t axes, read-only because every check on (lo, hi, n)
+    shares them."""
     xs = np.linspace(lo, hi, n)
     ts = np.linspace(0.0, 1.0, n)
+    xs.flags.writeable = ts.flags.writeable = False
     return xs, ts
 
 
@@ -291,20 +301,6 @@ def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
         for i in idx[:cfg.max_witnesses]
     )
     return CheckResult(len(idx) == 0, wit, int(len(idx)))
-
-
-def check_pointwise_key(mu: float, alpha: float, s: float) -> bool:
-    """mu^(alpha^s) <= mu^(alpha*s) for mu, alpha, s in (0, 1].
-
-    Holds identically in range (alpha^s >= alpha >= alpha*s and mu <= 1);
-    the property suite sweeps it with seeded random triples.
-    """
-    for name, v in (("mu", mu), ("alpha", alpha), ("s", s)):
-        if not (0.0 < v <= 1.0):
-            raise ValueError(f"{name}={v!r} outside (0, 1]")
-    lhs = mu ** (alpha ** s)
-    rhs = mu ** (alpha * s)
-    return lhs <= rhs + 1e-15 * max(1.0, rhs)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import Mapping
 
 __all__ = ["BoundRecord", "CSV_COLUMNS", "VERDICTS",
            "write_csv", "write_json", "read_csv", "read_json",
@@ -61,61 +62,40 @@ def sort_records(records: list[BoundRecord]) -> list[BoundRecord]:
     return sorted(records, key=lambda r: (r.model, r.theorem, r.a, r.b, r.s, r.q))
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
 _FLOAT_COLS = ("a", "b", "s", "q", "lhs", "rhs", "gap", "ratio")
 _BOOL_COLS = ("hyp_class", "hyp_monotone", "hyp_fprime_a")
 
+# How each wire format spells the non-finite floats (keyed by str(x)).
+_NONFINITE = {"csv": {"nan": "nan", "inf": "inf", "-inf": "-inf"},
+              "json": {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}}
 
-def _cell(r: BoundRecord, col: str) -> str:
+
+def _cell(r: BoundRecord, col: str, fmt: str) -> str:
+    """One column of one record as ``fmt`` ("csv" or "json") writes it."""
     v = getattr(r, col)
     if col in _FLOAT_COLS:
-        return _fmt_float(v)
+        return f"{v:.17g}" if math.isfinite(v) else _NONFINITE[fmt][str(v)]
     if col in _BOOL_COLS:
-        return _fmt_bool(v)
-    return str(v)
+        return "true" if v else "false"
+    return json.dumps(v) if fmt == "json" else str(v)
 
 
 def records_text(records: list[BoundRecord], fmt: str) -> str:
     """Render sorted records to their CSV or JSON wire form."""
+    if fmt not in _NONFINITE:
+        raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
     rs = sort_records(records)
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for r in rs:
-            lines.append(",".join(_cell(r, c) for c in CSV_COLUMNS))
+            lines.append(",".join(_cell(r, c, fmt) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        # Hand-rolled so float formatting is exactly 17 significant digits.
-        rows = []
-        for r in rs:
-            parts = []
-            for c in CSV_COLUMNS:
-                if c in _FLOAT_COLS:
-                    v = getattr(r, c)
-                    if math.isnan(v):
-                        cell = "NaN"
-                    elif math.isinf(v):
-                        cell = "Infinity" if v > 0 else "-Infinity"
-                    else:
-                        cell = _fmt_float(v)
-                elif c in _BOOL_COLS:
-                    cell = _fmt_bool(getattr(r, c))
-                else:
-                    cell = json.dumps(getattr(r, c))
-                parts.append(f"{json.dumps(c)}: {cell}")
-            rows.append("  {" + ", ".join(parts) + "}")
-        return "{\"records\": [\n" + ",\n".join(rows) + "\n]}\n"
-    raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
+    # Hand-rolled so float formatting is exactly 17 significant digits.
+    rows = []
+    for r in rs:
+        parts = [f"{json.dumps(c)}: {_cell(r, c, fmt)}" for c in CSV_COLUMNS]
+        rows.append("  {" + ", ".join(parts) + "}")
+    return "{\"records\": [\n" + ",\n".join(rows) + "\n]}\n"
 
 
 def write_csv(records: list[BoundRecord], path: str) -> None:
@@ -136,14 +116,23 @@ def _write(records: list[BoundRecord], path: str, fmt: str) -> None:
         raise OSError(f"cannot write report to {path}: {e}") from e
 
 
-def _record_from_strings(cells: dict[str, str]) -> BoundRecord:
+def _record(cells: Mapping, where: str) -> BoundRecord:
+    """One row of either wire format, keyed by column, as a record.  CSV
+    cells are strings; JSON ones are already floats, bools and strings.
+    ``where`` names the row in the ValueError a malformed row raises."""
+    missing = [c for c in CSV_COLUMNS if c not in cells]
+    if missing:
+        raise ValueError(f"{where}: missing column(s) {', '.join(missing)}")
     kwargs = {}
     for c in CSV_COLUMNS:
         v = cells[c]
         if c in _FLOAT_COLS:
-            kwargs[c] = float(v)
+            try:
+                kwargs[c] = float(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: {c} is not a number: {v!r}") from None
         elif c in _BOOL_COLS:
-            kwargs[c] = v.strip().lower() == "true"
+            kwargs[c] = str(v).strip().lower() == "true"
         else:
             kwargs[c] = v
     return BoundRecord(**kwargs)
@@ -151,48 +140,32 @@ def _record_from_strings(cells: dict[str, str]) -> BoundRecord:
 
 def read_csv(path: str) -> list[BoundRecord]:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
+        rows = [(i, ln.split(","))
+                for i, ln in enumerate(fh.read().splitlines(), 1) if ln]
+    header = rows[0][1] if rows else []
     if header != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header in {path}: {header}")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        out.append(_record_from_strings(dict(zip(header, cells))))
-    return out
+    return [_record(dict(zip(header, cells)), f"{path}:{i}")
+            for i, cells in rows[1:]]
 
 
 def read_json(path: str) -> list[BoundRecord]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    out = []
-    for row in payload["records"]:
-        kwargs = {}
-        for c in CSV_COLUMNS:
-            v = row[c]
-            kwargs[c] = float(v) if c in _FLOAT_COLS else v
-        out.append(BoundRecord(**kwargs))
-    return out
-
-
-def _float_eq(x: float, y: float) -> bool:
-    if math.isnan(x) and math.isnan(y):
-        return True
-    return x == y
+    rows = payload.get("records") if isinstance(payload, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ValueError(f"{path}: expected an object with a 'records' list of objects")
+    return [_record(row, f"{path}: record {i}") for i, row in enumerate(rows, 1)]
 
 
 def records_equal(a: list[BoundRecord], b: list[BoundRecord]) -> bool:
-    """Wire-format equality (NaN-tolerant, serialized fields only)."""
+    """Equality of the wire columns' values, with NaN equal to NaN."""
     if len(a) != len(b):
         return False
     for ra, rb in zip(sort_records(a), sort_records(b)):
-        for f in fields(BoundRecord):
-            if f.name == "oracle_residual":
+        for c in CSV_COLUMNS:
+            va, vb = getattr(ra, c), getattr(rb, c)
+            if va == vb or (c in _FLOAT_COLS and math.isnan(va) and math.isnan(vb)):
                 continue
-            va, vb = getattr(ra, f.name), getattr(rb, f.name)
-            if isinstance(va, float):
-                if not _float_eq(va, vb):
-                    return False
-            elif va != vb:
-                return False
+            return False
     return True

@@ -51,7 +51,6 @@ class SweepConfig:
     q_grid: tuple[float, ...]
     tolerances: Tolerances = Tolerances()
     class_grid_points: int = 33
-    schema_version: int = SCHEMA_VERSION
 
 
 def _expect(cond: bool, path: str, message: str) -> None:

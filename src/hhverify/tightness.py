@@ -14,6 +14,7 @@ preconditions is quantified.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -34,6 +35,11 @@ SEARCH_TAGS = tuple(tag for tag, bound in BOUND_TABLE.items()
 
 _RATIO_GUARD = 1.0 + 1e-9
 
+# Every search evaluates lhs at this quadrature tolerance and checks the
+# hypotheses on the default grid.
+_QUAD_TOL = 1e-9
+_CHECK_CFG = ClassCheckConfig()
+
 
 @dataclass(frozen=True)
 class TightnessResult:
@@ -47,86 +53,20 @@ class TightnessResult:
     violation: bool = False
 
 
-@dataclass
-class _Box:
-    a: tuple[float, float]
-    b: tuple[float, float]
-    s: tuple[float, float]
-    q: tuple[float, float]
-
-    @classmethod
-    def from_mapping(cls, box: Mapping) -> "_Box":
-        def rng(key: str, default: tuple[float, float]) -> tuple[float, float]:
-            v = box.get(key, default)
-            if isinstance(v, (int, float)):
-                return (float(v), float(v))
-            lo, hi = float(v[0]), float(v[1])
-            if lo > hi:
-                raise ValueError(f"box.{key}: need lo <= hi, got ({lo}, {hi})")
-            return (lo, hi)
-
-        return cls(rng("a", (0.0, 0.0)), rng("b", (0.0, 0.0)),
-                   rng("s", (1.0, 1.0)), rng("q", (1.0, 1.0)))
-
-
-class _Objective:
-    def __init__(self, theorem: str, model: FunctionModel, box: _Box,
-                 require_hypotheses: bool, quad_tol: float,
-                 check_cfg: ClassCheckConfig):
-        self.bound = BOUND_TABLE[theorem]
-        self.model = model
-        self.box = box
-        self.require = require_hypotheses
-        self.quad_tol = quad_tol
-        self.check_cfg = check_cfg
-        self.evals = 0
-        self.cache: dict[tuple, tuple[float, bool]] = {}
-
-    def feasible(self, a: float, b: float, s: float, q: float) -> bool:
-        box = self.box
-        if not (box.a[0] <= a <= box.a[1] and box.b[0] <= b <= box.b[1]
-                and box.s[0] <= s <= box.s[1] and box.q[0] <= q <= box.q[1]):
-            return False
-        if not (a + 1e-9 < b and self.model.contains(a, b)):
-            return False
-        if self.bound.q_rule == ">1" and not q > 1.0:
-            return False
-        return True
-
-    def __call__(self, a: float, b: float, s: float, q: float) -> tuple[float, bool]:
-        """Returns (ratio, hypotheses_pass); -inf when infeasible."""
-        key = (round(a, 12), round(b, 12), round(s, 12), round(q, 12))
-        if key in self.cache:
-            return self.cache[key]
-        if not self.feasible(a, b, s, q):
-            result = (-math.inf, False)
-            self.cache[key] = result
-            return result
-        self.evals += 1
-        try:
-            hyp_ok = all(hypothesis_flags(self.bound, self.model, a, b, s, q,
-                                          self.check_cfg))
-            if self.require and not hyp_ok:
-                result = (-math.inf, False)
-                self.cache[key] = result
-                return result
-            rhs = self.bound.rhs(self.model, a, b, s, q)
-            lhs = bounds.trapezoid_mean_gap(self.model, a, b, tol=self.quad_tol)
-        except Exception:
-            result = (-math.inf, False)
-            self.cache[key] = result
-            return result
-        ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
-        result = (ratio, hyp_ok)
-        self.cache[key] = result
-        return result
+def _range(box: Mapping, key: str, default: float) -> tuple[float, float]:
+    """box[key] as (lo, hi); a scalar fixes the parameter."""
+    v = box.get(key, default)
+    if isinstance(v, (int, float)):
+        return (float(v), float(v))
+    lo, hi = float(v[0]), float(v[1])
+    if lo > hi:
+        raise ValueError(f"box.{key}: need lo <= hi, got ({lo}, {hi})")
+    return (lo, hi)
 
 
 def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
                        require_hypotheses: bool = True,
-                       coarse_points: int = 5, max_iters: int = 60,
-                       quad_tol: float = 1e-9,
-                       check_cfg: ClassCheckConfig | None = None) -> TightnessResult:
+                       coarse_points: int = 5, max_iters: int = 60) -> TightnessResult:
     """Maximize lhs/rhs for one bound over a parameter box.
 
     ``box`` maps "a"/"b"/"s"/"q" to (lo, hi) ranges or fixed scalars.
@@ -134,12 +74,42 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     """
     if theorem not in SEARCH_TAGS:
         raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(SEARCH_TAGS)})")
-    b = _Box.from_mapping(box)
-    obj = _Objective(theorem, model, b, require_hypotheses, quad_tol,
-                     check_cfg or ClassCheckConfig())
+    bound = BOUND_TABLE[theorem]
+    ranges = [_range(box, "a", 0.0), _range(box, "b", 0.0),
+              _range(box, "s", 1.0), _range(box, "q", 1.0)]
+    cache: dict[tuple, tuple[float, bool]] = {}
+    evals = 0
 
-    def axis(rng: tuple[float, float]) -> list[float]:
-        lo, hi = rng
+    def objective(a: float, b: float, s: float, q: float) -> tuple[float, bool]:
+        """(ratio, hypotheses_pass); -inf when infeasible.  Points equal to
+        12 decimals are evaluated once."""
+        key = (round(a, 12), round(b, 12), round(s, 12), round(q, 12))
+        if key not in cache:
+            cache[key] = evaluate(a, b, s, q)
+        return cache[key]
+
+    def evaluate(a: float, b: float, s: float, q: float) -> tuple[float, bool]:
+        nonlocal evals
+        infeasible = (-math.inf, False)
+        if not all(lo <= v <= hi for v, (lo, hi) in zip((a, b, s, q), ranges)):
+            return infeasible
+        if not (a + 1e-9 < b and model.contains(a, b)):
+            return infeasible
+        if bound.q_rule == ">1" and not q > 1.0:
+            return infeasible
+        evals += 1
+        try:
+            hyp_ok = all(hypothesis_flags(bound, model, a, b, s, q, _CHECK_CFG))
+            if require_hypotheses and not hyp_ok:
+                return infeasible
+            rhs = bound.rhs(model, a, b, s, q)
+            lhs = bounds.trapezoid_mean_gap(model, a, b, tol=_QUAD_TOL)
+        except Exception:
+            return infeasible
+        ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
+        return (ratio, hyp_ok)
+
+    def axis(lo: float, hi: float) -> list[float]:
         if hi <= lo:
             return [lo]
         n = coarse_points
@@ -147,19 +117,16 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
 
     best = (-math.inf, False)
     best_pt = None
-    for av in axis(b.a):
-        for bv in axis(b.b):
-            for sv in axis(b.s):
-                for qv in axis(b.q):
-                    val = obj(av, bv, sv, qv)
-                    if val[0] > best[0]:
-                        best, best_pt = val, (av, bv, sv, qv)
+    for pt in itertools.product(*(axis(lo, hi) for lo, hi in ranges)):
+        val = objective(*pt)
+        if val[0] > best[0]:
+            best, best_pt = val, pt
     if best_pt is None or best[0] == -math.inf:
         raise EmptyFeasibleSetError(
             f"no feasible point for {theorem} in the given box")
 
     # Compass search on the active axes.
-    spans = [b.a[1] - b.a[0], b.b[1] - b.b[0], b.s[1] - b.s[0], b.q[1] - b.q[0]]
+    spans = [hi - lo for lo, hi in ranges]
     steps = [sp / 4.0 if sp > 0.0 else 0.0 for sp in spans]
     pt = list(best_pt)
     for _ in range(max_iters):
@@ -172,7 +139,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
             for sign in (1.0, -1.0):
                 cand = list(pt)
                 cand[i] += sign * steps[i]
-                val = obj(*cand)
+                val = objective(*cand)
                 if val[0] > best[0]:
                     best, pt, improved = val, cand, True
         if not improved:
@@ -183,7 +150,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         theorem=theorem,
         params={"a": pt[0], "b": pt[1], "s": pt[2], "q": pt[3]},
         ratio=ratio,
-        trace_len=obj.evals,
+        trace_len=evals,
         hypotheses_pass=hyp_ok,
         violation=bool(hyp_ok and ratio > _RATIO_GUARD),
     )

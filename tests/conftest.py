@@ -45,3 +45,17 @@ def default_sweep():
     cfg = default_config()
     records = run_sweep(cfg)
     return cfg, records, summarize(records)
+
+
+def check_pointwise_key(mu: float, alpha: float, s: float) -> bool:
+    """mu^(alpha^s) <= mu^(alpha*s) for mu, alpha, s in (0, 1].
+
+    Holds identically in range (alpha^s >= alpha >= alpha*s and mu <= 1);
+    the property suite sweeps it with seeded random triples.
+    """
+    for name, v in (("mu", mu), ("alpha", alpha), ("s", s)):
+        if not (0.0 < v <= 1.0):
+            raise ValueError(f"{name}={v!r} outside (0, 1]")
+    lhs = mu ** (alpha ** s)
+    rhs = mu ** (alpha * s)
+    return lhs <= rhs + 1e-15 * max(1.0, rhs)

@@ -11,7 +11,8 @@ import numpy as np
 
 import hhverify as hv
 from hhverify import means
-from hhverify.convexity import (ClassCheckConfig, check_pointwise_key,
+from conftest import check_pointwise_key
+from hhverify.convexity import (ClassCheckConfig,
                                 is_monotone_decreasing,
                                 is_s_geometrically_convex)
 from hhverify.models import exp_model, model_from_expr, power_model
@@ -212,6 +213,7 @@ def test_c10_determinism_and_serialization(default_sweep, tmp_path):
 # so a rounding change in the quadrature oracle shows even where the CSV's
 # printed digits hide it.
 DEFAULT_CSV_SHA256 = "4cb03320728de59d07b1ab5719eb8254892534359eb30fd87108f409c0a0f867"
+DEFAULT_JSON_SHA256 = "8f25fcf3341148475ef417e39ecd62ea972dfaedcfc4a7759b5d02e153f0f794"
 DEFAULT_RESIDUALS_SHA256 = "54f6b17466fd48dcce33224ac28f0e2587a7972dc01857de946a2a71ed1afa48"
 
 
@@ -219,6 +221,8 @@ def test_c11_default_report_bytes(default_sweep):
     _, records, summary = default_sweep
     text = records_text(records, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CSV_SHA256
+    text = records_text(records, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_JSON_SHA256
     counts = [summary["by_verdict"].get(v, 0) for v in VERDICTS]
     assert (len(records), counts) == (940, [444, 0, 466, 30])
     residuals = ",".join(r.oracle_residual.hex() for r in records)

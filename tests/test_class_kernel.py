@@ -312,6 +312,20 @@ def test_only_the_latest_interval_is_kept():
     assert all(ref() is None for ref in first)
 
 
+def test_checks_on_one_interval_share_read_only_axes():
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return np.exp(x)
+    xs, ts = convexity._axes((1.0, 2.0), CFG)
+    is_convex(g, (1.0, 2.0), CFG)                   # the x grid, then the cube
+    is_monotone_decreasing(g, (1.0, 2.0), CFG)      # the x grid
+    assert np.shares_memory(seen[0], xs) and np.shares_memory(seen[2], xs)
+    assert convexity._axes((1.0, 2.0), CFG)[1] is ts
+    assert not xs.flags.writeable and not ts.flags.writeable
+
+
 def test_abs_power_is_the_map_it_names():
     m = model_from_expr("1 - ln(x)", 1.0, 2.0)
     xs = np.linspace(1.0, 2.0, 7)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hhverify.convexity import (ClassCheckConfig, check_pointwise_key,
+from conftest import check_pointwise_key
+from hhverify.convexity import (ClassCheckConfig,
                                 is_convex, is_geometrically_convex,
                                 is_monotone_decreasing, is_s_convex,
                                 is_s_geometrically_convex, theorem_hypotheses)

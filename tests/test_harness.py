@@ -231,6 +231,32 @@ class TestRecordsSerialization:
         with pytest.raises(ValueError):
             read_csv(str(p))
 
+    def test_readers_reject_malformed_rows(self, tmp_path):
+        rec = BoundRecord("m", "eq10", 0.25, 0.75, 0.5, 1.0, 0.1, 0.2, 0.1,
+                          0.5, True, True, False, "outside-hypotheses", "")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="empty.csv"):
+            read_csv(str(empty))
+        short = tmp_path / "short.csv"
+        short.write_text(",".join(CSV_COLUMNS) + "\n\nm,eq10,0.25\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"short\.csv:3: missing column\(s\) b, s"):
+            read_csv(str(short))
+        path = tmp_path / "one.json"
+        write_json([rec], str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["records"][0]["theorem"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"one\.json: record 1: missing column\(s\) theorem"):
+            read_json(str(path))
+        payload["records"][0].update(theorem="eq10", a=None)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"one\.json: record 1: a is not a number"):
+            read_json(str(path))
+        path.write_text(json.dumps(payload["records"]), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"one\.json: expected an object"):
+            read_json(str(path))
+
 
 class TestRhsQContinuity:
     def test_eq111_rhs_continuous_in_q(self):
@@ -317,6 +343,47 @@ class TestTightness:
                                        and rec.hyp_fprime_a) == False
         with pytest.raises(EmptyFeasibleSetError):
             optimize_tightness("eq8", m, box)
+
+    # The search's results bit for bit, floats as hex, over every searchable
+    # bound: (theorem, model, box, require_hypotheses) -> (ratio, a, b, s, q,
+    # trace_len, hypotheses_pass, violation).
+    MODELS = {"exp": lambda: hv.exp_model(1.0, 1.0, 2.0),
+              "power": lambda: hv.power_model(0.5, 1e-3, 1.0),
+              "1 - ln(x)": lambda: hv.model_from_expr("1 - ln(x)", 1.0, 2.0),
+              "1/x": lambda: hv.model_from_expr("1/x", 1.0, 2.0)}
+    AB = {"a": (1.0, 1.4), "b": (1.6, 2.0)}
+    ONE, TWO = "0x1.0000000000000p+0", "0x1.0000000000000p+1"
+    PINNED = [
+        (("eq8", "exp", AB, True),
+         ("0x1.36561454ba85fp-2", ONE, TWO, ONE, ONE, 57, True, False)),
+        (("eq8", "1/x", AB, False),
+         ("0x1.749734049e733p-2", ONE, TWO, ONE, ONE, 57, True, False)),
+        (("eq9", "1/x", {**AB, "q": (1.5, 3.0)}, True),
+         ("0x1.14ccf2897461ep-2", ONE, TWO, ONE, "0x1.eb1b280000000p+0",
+          209, True, False)),
+        (("eq10", "1 - ln(x)", AB, True),
+         ("0x1.beac073aa89bcp-3", ONE, TWO, ONE, ONE, 57, True, False)),
+        (("eq10", "power", {"a": (1e-3, 0.2), "b": (0.6, 1.0), "s": 0.5}, False),
+         ("0x1.2b7fe8d72f092p-1", "0x1.cc8d0e560418bp-8",
+          "0x1.3333333333333p-1", "0x1.0000000000000p-1", ONE, 71, False, False)),
+        (("eq11", "exp", {**AB, "s": 0.8, "q": 2.0}, False),
+         ("0x1.aa2b69e074eabp-3", ONE, TWO, "0x1.999999999999ap-1", TWO,
+          57, False, False)),
+        (("eq11", "1 - ln(x)", {**AB, "q": 2.5}, True),
+         ("0x1.8ab1127a165adp-3", ONE, TWO, ONE, "0x1.4000000000000p+1",
+          57, True, False)),
+        (("eq111", "1/x", {**AB, "q": 1.7}, True),
+         ("0x1.9ae71f9b551f9p-2", ONE, TWO, ONE, "0x1.b333333333333p+0",
+          57, True, False)),
+    ]
+
+    @pytest.mark.parametrize("search, expected", PINNED)
+    def test_search_results_pinned(self, search, expected):
+        theorem, model, box, require = search
+        res = optimize_tightness(theorem, self.MODELS[model](), box,
+                                 require_hypotheses=require)
+        assert (res.ratio.hex(), *(float(res.params[k]).hex() for k in "absq"),
+                res.trace_len, res.hypotheses_pass, res.violation) == expected
 
 
 def _theorem_choices(command: str) -> tuple:

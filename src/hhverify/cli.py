@@ -23,7 +23,7 @@ from .convexity import (AbsPower, ClassCheckConfig, is_convex,
                         is_s_convex, is_s_geometrically_convex)
 from .errors import ConfigError, EmptyFeasibleSetError, ParseError
 from .models import FunctionModel, model_from_expr, model_from_spec
-from .records import records_text, write_csv, write_json
+from .records import make_ratio, records_text, write_csv, write_json
 from .tightness import SEARCH_TAGS, optimize_tightness
 
 _CLASS_KINDS = ("convex", "s-convex", "geo-convex", "s-geo-convex", "decreasing")
@@ -123,7 +123,7 @@ def cmd_eval_bound(args) -> int:
     flags = sweep.hypothesis_flags(bound, m, a, b, s, q, ClassCheckConfig())
     print(f"model: {m.name}")
     print(f"{tag}: lhs={lhs:.12g} rhs={rhs:.12g} gap={rhs - lhs:.12g} "
-          f"ratio={(lhs / rhs if rhs > 0 else float('nan')):.12g}")
+          f"ratio={make_ratio(lhs, rhs):.12g}")
     print("hypotheses: class={} monotone={} fprime_a_le_1={}".format(*flags))
     if sweep._verdict(flags, lhs, rhs) == "violation":
         print("VIOLATION")

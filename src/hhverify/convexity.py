@@ -312,10 +312,6 @@ class HypothesisReport:
     witnesses: Mapping[str, tuple[Witness, ...]] = field(default_factory=dict)
     params: Mapping[str, float] = field(default_factory=dict)
 
-    @property
-    def all_pass(self) -> bool:
-        return self.class_ok and self.monotone_decreasing_ok and self.fprime_a_le_1
-
 
 def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
                        cfg: ClassCheckConfig = ClassCheckConfig()) -> HypothesisReport:

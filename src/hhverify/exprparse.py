@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,13 +31,18 @@ __all__ = [
     "differentiate",
     "evaluate",
     "eval_array",
-    "pretty",
     "contains_var",
+    "MAX_DEPTH",
 ]
 
-_LEAF_KINDS = ("const", "var")
-_UNARY_KINDS = ("neg", "exp", "ln")
-_BINARY_KINDS = ("add", "sub", "mul", "div", "pow")
+# Children per node kind.
+_ARITY = {"const": 0, "var": 0, "neg": 1, "exp": 1, "ln": 1,
+          "add": 2, "sub": 2, "mul": 2, "div": 2, "pow": 2}
+
+# parse rejects text nested more than this many levels, counting each '(',
+# unary '-' and '^', and trees more than this many levels deep: the parser,
+# the differentiator and the evaluators all recurse over the tree.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -53,13 +59,11 @@ class Expr:
     value: float = 0.0
 
     def __post_init__(self):
-        arity = {**{k: 0 for k in _LEAF_KINDS},
-                 **{k: 1 for k in _UNARY_KINDS},
-                 **{k: 2 for k in _BINARY_KINDS}}
-        if self.kind not in arity:
+        arity = _ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown node kind {self.kind!r}")
-        if len(self.args) != arity[self.kind]:
-            raise ValueError(f"{self.kind} expects {arity[self.kind]} children, "
+        if len(self.args) != arity:
+            raise ValueError(f"{self.kind} expects {arity} children, "
                              f"got {len(self.args)}")
 
 
@@ -113,22 +117,6 @@ def div(l: Expr, r: Expr) -> Expr:
     return Expr("div", (l, r))
 
 
-def pow_(b: Expr, e: Expr) -> Expr:
-    return Expr("pow", (b, e))
-
-
-def neg(e: Expr) -> Expr:
-    return Expr("neg", (e,))
-
-
-def exp_(e: Expr) -> Expr:
-    return Expr("exp", (e,))
-
-
-def ln_(e: Expr) -> Expr:
-    return Expr("ln", (e,))
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -137,11 +125,15 @@ _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _WS_RE = re.compile(r"\s*")
 
+# Binary operators by precedence level, loosest first; all left-associative.
+_BINARY_OPS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+
 
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.nesting = 0
 
     def _skip_ws(self):
         self.pos = _WS_RE.match(self.src, self.pos).end()
@@ -150,54 +142,49 @@ class _Parser:
         self._skip_ws()
         return self.src[self.pos] if self.pos < len(self.src) else ""
 
-    def _fail(self, message: str, expected: str):
-        raise ParseError(self.pos, message, expected)
-
     def _eat(self, ch: str, expected: str):
         if self._peek() != ch:
             got = self._peek() or "end of input"
-            self._fail(f"found {got!r}", expected)
+            raise ParseError(self.pos, f"found {got!r}", expected)
         self.pos += 1
 
     def parse(self) -> Expr:
-        self._skip_ws()
-        if self.pos == len(self.src):
-            self._fail("empty input", "an expression")
         e = self.expr()
         self._skip_ws()
         if self.pos != len(self.src):
-            self._fail(f"trailing input {self.src[self.pos:]!r}", "end of input")
+            raise ParseError(self.pos, f"trailing input {self.src[self.pos:]!r}",
+                             "end of input")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self._peek() in ("+", "-"):
-            op = self._peek()
+    def expr(self, level: int = 0) -> Expr:
+        """Operands joined by the operators of precedence ``level``: the
+        grammar's expr at level 0 and its term at level 1."""
+        operand = partial(self.expr, 1) if level == 0 else self.unary
+        e = operand()
+        while (kind := _BINARY_OPS[level].get(self._peek())) is not None:
             self.pos += 1
-            rhs = self.term()
-            e = Expr("add" if op == "+" else "sub", (e, rhs))
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self._peek() in ("*", "/"):
-            op = self._peek()
-            self.pos += 1
-            rhs = self.unary()
-            e = Expr("mul" if op == "*" else "div", (e, rhs))
+            e = Expr(kind, (e, operand()))
         return e
 
     def unary(self) -> Expr:
+        # What follows each '(', unary '-' and '^' is parsed by a new
+        # unary(), so the calls active beyond the first count the nesting.
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(self.pos, f"nesting deeper than {MAX_DEPTH} levels")
+        self.nesting += 1
         if self._peek() == "-":
             self.pos += 1
-            return neg(self.unary())
-        return self.power()
+            e = Expr("neg", (self.unary(),))
+        else:
+            e = self.power()
+        self.nesting -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
         if self._peek() == "^":
             self.pos += 1
-            return pow_(base, self.unary())
+            return Expr("pow", (base, self.unary()))
         return base
 
     def atom(self) -> Expr:
@@ -221,21 +208,33 @@ class _Parser:
                 self._eat("(", f"'(' after {name}")
                 e = self.expr()
                 self._eat(")", "')'")
-                return exp_(e) if name == "exp" else ln_(e)
-            self._fail(f"unknown identifier {name!r}", "'x', 'exp' or 'ln'")
+                return Expr(name, (e,))
+            raise ParseError(self.pos, f"unknown identifier {name!r}",
+                             "'x', 'exp' or 'ln'")
         got = ch or "end of input"
-        self._fail(f"found {got!r}", "a number, 'x', 'exp(', 'ln(' or '('")
+        raise ParseError(self.pos, f"found {got!r}",
+                         "a number, 'x', 'exp(', 'ln(' or '('")
 
 
 def parse(src: str) -> Expr:
     """Parse expression text into an Expr tree.
 
     Raises ParseError (with byte offset) on unknown tokens, unbalanced
-    parentheses or trailing input.
+    parentheses, trailing input, or nesting or a tree deeper than
+    MAX_DEPTH.
     """
     if not isinstance(src, str) or not src.strip():
         raise ParseError(0, "empty input", "an expression")
-    return _Parser(src).parse()
+    tree = _Parser(src).parse()
+    # Levels below the root (n for a chain of n operators), counted
+    # without recursion.
+    depth, level = 0, [tree]
+    while level := [c for n in level for c in n.args]:
+        depth += 1
+    if depth > MAX_DEPTH:
+        raise ParseError(0, f"expression tree {depth} levels deep",
+                         f"at most {MAX_DEPTH}")
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def differentiate(e: Expr) -> Expr:
     if k == "var":
         return ONE
     if k == "neg":
-        return neg(differentiate(e.args[0]))
+        return Expr("neg", (differentiate(e.args[0]),))
     if k == "add":
         return add(differentiate(e.args[0]), differentiate(e.args[1]))
     if k == "sub":
@@ -272,10 +271,9 @@ def differentiate(e: Expr) -> Expr:
     if k == "div":
         u, v = e.args
         num = sub(mul(differentiate(u), v), mul(u, differentiate(v)))
-        return div(num, pow_(v, const(2.0)))
+        return div(num, Expr("pow", (v, const(2.0))))
     if k == "exp":
-        (u,) = e.args
-        return mul(exp_(u), differentiate(u))
+        return mul(e, differentiate(e.args[0]))
     if k == "ln":
         (u,) = e.args
         return div(differentiate(u), u)
@@ -283,9 +281,9 @@ def differentiate(e: Expr) -> Expr:
         b, x = e.args
         if not contains_var(x):
             # d(b^c) = c * b^(c-1) * b'
-            return mul(mul(x, pow_(b, sub(x, ONE))), differentiate(b))
-        rewritten = exp_(mul(x, ln_(b)))
-        return mul(rewritten, differentiate(mul(x, ln_(b))))
+            return mul(mul(x, Expr("pow", (b, sub(x, ONE)))), differentiate(b))
+        log_b = mul(x, Expr("ln", (b,)))
+        return mul(Expr("exp", (log_b,)), differentiate(log_b))
     raise ValueError(f"unknown node kind {k!r}")
 
 
@@ -352,44 +350,3 @@ def eval_array(e: Expr, xs) -> np.ndarray:
     if np.shape(out) != xs.shape:
         out = np.full(xs.shape, out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (round-trip stable: parse(pretty(t)) == t)
-# ---------------------------------------------------------------------------
-
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4,
-         "const": 5, "var": 5, "exp": 5, "ln": 5}
-
-
-def _fmt_const(v: float) -> str:
-    if v < 0.0 or (v == 0.0 and math.copysign(1.0, v) < 0.0):
-        return "-" + _fmt_const(-v)
-    return repr(v)
-
-
-def _pp(e: Expr, level: int) -> str:
-    k = e.kind
-    if k == "const":
-        s = _fmt_const(e.value)
-        mine = 3 if s.startswith("-") else 5
-    elif k == "var":
-        s, mine = "x", 5
-    elif k in ("exp", "ln"):
-        s, mine = f"{k}({_pp(e.args[0], 0)})", 5
-    elif k == "neg":
-        s, mine = "-" + _pp(e.args[0], 3), 3
-    elif k == "pow":
-        s, mine = _pp(e.args[0], 5) + "^" + _pp(e.args[1], 3), 4
-    else:
-        op = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[k]
-        mine = _PREC[k]
-        s = _pp(e.args[0], mine) + op + _pp(e.args[1], mine + 1)
-    if mine < level:
-        return "(" + s + ")"
-    return s
-
-
-def pretty(e: Expr) -> str:
-    """Render to text that reparses to the identical tree."""
-    return _pp(e, 0)

@@ -43,10 +43,6 @@ class GValue:
     """A kernel value plus which evaluation branch produced it."""
     value: float
     branch: str  # "series" | "closed-form"
-    alpha: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _check_alpha(alpha: float) -> float:
@@ -61,9 +57,9 @@ def g_lower(alpha: float) -> GValue:
     u = math.log(alpha)
     if abs(u) < SERIES_SWITCH:
         v = 0.25 + u / 24.0 + u * u / 192.0 + u ** 3 / 1920.0
-        return GValue(v, "series", alpha)
+        return GValue(v, "series")
     v = (2.0 * math.sqrt(alpha) - 2.0 - u) / (u * u)
-    return GValue(v, "closed-form", alpha)
+    return GValue(v, "closed-form")
 
 
 def g_upper(alpha: float) -> GValue:
@@ -71,9 +67,9 @@ def g_upper(alpha: float) -> GValue:
     u = math.log(alpha)
     if abs(u) < SERIES_SWITCH:
         v = 0.25 + 5.0 * u / 24.0 + 17.0 * u * u / 192.0 + 49.0 * u ** 3 / 1920.0
-        return GValue(v, "series", alpha)
+        return GValue(v, "series")
     v = (2.0 * math.sqrt(alpha) - 2.0 * alpha + alpha * u) / (u * u)
-    return GValue(v, "closed-form", alpha)
+    return GValue(v, "closed-form")
 
 
 def g_full(alpha: float) -> GValue:
@@ -81,5 +77,5 @@ def g_full(alpha: float) -> GValue:
     u = math.log(alpha)
     if abs(u) < SERIES_SWITCH:
         v = 1.0 + u / 2.0 + u * u / 6.0 + u ** 3 / 24.0
-        return GValue(v, "series", alpha)
-    return GValue((alpha - 1.0) / u, "closed-form", alpha)
+        return GValue(v, "series")
+    return GValue((alpha - 1.0) / u, "closed-form")

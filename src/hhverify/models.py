@@ -33,10 +33,6 @@ class FunctionModel:
     fprime: Callable
     params: Mapping[str, float] = field(default_factory=dict)
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
     def contains(self, a: float, b: float) -> bool:
         return self.lo <= a < b <= self.hi
 

@@ -58,8 +58,13 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _number(v) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v)
+    return _number(v) and math.isfinite(v)
 
 
 def parse_config(raw: Mapping) -> SweepConfig:
@@ -114,7 +119,7 @@ def parse_config(raw: Mapping) -> SweepConfig:
     tols = {}
     for key in ("quad_tol", "slack", "identity_tol"):
         v = tol_raw.get(key, getattr(Tolerances(), key))
-        _expect(isinstance(v, (int, float)) and v > 0.0,
+        _expect(_number(v) and v > 0.0,
                 f"tolerances.{key}", "must be > 0")
         tols[key] = float(v)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,45 @@ def random_expr(rng: np.random.Generator, depth: int) -> ep.Expr:
     if r < 0.97:
         return ep.Expr("ln", (random_expr(rng, depth - 1),))
     return ep.Expr("neg", (random_expr(rng, depth - 1),))
+
+
+# Printer for Expr trees, round-trip stable: parse(pretty(t)) == t.  Binding
+# strength by kind; a negative constant binds like unary minus.
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4,
+         "const": 5, "var": 5, "exp": 5, "ln": 5}
+
+
+def _fmt_const(v: float) -> str:
+    if v < 0.0 or (v == 0.0 and math.copysign(1.0, v) < 0.0):
+        return "-" + _fmt_const(-v)
+    return repr(v)
+
+
+def _pp(e: ep.Expr, level: int) -> str:
+    k = e.kind
+    if k == "const":
+        s = _fmt_const(e.value)
+        mine = 3 if s.startswith("-") else 5
+    elif k == "var":
+        s, mine = "x", 5
+    elif k in ("exp", "ln"):
+        s, mine = f"{k}({_pp(e.args[0], 0)})", 5
+    elif k == "neg":
+        s, mine = "-" + _pp(e.args[0], 3), 3
+    elif k == "pow":
+        s, mine = _pp(e.args[0], 5) + "^" + _pp(e.args[1], 3), 4
+    else:
+        op = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[k]
+        mine = _PREC[k]
+        s = _pp(e.args[0], mine) + op + _pp(e.args[1], mine + 1)
+    if mine < level:
+        return "(" + s + ")"
+    return s
+
+
+def pretty(e: ep.Expr) -> str:
+    """Render to text that reparses to the identical tree."""
+    return _pp(e, 0)
 
 
 @pytest.fixture(scope="session")

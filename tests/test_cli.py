@@ -154,6 +154,44 @@ class TestEvalBound:
                                capsys)
             assert code == 0 and want in out, q
 
+    def test_constant_model_ratio_matches_the_sweep(self, capsys):
+        # Both sides are 0 for a constant f; the record's ratio is 0, not NaN.
+        cfg = parse_config({"models": [{"expr": "2", "domain": [1.0, 2.0]}],
+                            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [1.0],
+                            "q_grid": [1.0]})
+        rec = next(r for r in run_sweep(cfg) if r.theorem == "eq8")
+        code, out, _ = run(["eval-bound", "--theorem", "eq8", "--f", "2",
+                            "--domain", "1,2", "--a", "1", "--b", "2"], capsys)
+        assert code == 0
+        assert (f"eq8: lhs={rec.lhs:.12g} rhs={rec.rhs:.12g} gap={rec.gap:.12g} "
+                f"ratio={rec.ratio:.12g}\n") in out
+        assert "ratio=0\n" in out
+
+
+# Inputs that once ended in a RecursionError traceback.
+DEEP_EXPRS = {
+    "nested-parens": "(" * 300 + "x" + ")" * 300,
+    "long-sum": "+".join(["x"] * 1100),
+    "unary-minuses": "-" * 1000 + "x",
+}
+
+
+@pytest.mark.parametrize("src", DEEP_EXPRS.values(), ids=DEEP_EXPRS.keys())
+class TestDeepExpressions:
+    def test_eval_bound_exit_1(self, capsys, src):
+        code, _, err = run(["eval-bound", "--theorem", "eq8", f"--f={src}",
+                            "--domain", "1,2", "--a", "1", "--b", "2"], capsys)
+        assert code == 1
+        assert err.startswith("error: parse error")
+
+    def test_verify_config_exit_1(self, tmp_path, capsys, src):
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps({**SMALL_CFG, "models": [
+            {"name": "deep", "expr": src, "domain": [1.0, 2.0]}]}), encoding="utf-8")
+        code, _, err = run(["verify", "--config", str(p)], capsys)
+        assert code == 1
+        assert err.startswith("error: parse error")
+
 
 class TestVerify:
     def test_csv_output_and_exit_0(self, cfg_path, tmp_path, capsys):
@@ -212,6 +250,17 @@ class TestVerify:
         code, _, err = run(["verify", "--config", str(p)], capsys)
         assert code == 1
         assert path in err
+
+    @pytest.mark.parametrize("override, path", [
+        ({"tolerances": {"slack": True}}, "tolerances.slack"),
+        ({"q_grid": [True]}, "q_grid[0]"),
+    ])
+    def test_json_boolean_number_exit_1(self, tmp_path, capsys, override, path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**SMALL_CFG, **override}), encoding="utf-8")
+        code, _, err = run(["verify", "--config", str(p)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

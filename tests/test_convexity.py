@@ -184,7 +184,7 @@ class TestTheoremHypotheses:
         assert rep.monotone_decreasing_ok
         assert not rep.fprime_a_le_1          # |f'(0.25)| = 0.25^-0.5 = 2
         assert rep.params["fprime_a_abs"] == pytest.approx(2.0, rel=1e-14)
-        assert not rep.all_pass
+        assert not (rep.class_ok and rep.monotone_decreasing_ok and rep.fprime_a_le_1)
 
     def test_exp_model_class_fails(self):
         # |f'| = e^-x is geometrically concave, so the class flag is false;
@@ -198,7 +198,7 @@ class TestTheoremHypotheses:
     def test_reciprocal_family_passes_at_s1(self):
         m = __import__("hhverify").model_from_expr("1/x", 1.0, 2.0)
         rep = theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
-        assert rep.all_pass
+        assert rep.class_ok and rep.monotone_decreasing_ok and rep.fprime_a_le_1
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hhverify import exprparse as ep
 from hhverify.errors import DomainError, ParseError
 
-from conftest import random_expr
+from conftest import pretty, random_expr
 
 
 def ev(src, x):
@@ -115,7 +115,7 @@ def test_derivative_matches_finite_differences():
         if max(abs(v0), abs(vm), abs(vp), abs(dv)) > 1e6:
             continue
         fd = (vp - vm) / (2.0 * h)
-        assert abs(dv - fd) <= 1e-6 * max(1.0, abs(dv)), ep.pretty(tree)
+        assert abs(dv - fd) <= 1e-6 * max(1.0, abs(dv)), pretty(tree)
         checked += 1
 
 
@@ -125,10 +125,10 @@ def test_pretty_roundtrip_sources():
                "exp(x*ln(x))", "1e-3*x", "x/2/3", "x-(1-x)"]
     for src in sources:
         t = ep.parse(src)
-        p = ep.pretty(t)
+        p = pretty(t)
         t2 = ep.parse(p)
         assert t2 == t, src
-        assert ep.pretty(t2) == p, src
+        assert pretty(t2) == p, src
 
 
 def test_pretty_roundtrip_random():
@@ -136,7 +136,7 @@ def test_pretty_roundtrip_random():
     done = 0
     while done < 300:
         t = random_expr(rng, int(rng.integers(0, 5)))
-        p = ep.pretty(t)
+        p = pretty(t)
         t2 = ep.parse(p)
         assert t2 == t, p
         done += 1
@@ -147,7 +147,7 @@ def test_derivative_trees_reparse():
     rng = np.random.default_rng(53)
     for _ in range(200):
         t = ep.differentiate(random_expr(rng, 3))
-        p = ep.pretty(t)
+        p = pretty(t)
         assert ep.parse(p) == t, p
 
 
@@ -175,7 +175,7 @@ def test_eval_array_matches_pointwise():
         whole = ep.eval_array(t, xs)
         alone = np.array([float(ep.eval_array(t, float(x))) for x in xs])
         assert whole.shape == xs.shape
-        np.testing.assert_array_equal(whole, alone, err_msg=ep.pretty(t))
+        np.testing.assert_array_equal(whole, alone, err_msg=pretty(t))
 
 
 @pytest.mark.parametrize("src", ["2", "2*3 - 1", "exp(1)", "ln(2)", "1/0"])
@@ -211,7 +211,7 @@ def test_evaluate_is_the_one_point_eval_array():
         for tree in (t, ep.differentiate(t)):
             want = float(ep.eval_array(tree, x))
             if math.isfinite(want):
-                assert ep.evaluate(tree, x).hex() == want.hex(), ep.pretty(tree)
+                assert ep.evaluate(tree, x).hex() == want.hex(), pretty(tree)
                 finite += 1
             else:
                 with pytest.raises(DomainError):
@@ -226,3 +226,36 @@ def test_evaluate_follows_nan_propagation():
     assert ev("exp(-exp(x))", 1000.0) == 0.0
     with pytest.raises(DomainError):
         ev("exp(exp(x))", 1000.0)
+
+
+def test_nesting_and_tree_depth_limits():
+    n = ep.MAX_DEPTH
+    within = ["(" * n + "x" + ")" * n, "-" * n + "x", "x^" * n + "x",
+              "exp(" * n + "x" + ")" * n, "+".join(["x"] * (n + 1)),
+              "(" + "*".join(["x"] * n) + ")^2"]
+    for src in within:
+        ep.parse(src)
+    nested = ["(" * (n + 1) + "x" + ")" * (n + 1), "-" * (n + 1) + "x",
+              "x^" * (n + 1) + "x", "ln(" * (n + 1) + "x" + ")" * (n + 1)]
+    for src in nested:
+        with pytest.raises(ParseError, match=f"nesting deeper than {n} levels"):
+            ep.parse(src)
+    # A 150-term sum nests nothing but is a tree 149 levels deep.
+    for src, depth in (("+".join(["x"] * 150), 149),
+                       ("/".join(["x"] * (n + 2)), n + 1),
+                       ("(" + "*".join(["x"] * (n + 1)) + ")^2", n + 1)):
+        with pytest.raises(ParseError) as exc:
+            ep.parse(src)
+        assert str(exc.value) == (f"parse error at offset 0: expression tree "
+                                  f"{depth} levels deep (expected at most {n})")
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("(" * 300 + "x" + ")" * 300, 101),
+    ("-" * 1000 + "x", 101),
+    ("+".join(["x"] * 1100), 0),
+], ids=["nested-parens", "unary-minuses", "long-sum"])
+def test_deep_input_is_a_parse_error(src, offset):
+    with pytest.raises(ParseError) as exc:
+        ep.parse(src)
+    assert exc.value.offset == offset

@@ -55,6 +55,12 @@ class TestConfig:
         ({"models": [{"expr": "x", "domain": ["a", 2]}]}, "models[0].domain"),
         ({"models": [{"expr": "x", "domain": [1, math.inf]}]}, "models[0].domain"),
         ({"models": [{"expr": "x", "domain": "12"}]}, "models[0].domain"),
+        ({"tolerances": {"slack": True}}, "tolerances.slack"),
+        ({"a_grid": [True]}, "a_grid[0]"),
+        ({"s_grid": [True]}, "s_grid[0]"),
+        ({"q_grid": [True]}, "q_grid[0]"),
+        ({"models": [{"expr": "x", "domain": [0.5, True]}]}, "models[0].domain"),
+        ({"models": [{"builtin": "exp", "rate": True}]}, "models[0].rate"),
     ])
     def test_validation_names_field_paths(self, overrides, path_fragment):
         with pytest.raises(ConfigError) as exc:

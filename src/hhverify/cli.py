@@ -21,7 +21,7 @@ from . import bounds, exprparse, means, sweep
 from .convexity import (AbsPower, ClassCheckConfig, is_convex,
                         is_geometrically_convex, is_monotone_decreasing,
                         is_s_convex, is_s_geometrically_convex)
-from .errors import ConfigError, EmptyFeasibleSetError, ParseError
+from .errors import EmptyFeasibleSetError, QuadratureError
 from .models import FunctionModel, model_from_expr, model_from_spec
 from .records import make_ratio, records_text, write_csv, write_json
 from .tightness import SEARCH_TAGS, optimize_tightness
@@ -112,16 +112,19 @@ def _require_s(args) -> float:
 def cmd_eval_bound(args) -> int:
     m = _model(args)
     a, b = args.a, args.b
-    s = args.s if args.s is not None else 1.0
-    q = args.q if args.q is not None else 2.0
     tag = args.theorem
     bound = sweep.BOUND_TABLE[tag]
+    point = bound.point(1.0 if args.s is None else args.s, args.q)
+    if point is None:
+        raise ValueError(f"{tag} needs q > 1, got q={args.q:g}")
+    s, q = point
 
     lhs = (means.prop_lhs(a, b, s) if bound.is_prop
            else bounds.trapezoid_mean_gap(m, a, b))
     rhs = bound.rhs(m, a, b, s, q)
     flags = sweep.hypothesis_flags(bound, m, a, b, s, q, ClassCheckConfig())
     print(f"model: {m.name}")
+    print(f"point: s={s:.12g} q={q:.12g}")
     print(f"{tag}: lhs={lhs:.12g} rhs={rhs:.12g} gap={rhs - lhs:.12g} "
           f"ratio={make_ratio(lhs, rhs):.12g}")
     print("hypotheses: class={} monotone={} fprime_a_le_1={}".format(*flags))
@@ -138,6 +141,7 @@ def cmd_verify(args) -> int:
             raise ValueError("ad-hoc --f model needs --domain lo,hi")
         lo, hi = _parse_domain(args.domain)
         extra = {"name": f"cli:{args.f}", "expr": args.f, "domain": [lo, hi]}
+        model_from_spec(extra)  # fail before the sweep, not in it
         cfg = dataclasses.replace(cfg, models=cfg.models + (extra,))
     records = sweep.run_sweep(cfg)
     summary = sweep.summarize(records)
@@ -156,20 +160,11 @@ def cmd_verify(args) -> int:
 def cmd_tightness(args) -> int:
     m = _model(args)
     box = {"a": _parse_range(args.a_range), "b": _parse_range(args.b_range)}
-    if args.s_range:
-        box["s"] = _parse_range(args.s_range)
-    elif args.s is not None:
-        box["s"] = (args.s, args.s)
-    if args.q_range:
-        box["q"] = _parse_range(args.q_range)
-    elif args.q is not None:
-        box["q"] = (args.q, args.q)
-    try:
-        res = optimize_tightness(args.theorem, m, box,
-                                 require_hypotheses=not args.no_hypotheses)
-    except EmptyFeasibleSetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    for key, text, value in (("s", args.s_range, args.s), ("q", args.q_range, args.q)):
+        if text or value is not None:
+            box[key] = _parse_range(text) if text else value
+    res = optimize_tightness(args.theorem, m, box,
+                             require_hypotheses=not args.no_hypotheses)
     p = res.params
     print(f"{args.theorem} tightness on {m.name}: max ratio {res.ratio:.9g}")
     print(f"  at a={p['a']:.9g} b={p['b']:.9g} s={p['s']:.9g} q={p['q']:.9g}")
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--s", type=float)
-    p.add_argument("--q", type=float)
+    p.add_argument("--q", type=float, default=2.0)
     p.set_defaults(func=cmd_eval_bound)
 
     p = sub.add_parser("verify", help="run the sweep and emit a report")
@@ -269,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError, QuadratureError, EmptyFeasibleSetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -59,8 +59,8 @@ class ClassCheckConfig:
     def __post_init__(self):
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
-        if self.slack < 0.0:
-            raise ValueError("slack must be >= 0")
+        if not (math.isfinite(self.slack) and self.slack >= 0.0):
+            raise ValueError(f"slack must be finite and >= 0, got {self.slack!r}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -27,12 +28,16 @@ from .records import BoundRecord, make_ratio, sort_records
 
 __all__ = ["Tolerances", "SweepConfig", "load_config", "parse_config",
            "default_config", "BoundSpec", "BOUND_TABLE", "THEOREM_TAGS",
-           "hypothesis_flags", "run_sweep", "summarize", "PASS_SLACK"]
+           "hypothesis_flags", "holds", "run_sweep", "summarize", "PASS_SLACK"]
 
 SCHEMA_VERSION = 1
 
-# lhs <= rhs + PASS_SLACK is the pass criterion for hypothesis-passing records.
 PASS_SLACK = 1e-12
+
+
+def holds(lhs: float, rhs: float) -> bool:
+    """The pass criterion of every verdict: lhs <= rhs + PASS_SLACK."""
+    return lhs <= rhs + PASS_SLACK
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,10 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _number(v) -> bool:
-    # JSON true and false load as bool, a subclass of int.
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _finite(v) -> bool:
-    return _number(v) and math.isfinite(v)
+    # JSON true and false load as bool, a subclass of int.
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def parse_config(raw: Mapping) -> SweepConfig:
@@ -96,6 +98,10 @@ def parse_config(raw: Mapping) -> SweepConfig:
                     f"models[{i}].domain", "must be [lo, hi], two finite numbers")
             _expect(0.0 < dom[0] < dom[1], f"models[{i}].domain",
                     f"need 0 < lo < hi, got {list(dom)}")
+        try:  # a spec that cannot be built fails here, not mid-sweep
+            model_from_spec(spec)
+        except ValueError as e:
+            raise ConfigError(f"models[{i}]", str(e)) from e
 
     def grid(key: str, predicate, what: str) -> tuple[float, ...]:
         g = raw.get(key, [])
@@ -119,8 +125,8 @@ def parse_config(raw: Mapping) -> SweepConfig:
     tols = {}
     for key in ("quad_tol", "slack", "identity_tol"):
         v = tol_raw.get(key, getattr(Tolerances(), key))
-        _expect(_number(v) and v > 0.0,
-                f"tolerances.{key}", "must be > 0")
+        _expect(_finite(v) and v > 0.0,
+                f"tolerances.{key}", "must be a finite number > 0")
         tols[key] = float(v)
 
     # Accepted so that existing configs still load; nothing reads it.
@@ -164,13 +170,13 @@ class BoundSpec:
 
     ``gate`` is "convex" (|f'|^q convex, the classical baselines' only
     hypothesis) or "bundle" (``theorem_hypotheses``).  ``q_rule`` is "1"
-    (q = 1 only), ">1" (the grid's q > 1) or "all" (every grid q).  The
+    (q = 1 only), ">1" (q > 1 only) or "all" (every q).  The
     special-means propositions carry ``identity``, which returns their
     identity-check discrepancy tags.
     """
     rhs: Callable              # rhs(model, a, b, s, q)
     gate: str
-    over_s: bool               # iterate s_grid; otherwise s = 1
+    over_s: bool               # swept over s; otherwise s = 1
     q_rule: str
     identity: Callable | None = None   # identity(a, b, s, q, tol) -> tags
 
@@ -178,12 +184,12 @@ class BoundSpec:
     def is_prop(self) -> bool:
         return self.identity is not None
 
-    def q_values(self, grid: tuple[float, ...]) -> tuple[float, ...]:
-        if self.q_rule == "1":
-            return (1.0,)
-        if self.q_rule == ">1":
-            return tuple(q for q in grid if q > 1.0)
-        return grid
+    def point(self, s: float, q: float) -> tuple[float, float] | None:
+        """The (s, q) at which this bound is evaluated and gated when asked
+        for (s, q); None where it needs q > 1 and q <= 1."""
+        if self.q_rule == ">1" and not q > 1.0:
+            return None
+        return (s if self.over_s else 1.0, 1.0 if self.q_rule == "1" else q)
 
 
 def _tags41(a: float, b: float, s: float, q: float, tol: float) -> list[str]:
@@ -256,11 +262,10 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
     """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
 
     The classical baselines need only |f'|^q convex; their monotonicity
-    and derivative-size flags are vacuously true.  A q = 1 bound is gated
-    at q = 1, whatever q the caller passes.
+    and derivative-size flags are vacuously true.  They are gated at
+    ``bound.point(s, q)``, which must exist: a q = 1 bound at q = 1.
     """
-    if bound.q_rule == "1":
-        q = 1.0
+    s, q = bound.point(s, q)
     if bound.gate == "convex":
         return (is_convex(AbsPower(m.fprime, q), (a, b), check_cfg).ok, True, True)
     h = theorem_hypotheses(m, a, b, s, q, check_cfg)
@@ -308,7 +313,7 @@ class _ModelContext:
 def _verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:
     if not all(flags):
         return "outside-hypotheses"
-    return "pass" if lhs <= rhs + PASS_SLACK else "violation"
+    return "pass" if holds(lhs, rhs) else "violation"
 
 
 def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, a: float,
@@ -354,6 +359,9 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
     """
     check_cfg = ClassCheckConfig(grid_points=cfg.class_grid_points,
                                  slack=cfg.tolerances.slack)
+    points = {theorem: dict.fromkeys(p for s in cfg.s_grid for q in cfg.q_grid
+                                     if (p := bound.point(s, q)))
+              for theorem, bound in BOUND_TABLE.items()}
     records: list[BoundRecord] = []
     for spec in cfg.models:
         model = model_from_spec(spec)
@@ -362,11 +370,10 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
         # (a, b) outermost: the class checks keep one interval's |f'| sample.
         for a, b in _pairs(cfg, model):
             for theorem, bound in BOUND_TABLE.items():
-                for s in cfg.s_grid if bound.over_s else (1.0,):
+                for s, q in points[theorem]:
                     if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):
                         continue
-                    for q in bound.q_values(cfg.q_grid):
-                        records.append(_record(ctx, theorem, bound, a, b, s, q))
+                    records.append(_record(ctx, theorem, bound, a, b, s, q))
     return sort_records(records)
 
 
@@ -376,12 +383,10 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
 
 def summarize(records: list[BoundRecord]) -> dict:
     """Aggregate counts, proposition pass-rates and oracle residuals."""
-    by_verdict: dict[str, int] = {}
-    by_theorem: dict[str, dict[str, int]] = {}
+    by_verdict = Counter(r.verdict for r in records)
+    by_theorem: dict[str, Counter] = {}
     for r in records:
-        by_verdict[r.verdict] = by_verdict.get(r.verdict, 0) + 1
-        slot = by_theorem.setdefault(r.theorem, {})
-        slot[r.verdict] = slot.get(r.verdict, 0) + 1
+        by_theorem.setdefault(r.theorem, Counter())[r.verdict] += 1
 
     prop_rates = {}
     for tag in (t for t, bound in BOUND_TABLE.items() if bound.is_prop):
@@ -389,21 +394,19 @@ def summarize(records: list[BoundRecord]) -> dict:
         if not rs:
             continue
         evaluable = [r for r in rs if r.verdict != "eval-error"]
-        holds = [r for r in evaluable if r.gap >= -PASS_SLACK]
+        held = sum(1 for r in evaluable if holds(r.lhs, r.rhs))
         prop_rates[tag] = {
             "records": len(rs),
             "evaluable": len(evaluable),
-            "holds": len(holds),
-            "rate": len(holds) / len(evaluable) if evaluable else math.nan,
+            "holds": held,
+            "rate": held / len(evaluable) if evaluable else math.nan,
             "hyp_fprime_a_false": sum(1 for r in rs if not r.hyp_fprime_a),
         }
 
     residuals = [r.oracle_residual for r in records
                  if not math.isnan(r.oracle_residual)]
-    discrepancies: dict[str, int] = {}
-    for r in records:
-        for tag in filter(None, r.discrepancy.split(";")):
-            discrepancies[tag] = discrepancies.get(tag, 0) + 1
+    discrepancies = Counter(tag for r in records
+                            for tag in filter(None, r.discrepancy.split(";")))
 
     return {
         "records": len(records),

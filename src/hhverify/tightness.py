@@ -24,7 +24,7 @@ from . import bounds
 from .convexity import ClassCheckConfig, theorem_hypotheses  # noqa: F401
 from .errors import EmptyFeasibleSetError
 from .models import FunctionModel
-from .sweep import BOUND_TABLE, hypothesis_flags
+from .sweep import BOUND_TABLE, holds, hypothesis_flags
 
 __all__ = ["TightnessResult", "optimize_tightness", "SEARCH_TAGS"]
 
@@ -32,8 +32,6 @@ __all__ = ["TightnessResult", "optimize_tightness", "SEARCH_TAGS"]
 # the other bounds.
 SEARCH_TAGS = tuple(tag for tag, bound in BOUND_TABLE.items()
                     if not bound.is_prop)
-
-_RATIO_GUARD = 1.0 + 1e-9
 
 # Every search evaluates lhs at this quadrature tolerance and checks the
 # hypotheses on the default grid.
@@ -48,8 +46,8 @@ class TightnessResult:
     ratio: float
     trace_len: int
     hypotheses_pass: bool
-    # True when a hypothesis-passing point exceeded ratio 1 + 1e-9; such a
-    # point is a violation finding, not a tightness result.
+    # True when the best point passes its hypotheses and fails sweep.holds;
+    # such a point is a violation finding, not a tightness result.
     violation: bool = False
 
 
@@ -69,33 +67,36 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
                        coarse_points: int = 5, max_iters: int = 60) -> TightnessResult:
     """Maximize lhs/rhs for one bound over a parameter box.
 
-    ``box`` maps "a"/"b"/"s"/"q" to (lo, hi) ranges or fixed scalars.
-    Deterministic for fixed arguments.
+    ``box`` maps "a"/"b"/"s"/"q" to (lo, hi) ranges or fixed scalars; an
+    s or q axis the bound does not use is fixed where ``bound.point`` puts
+    it.  Deterministic for fixed arguments.
     """
     if theorem not in SEARCH_TAGS:
         raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(SEARCH_TAGS)})")
     bound = BOUND_TABLE[theorem]
+    # q = 2 stands for any q > 1. A q <= 1 stays in a q > 1 bound's box, infeasible.
     ranges = [_range(box, "a", 0.0), _range(box, "b", 0.0),
-              _range(box, "s", 1.0), _range(box, "q", 1.0)]
-    cache: dict[tuple, tuple[float, bool]] = {}
+              tuple(bound.point(s, 2.0)[0] for s in _range(box, "s", 1.0)),
+              tuple((bound.point(1.0, q) or (1.0, q))[1] for q in _range(box, "q", 1.0))]
+    cache: dict[tuple, tuple[float, bool, bool]] = {}
     evals = 0
 
-    def objective(a: float, b: float, s: float, q: float) -> tuple[float, bool]:
-        """(ratio, hypotheses_pass); -inf when infeasible.  Points equal to
-        12 decimals are evaluated once."""
+    def objective(a: float, b: float, s: float, q: float) -> tuple[float, bool, bool]:
+        """(ratio, hypotheses_pass, violation); ratio -inf when infeasible.
+        Points equal to 12 decimals are evaluated once."""
         key = (round(a, 12), round(b, 12), round(s, 12), round(q, 12))
         if key not in cache:
             cache[key] = evaluate(a, b, s, q)
         return cache[key]
 
-    def evaluate(a: float, b: float, s: float, q: float) -> tuple[float, bool]:
+    def evaluate(a: float, b: float, s: float, q: float) -> tuple[float, bool, bool]:
         nonlocal evals
-        infeasible = (-math.inf, False)
+        infeasible = (-math.inf, False, False)
         if not all(lo <= v <= hi for v, (lo, hi) in zip((a, b, s, q), ranges)):
             return infeasible
         if not (a + 1e-9 < b and model.contains(a, b)):
             return infeasible
-        if bound.q_rule == ">1" and not q > 1.0:
+        if bound.point(s, q) is None:
             return infeasible
         evals += 1
         try:
@@ -107,7 +108,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         except Exception:
             return infeasible
         ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
-        return (ratio, hyp_ok)
+        return (ratio, hyp_ok, hyp_ok and not holds(lhs, rhs))
 
     def axis(lo: float, hi: float) -> list[float]:
         if hi <= lo:
@@ -115,7 +116,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         n = coarse_points
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
-    best = (-math.inf, False)
+    best = (-math.inf, False, False)
     best_pt = None
     for pt in itertools.product(*(axis(lo, hi) for lo, hi in ranges)):
         val = objective(*pt)
@@ -145,12 +146,12 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         if not improved:
             steps = [st / 2.0 for st in steps]
 
-    ratio, hyp_ok = best
+    ratio, hyp_ok, violation = best
     return TightnessResult(
         theorem=theorem,
         params={"a": pt[0], "b": pt[1], "s": pt[2], "q": pt[3]},
         ratio=ratio,
         trace_len=evals,
         hypotheses_pass=hyp_ok,
-        violation=bool(hyp_ok and ratio > _RATIO_GUARD),
+        violation=violation,
     )

@@ -80,6 +80,14 @@ class TestCheckClass:
         w = res.witnesses[0]
         assert f"witness x={w.x:.6g} y={w.y:.6g} t={w.t:.6g} " in out
 
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-1"])
+    def test_bad_slack_exit_1(self, capsys, slack):
+        code, out, err = run(["check-class", "--kind", "geo-convex",
+                              "--f", "exp(-(x))", "--domain", "1,2",
+                              "--slack", slack], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: slack must be finite and >= 0")
+
     def test_decreasing(self, capsys):
         code, _, _ = run(["check-class", "--kind", "decreasing",
                           "--f", "x^2", "--domain", "0.5,2"], capsys)
@@ -154,6 +162,27 @@ class TestEvalBound:
                                capsys)
             assert code == 0 and want in out, q
 
+    def test_unused_parameters_ignored(self, capsys):
+        # eq8 takes neither s nor q: it is evaluated at its point (1, 1).
+        base = ["eval-bound", "--theorem", "eq8", "--f", "1/x", "--domain", "1,2",
+                "--a", "1", "--b", "2"]
+        code, out, _ = run(base, capsys)
+        assert code == 0 and "point: s=1 q=1\n" in out
+        assert run(base + ["--s", "0.5", "--q", "3"], capsys) == (0, out, "")
+
+    def test_q_above_1_bound_at_q_1_exit_1(self, capsys):
+        code, out, err = run(["eval-bound", "--theorem", "eq9", "--f", "1/x",
+                              "--domain", "1,2", "--a", "1", "--b", "2",
+                              "--q", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: eq9 needs q > 1, got q=1\n"
+
+    def test_quadrature_error_exit_1(self, capsys):
+        code, out, err = run(["eval-bound", "--theorem", "eq8", "--f", "1/(x-1.5)",
+                              "--domain", "1,2", "--a", "1", "--b", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: integrand not finite at x=1.5\n"
+
     def test_constant_model_ratio_matches_the_sweep(self, capsys):
         # Both sides are 0 for a constant f; the record's ratio is 0, not NaN.
         cfg = parse_config({"models": [{"expr": "2", "domain": [1.0, 2.0]}],
@@ -190,7 +219,7 @@ class TestDeepExpressions:
             {"name": "deep", "expr": src, "domain": [1.0, 2.0]}]}), encoding="utf-8")
         code, _, err = run(["verify", "--config", str(p)], capsys)
         assert code == 1
-        assert err.startswith("error: parse error")
+        assert err.startswith("error: models[0]: parse error")
 
 
 class TestVerify:
@@ -262,6 +291,39 @@ class TestVerify:
         assert code == 1
         assert err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"builtin": "nope"}, "unknown builtin 'nope'"),
+        ({"builtin": "power", "s": 1.5}, "power model needs s in (0, 1)"),
+        ({"builtin": "exp", "rate": -1.0}, "exp model needs rate > 0"),
+        ({"expr": "x +", "domain": [1, 2]}, "parse error at offset 3"),
+    ])
+    def test_unbuildable_model_exit_1(self, tmp_path, capsys, spec, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**SMALL_CFG, "models": SMALL_CFG["models"] + [spec]}),
+                     encoding="utf-8")
+        code, out, err = run(["verify", "--config", str(p)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: models[2]: {message}")
+
+    @pytest.mark.parametrize("key", ["quad_tol", "slack", "identity_tol"])
+    def test_infinite_tolerance_exit_1(self, tmp_path, capsys, key):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**SMALL_CFG, "tolerances": {key: float("inf")}}),
+                     encoding="utf-8")
+        code, out, err = run(["verify", "--config", str(p)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: tolerances.{key}: ")
+
+    def test_unbuildable_adhoc_model_exit_1(self, cfg_path, capsys, monkeypatch):
+        def no_sweep(cfg):
+            raise AssertionError("swept a config with an unbuildable model")
+
+        monkeypatch.setattr(cli.sweep, "run_sweep", no_sweep)
+        code, out, err = run(["verify", "--config", cfg_path,
+                              "--f", "x +", "--domain", "1,2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: parse error at offset 3")
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"models": []}), encoding="utf-8")
@@ -286,6 +348,14 @@ class TestTightnessCli:
                             "--s", "1", "--q-range", "1,4"], capsys)
         assert code == 0
         assert "hypotheses pass: True" in out
+
+    def test_unused_ranges_ignored(self, capsys):
+        base = ["tightness", "--theorem", "eq8", "--f", "1/x", "--domain", "1,2",
+                "--a-range", "1,1.5", "--b-range", "1.5,2"]
+        code, out, _ = run(base, capsys)
+        assert code == 0
+        assert "s=1 q=1\n" in out and "evaluations: 56;" in out
+        assert run(base + ["--s-range", "0.5,1", "--q-range", "1,3"], capsys) == (0, out, "")
 
     def test_infeasible_exit_1(self, capsys):
         code, _, err = run(["tightness", "--theorem", "eq10",

@@ -61,6 +61,15 @@ class TestConfig:
         ({"q_grid": [True]}, "q_grid[0]"),
         ({"models": [{"expr": "x", "domain": [0.5, True]}]}, "models[0].domain"),
         ({"models": [{"builtin": "exp", "rate": True}]}, "models[0].rate"),
+        ({"models": [{"builtin": "nope"}]}, "models[0]"),
+        ({"models": [{"builtin": "power", "s": 1.5}]}, "models[0]"),
+        ({"models": [{"builtin": "exp", "rate": -1.0}]}, "models[0]"),
+        ({"models": [{"expr": "x", "domain": [1, 2]},
+                     {"expr": "x +", "domain": [1, 2]}]}, "models[1]"),
+        ({"tolerances": {"slack": math.inf}}, "tolerances.slack"),
+        ({"tolerances": {"quad_tol": math.inf}}, "tolerances.quad_tol"),
+        ({"tolerances": {"identity_tol": math.inf}}, "tolerances.identity_tol"),
+        ({"tolerances": {"identity_tol": math.nan}}, "tolerances.identity_tol"),
     ])
     def test_validation_names_field_paths(self, overrides, path_fragment):
         with pytest.raises(ConfigError) as exc:
@@ -392,6 +401,60 @@ class TestTightness:
                 res.trace_len, res.hypotheses_pass, res.violation) == expected
 
 
+    # A range on an axis the bound does not use changes nothing; the result
+    # carries the (s, q) of the bound's sweep records.
+    UNUSED_AXES = [
+        ("eq8", "1/x", AB, {"s": (0.5, 1.0), "q": (1.0, 3.0)}),
+        ("eq9", "1/x", {**AB, "q": (1.5, 3.0)}, {"s": (0.5, 1.0)}),
+        ("eq10", "1 - ln(x)", AB, {"q": (1.0, 3.0)}),
+    ]
+
+    @pytest.mark.parametrize("theorem, model, box, extra", UNUSED_AXES,
+                             ids=[case[0] for case in UNUSED_AXES])
+    def test_unused_axes_are_fixed(self, theorem, model, box, extra):
+        def summary(res):
+            return (res.ratio.hex(), *(float(res.params[k]).hex() for k in "absq"),
+                    res.trace_len, res.hypotheses_pass, res.violation)
+
+        m = self.MODELS[model]()
+        plain = optimize_tightness(theorem, m, box)
+        widened = optimize_tightness(theorem, m, {**box, **extra})
+        assert summary(widened) == summary(plain)
+        cfg = parse_config({"models": [{"expr": model, "domain": [1.0, 2.0]}],
+                            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [0.5, 1.0],
+                            "q_grid": [1.0, 3.0]})
+        recs = [r for r in run_sweep(cfg) if r.theorem == theorem]
+        for key in extra:
+            # The axis the box widened is one the records hold fixed.
+            assert {getattr(r, key) for r in recs} == {widened.params[key]}
+
+
+class TestHoldsAgreement:
+    """The sweep's verdict, summarize's proposition count and the search's
+    violation flag apply one rule, sweep.holds."""
+
+    @pytest.mark.parametrize("offset, ok", [(1e-11, False), (1e-13, True)])
+    def test_sweep_summary_and_search_agree(self, monkeypatch, offset, ok):
+        gap, prop_lhs = hv.bounds.trapezoid_mean_gap, hv.means.prop_lhs
+        monkeypatch.setattr(hv.bounds, "rhs_eq8",
+                            lambda m, a, b: gap(m, a, b) - offset)
+        monkeypatch.setattr(hv.means, "prop41_rhs",
+                            lambda a, b, s: prop_lhs(a, b, s) - offset)
+        assert hv.sweep.holds(1.0, 1.0 - offset) == ok
+        cfg = parse_config({"models": [{"expr": "1/x", "domain": [1.0, 2.0]},
+                                       {"builtin": "power", "s": 0.5}],
+                            "a_grid": [0.25, 1.0], "b_grid": [0.75, 2.0],
+                            "s_grid": [0.5], "q_grid": [1.0]})
+        records = run_sweep(cfg)
+        eq8 = next(r for r in records if r.theorem == "eq8" and r.model == "1/x")
+        assert eq8.verdict == ("pass" if ok else "violation")
+        rates = hv.sweep.summarize(records)["prop_pass_rates"]["prop41"]
+        assert rates["evaluable"] == 1 and rates["holds"] == int(ok)
+        res = optimize_tightness("eq8", hv.model_from_expr("1/x", 1.0, 2.0),
+                                 {"a": 1.0, "b": 2.0})
+        assert res.hypotheses_pass and res.violation == (not ok)
+
+
 def _theorem_choices(command: str) -> tuple:
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -418,3 +481,13 @@ class TestBoundTable:
             accepted.append(tag)
         assert accepted == others
         assert set(summary["prop_pass_rates"]) == props
+
+    def test_record_points_are_the_image_of_point(self, default_sweep):
+        cfg, records, _ = default_sweep
+        for tag, bound in BOUND_TABLE.items():
+            image = {bound.point(s, q) for s in cfg.s_grid for q in cfg.q_grid}
+            image.discard(None)
+            if bound.is_prop:
+                # The propositions are swept at s < 1 only.
+                image = {(s, q) for s, q in image if s < 1.0}
+            assert {(r.s, r.q) for r in records if r.theorem == tag} == image, tag

@@ -169,6 +169,8 @@ def cmd_tightness(args) -> int:
     print(f"{args.theorem} tightness on {m.name}: max ratio {res.ratio:.9g}")
     print(f"  at a={p['a']:.9g} b={p['b']:.9g} s={p['s']:.9g} q={p['q']:.9g}")
     print(f"  evaluations: {res.trace_len}; hypotheses pass: {res.hypotheses_pass}")
+    if res.errors:
+        print("  errors: " + ", ".join(f"{k}={v}" for k, v in res.errors.items()))
     if res.violation:
         print("VIOLATION: ratio exceeds 1 within hypotheses")
         return 2

@@ -15,9 +15,12 @@ an n^3 cube of (x, y, t) points in one kernel, ``_compare``, a slab of x
 rows at a time.  For ``AbsPower(fprime, q)``, the |f'|^q that the bounds'
 hypotheses are about, |fprime| is sampled once per (fprime, a, b, n): on
 the x grid, on the linear cube t*x + (1-t)*y and on the geometric cube
-x^t * y^(1-t), each on first use.  Each further (s, q) on that interval
-then costs a power of the sample and a few O(n^3) array passes; the
-monotone check reads the x-grid sample.  Only the latest interval's
+x^t * y^(1-t), each on first use.  Each further check on that interval
+then costs a few O(n^3) array passes, plus a power of the sample when
+q != 1; the monotone check reads the x-grid sample.  The sweep checks
+the bundle at q = 1 whatever the bound's q (``sweep.BoundSpec.gate_point``
+says why), so the bundle costs one class check per (a, b, s), and only
+the convexity gate of eq8/eq9 pays the power.  Only the latest interval's
 sample is kept: read-only, it holds the two point cubes and |fprime| on
 them, four n^3 float64 arrays (about 9 MB at n = 65).
 """
@@ -142,7 +145,8 @@ def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
             samples[cube] = pts, vals
         pts, vals = samples[cube]
         if g.q != 1.0:
-            vals = vals ** g.q
+            with np.errstate(over="ignore"):  # an overflow raises below
+                vals = vals ** g.q
     else:
         pts = xs if cube is None else cube(xs, ts)
         vals = evaluate_points(g, pts)

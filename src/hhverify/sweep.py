@@ -169,7 +169,8 @@ class BoundSpec:
     """How one bound is evaluated, gated and swept.
 
     ``gate`` is "convex" (|f'|^q convex, the classical baselines' only
-    hypothesis) or "bundle" (``theorem_hypotheses``).  ``q_rule`` is "1"
+    hypothesis) or "bundle" (``theorem_hypotheses``, checked at q = 1
+    because q drops out of it; see ``gate_point``).  ``q_rule`` is "1"
     (q = 1 only), ">1" (q > 1 only) or "all" (every q).  The
     special-means propositions carry ``identity``, which returns their
     identity-check discrepancy tags.
@@ -190,6 +191,21 @@ class BoundSpec:
         if self.q_rule == ">1" and not q > 1.0:
             return None
         return (s if self.over_s else 1.0, 1.0 if self.q_rule == "1" else q)
+
+    def gate_point(self, s: float, q: float) -> tuple[float, float]:
+        """The (s, q) at which this bound's hypotheses are checked when it
+        is asked for (s, q), where ``point(s, q)`` exists.
+
+        A "bundle" bound is gated at q = 1.  Since ln(|f'|^q) = q*ln|f'|,
+        |f'|^q is s-geometrically convex for one q > 0 exactly when it is
+        for every q, and the monotone and |f'(a)| flags do not read q; so
+        the bundle's flags depend on (a, b, s) alone.  On the grid this
+        holds up to ties within the slack, which is absolute below the
+        check's log-scale cutoff.  Convexity of |f'|^q does depend on q,
+        so a "convex" bound is gated at its own point.
+        """
+        s, q = self.point(s, q)
+        return (s, q) if self.gate == "convex" else (s, 1.0)
 
 
 def _tags41(a: float, b: float, s: float, q: float, tol: float) -> list[str]:
@@ -262,10 +278,12 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
     """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
 
     The classical baselines need only |f'|^q convex; their monotonicity
-    and derivative-size flags are vacuously true.  They are gated at
-    ``bound.point(s, q)``, which must exist: a q = 1 bound at q = 1.
+    and derivative-size flags are vacuously true.  A bound is gated at
+    ``bound.gate_point(s, q)``, so ``bound.point(s, q)`` must exist.  Every
+    "bundle" bound is gated at q = 1: q drops out of |f'|^q being
+    s-geometrically convex.
     """
-    s, q = bound.point(s, q)
+    s, q = bound.gate_point(s, q)
     if bound.gate == "convex":
         return (is_convex(AbsPower(m.fprime, q), (a, b), check_cfg).ok, True, True)
     h = theorem_hypotheses(m, a, b, s, q, check_cfg)
@@ -278,7 +296,9 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
 
 @dataclass
 class _ModelContext:
-    """Per-model caches so grid checks and quadratures run once per key."""
+    """Per-model caches so grid checks and quadratures run once per key;
+    the flags are keyed on the gate point, so one (a, b, s) serves every
+    q of the "bundle" bounds."""
     model: FunctionModel
     cfg: SweepConfig
     check_cfg: ClassCheckConfig
@@ -303,7 +323,7 @@ class _ModelContext:
 
     def flags(self, bound: BoundSpec, a: float, b: float, s: float,
               q: float) -> tuple[bool, bool, bool]:
-        key = (bound.gate, a, b, s, q)
+        key = (bound.gate, a, b, *bound.gate_point(s, q))
         if key not in self.flags_cache:
             self.flags_cache[key] = hypothesis_flags(
                 bound, self.model, a, b, s, q, self.check_cfg)

@@ -9,14 +9,16 @@ With ``require_hypotheses=True`` (the default) only parameter points whose
 hypothesis report fully passes are feasible; EmptyFeasibleSetError if the
 box contains none.  With False the search measures the raw ratio anywhere
 the bound evaluates, which is how behaviour outside the stated
-preconditions is quantified.
+preconditions is quantified.  A point whose evaluation raises is
+infeasible too; ``TightnessResult.errors`` counts those exceptions by type.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import bounds
@@ -49,6 +51,8 @@ class TightnessResult:
     # True when the best point passes its hypotheses and fails sweep.holds;
     # such a point is a violation finding, not a tightness result.
     violation: bool = False
+    # Exceptions the objective turned into "infeasible", counted by type.
+    errors: Mapping[str, int] = field(default_factory=dict)
 
 
 def _range(box: Mapping, key: str, default: float) -> tuple[float, float]:
@@ -80,6 +84,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
               tuple((bound.point(1.0, q) or (1.0, q))[1] for q in _range(box, "q", 1.0))]
     cache: dict[tuple, tuple[float, bool, bool]] = {}
     evals = 0
+    errors: Counter[str] = Counter()
 
     def objective(a: float, b: float, s: float, q: float) -> tuple[float, bool, bool]:
         """(ratio, hypotheses_pass, violation); ratio -inf when infeasible.
@@ -105,7 +110,8 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
                 return infeasible
             rhs = bound.rhs(model, a, b, s, q)
             lhs = bounds.trapezoid_mean_gap(model, a, b, tol=_QUAD_TOL)
-        except Exception:
+        except Exception as e:
+            errors[type(e).__name__] += 1
             return infeasible
         ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
         return (ratio, hyp_ok, hyp_ok and not holds(lhs, rhs))
@@ -154,4 +160,5 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         trace_len=evals,
         hypotheses_pass=hyp_ok,
         violation=violation,
+        errors=dict(sorted(errors.items())),
     )

@@ -3,6 +3,7 @@ log-scale branch, the per-interval |f'| sample, and the cube points."""
 
 import itertools
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -16,7 +17,9 @@ from hhverify.convexity import (AbsPower, ClassCheckConfig, CheckResult,
                                 is_s_geometrically_convex, theorem_hypotheses)
 from hhverify.errors import (DomainError, NegativeValueError,
                              NonPositiveValueError)
-from hhverify.models import exp_model, make_model, model_from_expr, power_model
+from hhverify.models import (exp_model, make_model, model_from_expr,
+                             model_from_spec, power_model)
+from hhverify.sweep import default_config
 
 # ---------------------------------------------------------------------------
 # Reference: every check evaluates g on the whole cube, compares plainly and
@@ -369,3 +372,37 @@ def test_sampled_points_stay_in_interval():
                 is_s_geometrically_convex(wrap(rec), (a, b), 1.0, cfg)
                 assert a <= rec.lo and rec.hi <= b, (a, b, n)
     assert escapes > 0       # unclipped, the cubes do leave the interval
+
+
+def test_q_overflow_raises_without_a_warning():
+    # The power overflows to inf; the finiteness check names the point.
+    g = AbsPower(lambda x: np.power(x, 299.0), 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            is_convex(g, (1.0, 10.0), CFG)
+
+
+_STEEP = [{"builtin": "power", "s": 0.1, "domain": [1e-4, 1.0]},
+          {"expr": "x^0.2", "domain": [1e-4, 1.0]},
+          {"expr": "1 - ln(x)", "domain": [1e-4, 1.0]},
+          {"expr": "x^0.5 - ln(x)", "domain": [1e-4, 1.0]}]
+
+
+def test_class_flag_does_not_depend_on_q():
+    # ln(|f'|^q) = q ln|f'|, so the class condition holds for every q > 0
+    # or for none: the premise of gating the sweep's bundle at q = 1.
+    cfg = default_config()
+    cases = ([(spec, cfg.a_grid, cfg.b_grid, cfg.s_grid) for spec in cfg.models]
+             + [(spec, (1e-4, 1e-3, 0.02), (0.3, 1.0), (0.5, 1.0)) for spec in _STEEP])
+    flags = []
+    for spec, a_grid, b_grid, s_grid in cases:
+        m = model_from_spec(spec)
+        for a, b, s, n in itertools.product(a_grid, b_grid, s_grid, (9, 33)):
+            if a < b and m.contains(a, b):
+                check_cfg = ClassCheckConfig(grid_points=n)
+                by_q = {theorem_hypotheses(m, a, b, s, q, check_cfg).class_ok
+                        for q in (1.0, 1.5, 2.0, 4.0)}
+                assert len(by_q) == 1, (spec, a, b, s, n)
+                flags.extend(by_q)
+    assert len(flags) == 268 and True in flags and False in flags

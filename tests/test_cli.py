@@ -357,6 +357,15 @@ class TestTightnessCli:
         assert "s=1 q=1\n" in out and "evaluations: 56;" in out
         assert run(base + ["--s-range", "0.5,1", "--q-range", "1,3"], capsys) == (0, out, "")
 
+    def test_errors_printed(self, capsys):
+        base = ["tightness", "--theorem", "eq10", "--f", "x^300/300",
+                "--domain", "1,10", "--a-range", "1", "--no-hypotheses"]
+        code, out, _ = run(base + ["--b-range", "1.01,1.5"], capsys)
+        assert code == 0
+        assert out.endswith("  errors: OutOfRangeError=10\n")
+        code, out, _ = run(base + ["--b-range", "1.01,1.02"], capsys)
+        assert code == 0 and "errors" not in out
+
     def test_infeasible_exit_1(self, capsys):
         code, _, err = run(["tightness", "--theorem", "eq10",
                             "--builtin", "exp", "--rate", "1", "--domain", "1,2",

@@ -392,6 +392,18 @@ class TestTightness:
           57, True, False)),
     ]
 
+    def test_swallowed_errors_are_counted(self):
+        # The rhs cannot be evaluated once b is well above 1: each such
+        # point is infeasible, and counted under its exception type.
+        m = hv.model_from_expr("x^300/300", 1.0, 10.0)
+        res = optimize_tightness("eq10", m, {"a": 1.0, "b": (1.01, 1.5)},
+                                 require_hypotheses=False)
+        assert res.ratio > 0.0
+        assert res.errors == {"OutOfRangeError": 10}
+        ok = optimize_tightness("eq10", m, {"a": 1.0, "b": (1.01, 1.02)},
+                                require_hypotheses=False)
+        assert ok.errors == {}
+
     @pytest.mark.parametrize("search, expected", PINNED)
     def test_search_results_pinned(self, search, expected):
         theorem, model, box, require = search
@@ -491,3 +503,44 @@ class TestBoundTable:
                 # The propositions are swept at s < 1 only.
                 image = {(s, q) for s, q in image if s < 1.0}
             assert {(r.s, r.q) for r in records if r.theorem == tag} == image, tag
+
+
+class TestBundleGatedAtQ1:
+    """q drops out of |f'|^q being s-geometrically convex, so the bundle
+    bounds share one hypothesis check per (model, a, b, s)."""
+
+    def test_one_bundle_check_per_a_b_s(self, monkeypatch):
+        calls = {"class": [], "monotone": [], "convex": [], "bundle": []}
+
+        def spy(kind, module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[kind].append(args)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+        spy("class", hv.convexity, "is_s_geometrically_convex")
+        spy("monotone", hv.convexity, "is_monotone_decreasing")
+        spy("convex", hv.sweep, "is_convex")
+        spy("bundle", hv.sweep, "theorem_hypotheses")
+        run_sweep(hv.sweep.default_config())
+        assert {kind: len(c) for kind, c in calls.items()} == {
+            "class": 86, "monotone": 86, "convex": 172, "bundle": 86}
+        assert {g.q for g, *_ in calls["class"]} == {1.0}
+        # theorem_hypotheses(m, a, b, s, q, cfg): one call per (m, a, b, s).
+        assert {q for *_, q, _ in calls["bundle"]} == {1.0}
+        assert len({(m.name, a, b, s) for m, a, b, s, *_ in calls["bundle"]}) == 86
+
+    def test_q_only_overflow_keeps_the_q1_flags(self):
+        # |f'| = x^299 is finite on [1, 10] and |f'|^2 overflows: the bundle
+        # records at q = 2 carry the q = 1 flags and fail in the rhs, while
+        # eq9's convex gate still checks |f'|^2 and fails there.
+        cfg = parse_config({"models": [{"expr": "x^300/300", "domain": [1, 10]}],
+                            "a_grid": [1.0], "b_grid": [10.0], "s_grid": [1.0],
+                            "q_grid": [1.0, 2.0]})
+        recs = {(r.theorem, r.q): r for r in run_sweep(cfg)}
+        for key in (("eq10", 1.0), ("eq11", 2.0), ("eq111", 1.0), ("eq111", 2.0)):
+            r = recs[key]
+            assert (r.hyp_class, r.hyp_monotone, r.hyp_fprime_a) == (True, False, True)
+            assert (r.verdict, r.discrepancy) == ("eval-error", "error:OutOfRangeError")
+        assert recs["eq9", 2.0].discrepancy == "hyp-error:DomainError"

@@ -10,19 +10,30 @@ degeneracy bites, is always included); the t grid has odd size, so 0, 1/2
 and 1 are grid points (the equality/extremal cases).  Cube points are
 clipped to [a, b], so g is never sampled outside the interval.
 
+Half cube: every class inequality is unchanged when (x, y, t) is swapped
+for (y, x, 1-t), and on the grid the swap is exact.  The t axis is built
+so that ts[n-1-k] == 1 - ts[k] bitwise (``_grid``), so the point, the
+weights t^s and (1-t)^s, and both sides of the inequality at
+(xs[j], xs[i], ts[n-1-k]) are bitwise those at (xs[i], xs[j], ts[k]): the
+same products added in the other order, and IEEE addition commutes.  So
+the checks sample and compare only the pairs i <= j, times every t, as
+rows of pairs in row-major order (``_pairs``): n^2(n+1)/2 points instead
+of n^3.  The count, the witnesses and the point an error names are still
+those of the full cube.
+
 Cost, with n = grid_points rounded up to odd: every class check compares
-an n^3 cube of (x, y, t) points in one kernel, ``_compare``, a slab of x
-rows at a time.  For ``AbsPower(fprime, q)``, the |f'|^q that the bounds'
-hypotheses are about, |fprime| is sampled once per (fprime, a, b, n): on
-the x grid, on the linear cube t*x + (1-t)*y and on the geometric cube
+the half cube in one kernel, ``_compare``, a slab of pair rows at a time.
+For ``AbsPower(fprime, q)``, the |f'|^q that the bounds' hypotheses are
+about, |fprime| is sampled once per (fprime, a, b, n): on the x grid, on
+the linear half cube t*x + (1-t)*y and on the geometric half cube
 x^t * y^(1-t), each on first use.  Each further check on that interval
-then costs a few O(n^3) array passes, plus a power of the sample when
+then costs a few O(n^3 / 2) array passes, plus a power of the sample when
 q != 1; the monotone check reads the x-grid sample.  The sweep checks
 the bundle at q = 1 whatever the bound's q (``sweep.BoundSpec.gate_point``
 says why), so the bundle costs one class check per (a, b, s), and only
 the convexity gate of eq8/eq9 pays the power.  Only the latest interval's
-sample is kept: read-only, it holds the two point cubes and |fprime| on
-them, four n^3 float64 arrays (about 9 MB at n = 65).
+sample is kept: read-only, it holds the two half cubes of points and
+|fprime| on them, four n^2(n+1)/2 float64 arrays (about 4.5 MB at n = 65).
 """
 
 from __future__ import annotations
@@ -64,6 +75,8 @@ class ClassCheckConfig:
             raise ValueError("grid_points must be >= 3")
         if not (math.isfinite(self.slack) and self.slack >= 0.0):
             raise ValueError(f"slack must be finite and >= 0, got {self.slack!r}")
+        if self.max_witnesses < 0:
+            raise ValueError(f"max_witnesses must be >= 0, got {self.max_witnesses!r}")
 
 
 @dataclass(frozen=True)
@@ -109,17 +122,34 @@ def _clip(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.clip(pts, xs[0], xs[-1], out=pts)
 
 
+# One slot, as for _grid: every check of a sweep uses one grid size.
+@lru_cache(maxsize=1)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the half cube's rows: every pair i <= j, in row-major
+    order, which is the full cube's C order restricted to i <= j."""
+    iu, ju = np.triu_indices(n)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _pair_row(i, j, n: int):
+    """The half-cube row of the pair (i, j), i <= j."""
+    return i * n - i * (i - 1) // 2 + j - i
+
+
 def _linear_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """t*x + (1-t)*y at [i, j, k] = (xs[i], xs[j], ts[k])."""
-    t = ts[None, None, :]
-    return _clip(t * xs[:, None, None] + (1.0 - t) * xs[None, :, None], xs)
+    """t*x + (1-t)*y at [p, k] = (xs[i], xs[j], ts[k]) for the p-th pair."""
+    iu, ju = _pairs(len(xs))
+    t = ts[None, :]
+    return _clip(t * xs[iu, None] + (1.0 - t) * xs[ju, None], xs)
 
 
 def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """x^t * y^(1-t), computed in log space, at [i, j, k]."""
-    t = ts[None, None, :]
+    """x^t * y^(1-t), computed in log space, at [p, k]."""
+    iu, ju = _pairs(len(xs))
+    t = ts[None, :]
     lnx = np.log(xs)
-    return _clip(np.exp(t * lnx[:, None, None] + (1.0 - t) * lnx[None, :, None]), xs)
+    return _clip(np.exp(t * lnx[iu, None] + (1.0 - t) * lnx[ju, None]), xs)
 
 
 # Callers reach the checks through their public signatures only, so the
@@ -134,8 +164,10 @@ def _abs_samples(fprime: Callable, lo: float, hi: float, n: int) -> dict:
 
 def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
              cube: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(points, g there) on the x grid, or on cube(xs, ts); a non-finite
-    value raises DomainError naming its point."""
+    """(points, g there) on the x grid, or on the half cube cube(xs, ts); a
+    non-finite value raises DomainError naming its point.  That is the
+    first bad point of the full cube in C order too: a point (j, i, k') with
+    j > i holds the same value as its mirror (i, j, k), which comes first."""
     if isinstance(g, AbsPower):
         samples = _abs_samples(g.fprime, xs[0], xs[-1], len(xs))
         if cube not in samples:
@@ -165,34 +197,45 @@ def _require_positive(pts: np.ndarray, vals: np.ndarray) -> None:
 
 def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
              ts: np.ndarray, cfg: ClassCheckConfig) -> CheckResult:
-    """Violations of lhs <= rhs + slack over an (x, y, t) cube.  Where both
-    sides exceed _LOG_SCALE_CUTOFF the test is ln lhs <= ln rhs + slack.
-    Witnesses are the first max_witnesses violations in C order.
+    """Violations of lhs <= rhs + slack over the full (x, y, t) cube, from
+    its half.  Where both sides exceed _LOG_SCALE_CUTOFF the test is
+    ln lhs <= ln rhs + slack.  Witnesses are the first max_witnesses
+    violations in the full cube's C order.
 
-    rhs_rows(rows) gives rhs on the x rows ``rows``; the cube is compared a
-    slab of rows at a time, so the temporaries stay small.
+    rhs_rows(rows) gives rhs on the pair rows ``rows`` (a slice or an index
+    array); the half cube is compared a slab of rows at a time, so the
+    temporaries stay small.  (x_j, x_i, ts[n-1-k]) violates exactly when
+    (x_i, x_j, ts[k]) does, with the same two sides, so each off-diagonal
+    violation counts twice and a diagonal row holds every t once.
     """
     n = len(xs)
-    step = max(1, _SLAB_POINTS // (n * n))
-    count = 0
-    wit: list[Witness] = []
-    for i0 in range(0, n, step):
-        rows = slice(i0, i0 + step)
+    viol = np.empty(lhs.shape, dtype=bool)
+    step = max(1, _SLAB_POINTS // n)
+    for p0 in range(0, len(lhs), step):
+        rows = slice(p0, p0 + step)
         left, right = lhs[rows], rhs_rows(rows)
-        viol = left > right + cfg.slack
+        v = np.greater(left, right + cfg.slack, out=viol[rows])
         big = left > _LOG_SCALE_CUTOFF
         if big.any():
             big &= right > _LOG_SCALE_CUTOFF
-            viol[big] = np.log(left[big]) > np.log(right[big]) + cfg.slack
-        found = int(np.count_nonzero(viol))
-        if found and len(wit) < cfg.max_witnesses:
-            first = np.flatnonzero(viol)[:cfg.max_witnesses - len(wit)]
-            wit.extend(
-                Witness(float(xs[i0 + i]), float(xs[j]), float(ts[k]),
-                        float(left[i, j, k]), float(right[i, j, k]))
-                for i, j, k in zip(*np.unravel_index(first, viol.shape)))
-        count += found
-    return CheckResult(count == 0, tuple(wit), count)
+            v[big] = np.log(left[big]) > np.log(right[big]) + cfg.slack
+    found = int(np.count_nonzero(viol))
+    if not found:
+        return CheckResult(True, (), 0)
+    diag = _pair_row(np.arange(n), np.arange(n), n)
+    count = 2 * found - int(np.count_nonzero(viol[diag]))
+    # Witnesses in the full cube's order; a mirrored one reads its two
+    # sides at its pair's row, where they are the same bits.
+    iu, ju = _pairs(n)
+    full = np.empty((n, n, n), dtype=bool)
+    full[ju, iu] = viol[:, ::-1]
+    full[iu, ju] = viol
+    i, j, k = np.unravel_index(np.flatnonzero(full)[:cfg.max_witnesses], full.shape)
+    p = _pair_row(np.minimum(i, j), np.maximum(i, j), n)
+    kc = np.where(i > j, n - 1 - k, k)
+    wit = map(Witness, xs[i].tolist(), xs[j].tolist(), ts[k].tolist(),
+              lhs[p, kc].tolist(), rhs_rows(p)[np.arange(len(p)), kc].tolist())
+    return CheckResult(False, tuple(wit), count)
 
 
 def _axes(interval: tuple[float, float], cfg: ClassCheckConfig):
@@ -208,9 +251,15 @@ def _axes(interval: tuple[float, float], cfg: ClassCheckConfig):
 @lru_cache(maxsize=1)
 def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The x and t axes, read-only because every check on (lo, hi, n)
-    shares them."""
+    shares them.  The t axis mirrors exactly, ts[n-1-k] == 1 - ts[k]: its
+    lower half is 1 minus its upper half, exact by Sterbenz, and so is
+    1 - ts[k] for every k.  That equals linspace where n - 1 is a power of
+    two (9, 33, 65) and moves points by under one ulp of 1 elsewhere."""
     xs = np.linspace(lo, hi, n)
     ts = np.linspace(0.0, 1.0, n)
+    m = n // 2
+    ts[m] = 0.5
+    ts[:m] = 1.0 - ts[:m:-1]
     xs.flags.writeable = ts.flags.writeable = False
     return xs, ts
 
@@ -234,14 +283,15 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
             i = int(np.argmax(neg))
             raise NegativeValueError(float(xs[i]), float(gx[i]))
     pts, lhs = _sampled(g, xs, ts, _geometric_cube if geometric else _linear_cube)
-    t = ts[None, None, :]
+    t = ts[None, :]
     wx, wy = t ** s, (1.0 - t) ** s
     if geometric:
         _require_positive(pts, lhs)
         gx = np.log(gx)
+    iu, ju = _pairs(len(xs))
 
     def rhs_rows(rows):
-        rhs = wx * gx[rows, None, None] + wy * gx[None, :, None]
+        rhs = wx * gx[iu[rows], None] + wy * gx[ju[rows], None]
         if not geometric:
             return rhs
         with np.errstate(over="ignore"):

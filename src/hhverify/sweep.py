@@ -298,7 +298,8 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
 class _ModelContext:
     """Per-model caches so grid checks and quadratures run once per key;
     the flags are keyed on the gate point, so one (a, b, s) serves every
-    q of the "bundle" bounds."""
+    q of the "bundle" bounds.  A check that raised is cached as its
+    exception and raised again for every record that shares its key."""
     model: FunctionModel
     cfg: SweepConfig
     check_cfg: ClassCheckConfig
@@ -325,9 +326,15 @@ class _ModelContext:
               q: float) -> tuple[bool, bool, bool]:
         key = (bound.gate, a, b, *bound.gate_point(s, q))
         if key not in self.flags_cache:
-            self.flags_cache[key] = hypothesis_flags(
-                bound, self.model, a, b, s, q, self.check_cfg)
-        return self.flags_cache[key]
+            try:
+                self.flags_cache[key] = hypothesis_flags(
+                    bound, self.model, a, b, s, q, self.check_cfg)
+            except Exception as e:
+                self.flags_cache[key] = e
+        flags = self.flags_cache[key]
+        if isinstance(flags, Exception):
+            raise flags
+        return flags
 
 
 def _verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:

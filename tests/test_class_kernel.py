@@ -1,5 +1,6 @@
 """The class-check kernel against the full-cube reference it replaced, the
-log-scale branch, the per-interval |f'| sample, and the cube points."""
+half cube and its mirror, the log-scale branch, the per-interval |f'|
+sample, and the cube points."""
 
 import itertools
 import math
@@ -22,12 +23,27 @@ from hhverify.models import (exp_model, make_model, model_from_expr,
 from hhverify.sweep import default_config
 
 # ---------------------------------------------------------------------------
-# Reference: every check evaluates g on the whole cube, compares plainly and
-# on log scale at every point, and lists violations with argwhere.  The cube
-# points are the module's, so this pins evaluation, sampling and the kernel.
+# Reference: every check evaluates g on the whole n^3 cube, compares plainly
+# and on log scale at every point, and lists violations with argwhere.  It
+# builds its own full cubes, with the expressions and the clip the module
+# uses per point, so this pins the half cube, its mirror, evaluation,
+# sampling and the kernel.
 # ---------------------------------------------------------------------------
 
 _CUTOFF = 1e3
+
+
+def full_linear_cube(xs, ts):
+    t = ts[None, None, :]
+    pts = t * xs[:, None, None] + (1.0 - t) * xs[None, :, None]
+    return np.clip(pts, xs[0], xs[-1], out=pts)
+
+
+def full_geometric_cube(xs, ts):
+    t = ts[None, None, :]
+    lnx = np.log(xs)
+    pts = np.exp(t * lnx[:, None, None] + (1.0 - t) * lnx[None, :, None])
+    return np.clip(pts, xs[0], xs[-1], out=pts)
 
 
 def _ref_values(g, pts):
@@ -85,7 +101,7 @@ def reference_check(kind, g, interval, s, cfg):
             if neg.any():
                 i = int(np.argmax(neg))
                 raise NegativeValueError(float(xs[i]), float(gx[i]))
-        pts = convexity._linear_cube(xs, ts)
+        pts = full_linear_cube(xs, ts)
         lhs = _ref_values(g, pts)
         if kind == "convex":
             rhs = t * gx[:, None, None] + (1.0 - t) * gx[None, :, None]
@@ -96,7 +112,7 @@ def reference_check(kind, g, interval, s, cfg):
         if bad.any():
             i = int(np.argmax(bad))
             raise NonPositiveValueError(float(xs[i]), float(gx[i]))
-        pts = convexity._geometric_cube(xs, ts)
+        pts = full_geometric_cube(xs, ts)
         lhs = _ref_values(g, pts)
         bad = lhs <= 0.0
         if bad.any():
@@ -169,7 +185,9 @@ _CHECKS = [("convex", 1.0), ("s_convex", 0.3), ("s_convex", 1.0),
 def test_kernel_matches_full_cube_reference():
     cfgs = [ClassCheckConfig(grid_points=9),
             # witnesses gathered across several slabs
-            ClassCheckConfig(grid_points=33, max_witnesses=5000)]
+            ClassCheckConfig(grid_points=33, max_witnesses=5000),
+            # a t axis that moves off linspace to mirror exactly
+            ClassCheckConfig(grid_points=21)]
     many = logged_cases = errors = 0
     for label, g, interval in _functions():
         for cfg, (kind, s) in itertools.product(cfgs, _CHECKS):
@@ -182,17 +200,64 @@ def test_kernel_matches_full_cube_reference():
             else:
                 errors += 1
             assert got == ref, (label, kind, s, cfg)
+            if isinstance(got, CheckResult):
+                assert type(got.violation_count) is int
     # the set reaches truncated witness lists, the log-scale branch and errors
     assert many > 0 and logged_cases > 0 and errors > 0
 
 
 def test_kernel_matches_reference_across_many_slabs():
-    cfg = ClassCheckConfig(grid_points=65, max_witnesses=300)
+    cfgs = (ClassCheckConfig(grid_points=65, max_witnesses=300),
+            ClassCheckConfig(grid_points=65, max_witnesses=0))
     for g, interval in ((AbsPower(exp_model(1.0).fprime, 2.0), (1.0, 2.0)),
                         (_const(0.5), (0.2, 0.8))):
-        for kind, s in (("convex", 1.0), ("geometric", 0.5)):
+        for cfg, (kind, s) in itertools.product(cfgs, (("convex", 1.0), ("geometric", 0.5))):
             ref, _ = reference_check(kind, g, interval, s, cfg)
             assert public_check(kind, g, interval, s, cfg) == ref
+
+
+# ---------------------------------------------------------------------------
+# The half cube: (x, y, t) and (y, x, 1 - t) are the same point, exactly
+# ---------------------------------------------------------------------------
+
+def test_t_axis_mirrors_exactly():
+    for n in range(3, 202, 2):
+        ts = convexity._axes((1.0, 2.0), ClassCheckConfig(grid_points=n))[1]
+        assert (ts[::-1] == 1.0 - ts).all() and ts[n // 2] == 0.5, n
+    for n in (9, 33, 65):          # the shipped grids keep linspace
+        ts = convexity._axes((1.0, 2.0), ClassCheckConfig(grid_points=n))[1]
+        assert (ts == np.linspace(0.0, 1.0, n)).all()
+
+
+@pytest.mark.parametrize("n", [9, 33, 65])
+def test_each_cube_samples_the_half(n):
+    sizes = []
+
+    def fprime(x):
+        sizes.append(np.size(x))
+        return np.exp(x)
+    cfg = ClassCheckConfig(grid_points=n)
+    m = make_model("exp", 1.0, 2.0, f=np.exp, fprime=fprime)
+    sizes.clear()                                   # the model's own probe
+    theorem_hypotheses(m, 1.0, 2.0, 0.5, 2.0, cfg)  # x grid, geometric cube, f'(a)
+    is_convex(AbsPower(fprime, 2.0), (1.0, 2.0), cfg)   # linear cube
+    half = n * n * (n + 1) // 2
+    assert sizes == [n, half, 1, half]
+
+
+@pytest.mark.parametrize("n", [9, 21, 33, 65])
+def test_half_cubes_are_the_full_cubes_at_i_le_j(n):
+    rng = np.random.default_rng(n)
+    iu, ju = np.triu_indices(n)
+    for _ in range(5):
+        a = float(10.0 ** rng.uniform(-3.0, 1.0))
+        b = a * (1.0 + float(10.0 ** rng.uniform(-2.0, 1.0)))
+        xs, ts = convexity._axes((a, b), ClassCheckConfig(grid_points=n))
+        for half, full in ((convexity._linear_cube, full_linear_cube),
+                           (convexity._geometric_cube, full_geometric_cube)):
+            cube = full(xs, ts)
+            assert (cube == cube.transpose(1, 0, 2)[:, :, ::-1]).all()
+            assert (half(xs, ts) == cube[iu, ju]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +275,7 @@ def test_log_scale_decides_when_both_sides_exceed_cutoff():
     g = _sqrt_bump(1e6)
     xs, ts = convexity._axes((1.0, 2.0), cfg)
     t = ts[None, None, :]
-    lhs = g(convexity._linear_cube(xs, ts))
+    lhs = g(full_linear_cube(xs, ts))
     rhs = t * g(xs)[:, None, None] + (1.0 - t) * g(xs)[None, :, None]
     assert (lhs > rhs + cfg.slack).any()          # the plain test would fail it
     res = is_convex(g, (1.0, 2.0), cfg)

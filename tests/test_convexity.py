@@ -210,3 +210,5 @@ def test_grid_config_validation():
         ClassCheckConfig(grid_points=2)
     with pytest.raises(ValueError):
         ClassCheckConfig(slack=-1.0)
+    with pytest.raises(ValueError):
+        ClassCheckConfig(max_witnesses=-1)

@@ -544,3 +544,29 @@ class TestBundleGatedAtQ1:
             assert (r.hyp_class, r.hyp_monotone, r.hyp_fprime_a) == (True, False, True)
             assert (r.verdict, r.discrepancy) == ("eval-error", "error:OutOfRangeError")
         assert recs["eq9", 2.0].discrepancy == "hyp-error:DomainError"
+
+    def test_a_raising_check_runs_once_per_a_b_s(self, monkeypatch):
+        # f' = 2(x - 1) is 0 at the grid point x = 1: every bundle check
+        # raises NonPositiveValueError, and each (a, b, s) raises once.
+        cfg = parse_config({"models": [{"expr": "(x-1)^2", "domain": [0.5, 1.5]}],
+                            "a_grid": [0.5], "b_grid": [1.5], "s_grid": [0.5, 1.0],
+                            "q_grid": [1.0, 1.5, 2.0, 4.0]})
+        calls = []
+        bundle = hv.sweep.theorem_hypotheses
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return bundle(*args, **kwargs)
+        monkeypatch.setattr(hv.sweep, "theorem_hypotheses", spy)
+        recs = run_sweep(cfg)
+        assert len(calls) == 2
+        assert sum(r.discrepancy == "hyp-error:NonPositiveValueError"
+                   for r in recs) == 16
+        # the same records as with no flags cache at all
+        monkeypatch.setattr(hv.sweep._ModelContext, "flags",
+                            lambda ctx, bound, a, b, s, q: hv.sweep.hypothesis_flags(
+                                bound, ctx.model, a, b, s, q, ctx.check_cfg))
+        uncached = run_sweep(cfg)
+        assert len(calls) == 18
+        assert records_equal(recs, uncached)
+        assert records_text(recs, "csv") == records_text(uncached, "csv")

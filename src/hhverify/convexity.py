@@ -39,6 +39,7 @@ sample is kept: read-only, it holds the two half cubes of points and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -55,10 +56,6 @@ __all__ = [
     "theorem_hypotheses",
 ]
 
-# Above this magnitude, inequality comparisons move to log scale so that
-# huge |f'|^q values do not distort the slack.
-_LOG_SCALE_CUTOFF = 1e3
-
 # Points per slab of the comparison.  Slabs this small stay in cache, and
 # their temporaries come from the heap instead of fresh page-faulted maps.
 _SLAB_POINTS = 1 << 14
@@ -71,6 +68,10 @@ class ClassCheckConfig:
     max_witnesses: int = 64
 
     def __post_init__(self):
+        for name in ("grid_points", "max_witnesses"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {v!r}")
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
         if not (math.isfinite(self.slack) and self.slack >= 0.0):
@@ -81,7 +82,10 @@ class ClassCheckConfig:
 
 @dataclass(frozen=True)
 class Witness:
-    """One grid point violating the defining inequality by more than slack."""
+    """One grid point violating the defining inequality by more than slack:
+    lhs > rhs + slack*max(1, rhs) for the linear classes, ln lhs > ln rhs +
+    slack for the geometric ones, lhs > rhs + slack for a decreasing check.
+    lhs and rhs are values, never logs."""
     x: float
     y: float
     t: float
@@ -196,11 +200,15 @@ def _require_positive(pts: np.ndarray, vals: np.ndarray) -> None:
 
 
 def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
-             ts: np.ndarray, cfg: ClassCheckConfig) -> CheckResult:
-    """Violations of lhs <= rhs + slack over the full (x, y, t) cube, from
-    its half.  Where both sides exceed _LOG_SCALE_CUTOFF the test is
-    ln lhs <= ln rhs + slack.  Witnesses are the first max_witnesses
-    violations in the full cube's C order.
+             ts: np.ndarray, cfg: ClassCheckConfig,
+             geometric: bool) -> CheckResult:
+    """Violations of lhs <= rhs by more than slack over the full (x, y, t)
+    cube, from its half.  Linear: lhs > rhs + slack and lhs > rhs*(1 +
+    slack), so the slack is absolute up to rhs = 1 and relative above.
+    Geometric: rhs_rows gives ln rhs, and the test is ln lhs > ln rhs +
+    slack, a relative slack at every scale.  Witnesses carry values, not
+    logs, and are the first max_witnesses violations in the full cube's C
+    order.
 
     rhs_rows(rows) gives rhs on the pair rows ``rows`` (a slice or an index
     array); the half cube is compared a slab of rows at a time, so the
@@ -214,11 +222,11 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
     for p0 in range(0, len(lhs), step):
         rows = slice(p0, p0 + step)
         left, right = lhs[rows], rhs_rows(rows)
+        if geometric:
+            left = np.log(left)
         v = np.greater(left, right + cfg.slack, out=viol[rows])
-        big = left > _LOG_SCALE_CUTOFF
-        if big.any():
-            big &= right > _LOG_SCALE_CUTOFF
-            v[big] = np.log(left[big]) > np.log(right[big]) + cfg.slack
+        if not geometric and v.any():
+            v &= left > right * (1.0 + cfg.slack)
     found = int(np.count_nonzero(viol))
     if not found:
         return CheckResult(True, (), 0)
@@ -233,8 +241,9 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
     i, j, k = np.unravel_index(np.flatnonzero(full)[:cfg.max_witnesses], full.shape)
     p = _pair_row(np.minimum(i, j), np.maximum(i, j), n)
     kc = np.where(i > j, n - 1 - k, k)
+    rhs = rhs_rows(p)[np.arange(len(p)), kc]
     wit = map(Witness, xs[i].tolist(), xs[j].tolist(), ts[k].tolist(),
-              lhs[p, kc].tolist(), rhs_rows(p)[np.arange(len(p)), kc].tolist())
+              lhs[p, kc].tolist(), (np.exp(rhs) if geometric else rhs).tolist())
     return CheckResult(False, tuple(wit), count)
 
 
@@ -269,7 +278,8 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
            nonnegative: bool = False) -> CheckResult:
     """The class inequality with weights t^s and (1-t)^s on the grid:
     g(t*x + (1-t)*y) <= t^s*g(x) + (1-t)^s*g(y), or, geometric,
-    g(x^t * y^(1-t)) <= g(x)^(t^s) * g(y)^((1-t)^s) with g > 0 required.
+    g(x^t * y^(1-t)) <= g(x)^(t^s) * g(y)^((1-t)^s) with g > 0 required,
+    compared in logs.
     ``nonnegative`` rejects a linear g below -slack on the x grid."""
     if geometric and not interval[0] > 0.0:
         raise ValueError(f"interval must lie in (0, inf), got {interval}")
@@ -291,12 +301,8 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
     iu, ju = _pairs(len(xs))
 
     def rhs_rows(rows):
-        rhs = wx * gx[iu[rows], None] + wy * gx[ju[rows], None]
-        if not geometric:
-            return rhs
-        with np.errstate(over="ignore"):
-            return np.exp(rhs)
-    return _compare(lhs, rhs_rows, xs, ts, cfg)
+        return wx * gx[iu[rows], None] + wy * gx[ju[rows], None]
+    return _compare(lhs, rhs_rows, xs, ts, cfg, geometric)
 
 
 def is_convex(g: Callable, interval: tuple[float, float],

@@ -199,10 +199,11 @@ class BoundSpec:
         A "bundle" bound is gated at q = 1.  Since ln(|f'|^q) = q*ln|f'|,
         |f'|^q is s-geometrically convex for one q > 0 exactly when it is
         for every q, and the monotone and |f'(a)| flags do not read q; so
-        the bundle's flags depend on (a, b, s) alone.  On the grid this
-        holds up to ties within the slack, which is absolute below the
-        check's log-scale cutoff.  Convexity of |f'|^q does depend on q,
-        so a "convex" bound is gated at its own point.
+        the bundle's flags depend on (a, b, s) alone.  On the grid the
+        check compares logs, which scale by q, so this holds up to points
+        whose log margin ln lhs - ln rhs lies between slack and slack/q.
+        Convexity of |f'|^q does depend on q, so a "convex" bound is gated
+        at its own point.
         """
         s, q = self.point(s, q)
         return (s, q) if self.gate == "convex" else (s, 1.0)

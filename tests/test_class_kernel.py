@@ -1,7 +1,8 @@
 """The class-check kernel against the full-cube reference it replaced, the
-half cube and its mirror, the log-scale branch, the per-interval |f'|
-sample, and the cube points."""
+half cube and its mirror, the slack rule, the per-interval |f'| sample,
+and the cube points."""
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -20,17 +21,16 @@ from hhverify.errors import (DomainError, NegativeValueError,
                              NonPositiveValueError)
 from hhverify.models import (exp_model, make_model, model_from_expr,
                              model_from_spec, power_model)
-from hhverify.sweep import default_config
+from hhverify.records import records_text
+from hhverify.sweep import default_config, parse_config, run_sweep
 
 # ---------------------------------------------------------------------------
-# Reference: every check evaluates g on the whole n^3 cube, compares plainly
-# and on log scale at every point, and lists violations with argwhere.  It
-# builds its own full cubes, with the expressions and the clip the module
+# Reference: every check evaluates g on the whole n^3 cube, compares every
+# point by the slack rule of its kind, and lists violations with argwhere.
+# It builds its own full cubes, with the expressions and the clip the module
 # uses per point, so this pins the half cube, its mirror, evaluation,
 # sampling and the kernel.
 # ---------------------------------------------------------------------------
-
-_CUTOFF = 1e3
 
 
 def full_linear_cube(xs, ts):
@@ -63,13 +63,16 @@ def _ref_values(g, pts):
     return vals.reshape(np.shape(pts))
 
 
-def _ref_violations(lhs, rhs, slack):
-    both_big = (lhs > _CUTOFF) & (rhs > _CUTOFF)
+def _ref_violations(lhs, rhs, slack, ln_rhs=None):
+    """Geometric kinds (ln_rhs given) compare logs; linear kinds take the
+    slack as absolute up to rhs = 1 and relative above.  Also the number
+    of points where that differs from a plain lhs > rhs + slack."""
     plain = lhs > rhs + slack
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logged = (np.log(np.maximum(lhs, 1e-300))
-                  > np.log(np.maximum(rhs, 1e-300)) + slack)
-    return np.where(both_big, logged, plain), bool(both_big.any())
+    if ln_rhs is None:
+        viol = plain & (lhs > rhs * (1.0 + slack))
+    else:
+        viol = np.log(lhs) > ln_rhs + slack
+    return viol, int(np.count_nonzero(viol != plain))
 
 
 def _ref_collect(viol, xs, ts, lhs, rhs, cfg):
@@ -84,7 +87,8 @@ def _ref_collect(viol, xs, ts, lhs, rhs, cfg):
 
 
 def reference_check(kind, g, interval, s, cfg):
-    """(CheckResult, whether the log-scale branch decided some point)."""
+    """(CheckResult, points where the slack rule differs from a plain
+    lhs > rhs + slack on values)."""
     xs, ts = convexity._axes(interval, cfg)
     gx = _ref_values(g, xs)
     t = ts[None, None, :]
@@ -94,7 +98,7 @@ def reference_check(kind, g, interval, s, cfg):
         wit = tuple(Witness(float(xs[i]), float(xs[i + 1]), math.nan,
                             float(gx[i + 1]), float(gx[i]))
                     for i in idx[:cfg.max_witnesses])
-        return CheckResult(len(idx) == 0, wit, int(len(idx))), False
+        return CheckResult(len(idx) == 0, wit, int(len(idx))), 0
     if kind in ("convex", "s_convex"):
         if kind == "s_convex":
             neg = gx < -cfg.slack
@@ -103,6 +107,7 @@ def reference_check(kind, g, interval, s, cfg):
                 raise NegativeValueError(float(xs[i]), float(gx[i]))
         pts = full_linear_cube(xs, ts)
         lhs = _ref_values(g, pts)
+        ln_rhs = None
         if kind == "convex":
             rhs = t * gx[:, None, None] + (1.0 - t) * gx[None, :, None]
         else:
@@ -122,7 +127,7 @@ def reference_check(kind, g, interval, s, cfg):
         ln_rhs = t ** s * lg[:, None, None] + (1.0 - t) ** s * lg[None, :, None]
         with np.errstate(over="ignore"):
             rhs = np.exp(ln_rhs)
-    viol, logged = _ref_violations(lhs, rhs, cfg.slack)
+    viol, logged = _ref_violations(lhs, rhs, cfg.slack, ln_rhs)
     return _ref_collect(viol, xs, ts, lhs, rhs, cfg), logged
 
 
@@ -202,7 +207,8 @@ def test_kernel_matches_full_cube_reference():
             assert got == ref, (label, kind, s, cfg)
             if isinstance(got, CheckResult):
                 assert type(got.violation_count) is int
-    # the set reaches truncated witness lists, the log-scale branch and errors
+    # the set reaches truncated witness lists, points the slack rule decides
+    # differently from a plain absolute slack, and errors
     assert many > 0 and logged_cases > 0 and errors > 0
 
 
@@ -261,7 +267,7 @@ def test_half_cubes_are_the_full_cubes_at_i_le_j(n):
 
 
 # ---------------------------------------------------------------------------
-# Log-scale branch
+# The slack rule: relative above 1 for linear checks, on logs for geometric
 # ---------------------------------------------------------------------------
 
 def _sqrt_bump(level):
@@ -286,6 +292,17 @@ def test_plain_comparison_below_cutoff():
     res = is_convex(_sqrt_bump(1e2), (1.0, 2.0), ClassCheckConfig(grid_points=9))
     assert not res.ok
     assert all(w.lhs > w.rhs + 1e-9 for w in res.witnesses)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_geometric_flag_does_not_depend_on_scale(c):
+    # ln(c*g) = ln c + ln g: the constant cancels from the log comparison
+    def scaled(fn):
+        return lambda x: c * fn(np.asarray(x))
+    assert not is_geometrically_convex(scaled(lambda x: np.exp(-x)), (0.1, 2.0))
+    assert is_geometrically_convex(scaled(np.exp), (0.1, 2.0))
+    assert is_geometrically_convex(scaled(lambda x: x ** -1.7), (0.5, 2.0))
+    assert is_geometrically_convex(scaled(lambda x: x * x), (0.5, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -471,3 +488,16 @@ def test_class_flag_does_not_depend_on_q():
                 assert len(by_q) == 1, (spec, a, b, s, n)
                 flags.extend(by_q)
     assert len(flags) == 268 and True in flags and False in flags
+
+
+def test_steep_report_pinned():
+    # Near-singular |f'| on [1e-4, 1]: |f'|^q spans many decades, so both
+    # slack rules meet values far above 1.
+    names = ("power-s01", "root5", "log-shift", "root-log")
+    cfg = parse_config({"models": [{"name": n, **spec} for n, spec in zip(names, _STEEP)],
+                        "a_grid": [1e-4, 1e-3, 0.02], "b_grid": [0.3, 1.0],
+                        "s_grid": [0.5, 1], "q_grid": [1, 2], "class_grid_points": 9})
+    records = run_sweep(cfg)
+    assert len(records) == 264
+    assert hashlib.sha256(records_text(records, "csv").encode()).hexdigest() == \
+        "90b4f79b12f0de3a3ea4e7bed5f876ec1a5e795921f4cf6452cc0735dd8cbc64"

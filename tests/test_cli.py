@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -237,7 +238,7 @@ class TestVerify:
         code, _, _ = run(["verify", "--config", cfg_path,
                           "--out", out_path, "--format", "json"], capsys)
         assert code == 0
-        payload = json.loads(open(out_path, encoding="utf-8").read()
+        payload = json.loads(Path(out_path).read_text(encoding="utf-8")
                              .replace("NaN", "null"))
         assert set(payload["records"][0]) == set(CSV_COLUMNS)
 
@@ -250,7 +251,7 @@ class TestVerify:
         p1, p2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
         run(["verify", "--config", cfg_path, "--out", p1], capsys)
         run(["verify", "--config", cfg_path, "--out", p2], capsys)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_adhoc_model_flag(self, cfg_path, tmp_path, capsys):
         out_path = str(tmp_path / "r.csv")
@@ -267,7 +268,7 @@ class TestVerify:
         p1, p2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
         run(["verify", "--config", cfg_path, "--out", p1], capsys)
         run(["verify", "--config", str(unseeded), "--out", p2], capsys)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     @pytest.mark.parametrize("spec, path", [
         ({"builtin": "power", "s": [0.5]}, "models[0].s"),

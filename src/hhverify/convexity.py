@@ -30,10 +30,12 @@ x^t * y^(1-t), each on first use.  Each further check on that interval
 then costs a few O(n^3 / 2) array passes, plus a power of the sample when
 q != 1; the monotone check reads the x-grid sample.  The sweep checks
 the bundle at q = 1 whatever the bound's q (``sweep.BoundSpec.gate_point``
-says why), so the bundle costs one class check per (a, b, s), and only
-the convexity gate of eq8/eq9 pays the power.  Only the latest interval's
-sample is kept: read-only, it holds the two half cubes of points and
-|fprime| on them, four n^2(n+1)/2 float64 arrays (about 4.5 MB at n = 65).
+says why), so the bundle costs one class check per (a, b, s); the
+convexity gate of eq9 reuses eq8's check of |fprime| and pays the power
+only where that fails (``sweep.hypothesis_flags``).  Only the latest
+interval's sample is kept: read-only, it holds the two half cubes of
+points and |fprime| on them, four n^2(n+1)/2 float64 arrays (about 4.5 MB
+at n = 65).
 """
 
 from __future__ import annotations
@@ -219,6 +221,8 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
     n = len(xs)
     viol = np.empty(lhs.shape, dtype=bool)
     step = max(1, _SLAB_POINTS // n)
+    iu, ju = _pairs(n)
+    found = r = 0
     for p0 in range(0, len(lhs), step):
         rows = slice(p0, p0 + step)
         left, right = lhs[rows], rhs_rows(rows)
@@ -227,17 +231,24 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
         v = np.greater(left, right + cfg.slack, out=viol[rows])
         if not geometric and v.any():
             v &= left > right * (1.0 + cfg.slack)
-    found = int(np.count_nonzero(viol))
+        if found < cfg.max_witnesses:
+            r = int(iu[rows][-1])
+        found += int(np.count_nonzero(v))
     if not found:
         return CheckResult(True, (), 0)
     diag = _pair_row(np.arange(n), np.arange(n), n)
     count = 2 * found - int(np.count_nonzero(viol[diag]))
     # Witnesses in the full cube's order; a mirrored one reads its two
-    # sides at its pair's row, where they are the same bits.
-    iu, ju = _pairs(n)
-    full = np.empty((n, n, n), dtype=bool)
-    full[ju, iu] = viol[:, ::-1]
-    full[iu, ju] = viol
+    # sides at its pair's row, where they are the same bits.  The slabs
+    # up to the one that reached max_witnesses violations (or all slabs)
+    # hold pairs with x index at most r, so the full cube's x rows up to r
+    # hold the first max_witnesses: only those rows are built and scanned.
+    last = _pair_row(r, n - 1, n) + 1
+    iu, ju, half = iu[:last], ju[:last], viol[:last]
+    full = np.empty((r + 1, n, n), dtype=bool)
+    mirrored = ju <= r
+    full[ju[mirrored], iu[mirrored]] = half[mirrored, ::-1]
+    full[iu, ju] = half
     i, j, k = np.unravel_index(np.flatnonzero(full)[:cfg.max_witnesses], full.shape)
     p = _pair_row(np.minimum(i, j), np.maximum(i, j), n)
     kc = np.where(i > j, n - 1 - k, k)

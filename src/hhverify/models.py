@@ -50,11 +50,15 @@ def evaluate_points(g: Callable, pts, point: Callable | None = None) -> np.ndarr
     If that call raises anything but DomainError, g is taken as
     scalar-only and called once per point in C order, through
     ``point(x)`` (default ``float(g(x))``).  Returns a fresh float array
-    shaped like pts.
+    shaped like pts: g's result is copied only where it is not one
+    already, such as a scalar or a view of pts.
     """
     flat = np.ravel(pts)
     try:
-        vals = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape).copy()
+        vals = np.asarray(g(flat), dtype=float)
+        if not (vals.shape == flat.shape and vals.base is None
+                and vals.flags.writeable and not np.may_share_memory(vals, pts)):
+            vals = np.broadcast_to(vals, flat.shape).copy()
     except DomainError:
         raise
     except Exception:

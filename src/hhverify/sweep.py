@@ -169,8 +169,9 @@ class BoundSpec:
     """How one bound is evaluated, gated and swept.
 
     ``gate`` is "convex" (|f'|^q convex, the classical baselines' only
-    hypothesis) or "bundle" (``theorem_hypotheses``, checked at q = 1
-    because q drops out of it; see ``gate_point``).  ``q_rule`` is "1"
+    hypothesis, which a pass of |f'| convex implies for every q >= 1; see
+    ``hypothesis_flags``) or "bundle" (``theorem_hypotheses``, checked at
+    q = 1 because q drops out of it; see ``gate_point``).  ``q_rule`` is "1"
     (q = 1 only), ">1" (q > 1 only) or "all" (every q).  The
     special-means propositions carry ``identity``, which returns their
     identity-check discrepancy tags.
@@ -203,7 +204,9 @@ class BoundSpec:
         check compares logs, which scale by q, so this holds up to points
         whose log margin ln lhs - ln rhs lies between slack and slack/q.
         Convexity of |f'|^q does depend on q, so a "convex" bound is gated
-        at its own point.
+        at its own point; ``hypothesis_flags`` takes a pass there from the
+        q = 1 check of |f'| where it can, which is approximate in the same
+        way (its docstring says how).
         """
         s, q = self.point(s, q)
         return (s, q) if self.gate == "convex" else (s, 1.0)
@@ -274,21 +277,38 @@ THEOREM_TAGS = tuple(BOUND_TABLE)
 
 
 def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
-                     s: float, q: float,
-                     check_cfg: ClassCheckConfig) -> tuple[bool, bool, bool]:
+                     s: float, q: float, check_cfg: ClassCheckConfig,
+                     flags: Callable | None = None) -> tuple[bool, bool, bool]:
     """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
 
     The classical baselines need only |f'|^q convex; their monotonicity
-    and derivative-size flags are vacuously true.  A bound is gated at
-    ``bound.gate_point(s, q)``, so ``bound.point(s, q)`` must exist.  Every
-    "bundle" bound is gated at q = 1: q drops out of |f'|^q being
-    s-geometrically convex.
+    and derivative-size flags are vacuously true.  For q >= 1, |f'| convex
+    implies |f'|^q convex, grid point by grid point: v -> v^q is
+    increasing and convex on [0, inf).  So a "convex" bound at q != 1
+    passes where eq8's gate, |f'| convex, passes, and checks |f'|^q only
+    where that fails (sqrt(x) is not convex, but its square is).  The
+    slack makes this approximate: a q = 1 pass allows a margin of up to
+    slack (relative above 1), which at q can grow to about
+    q*slack*max(1, rhs)^(q-1), so a near-tie the check at q would put
+    outside the hypotheses passes here.
+
+    ``flags(bound, a, b, s, q)`` gives eq8's flags where it is passed (the
+    sweep passes its cached ``_ModelContext.flags``); otherwise they are
+    computed here.  A bound is gated at ``bound.gate_point(s, q)``, so
+    ``bound.point(s, q)`` must exist.  Every "bundle" bound is gated at
+    q = 1: q drops out of |f'|^q being s-geometrically convex.
     """
     s, q = bound.gate_point(s, q)
-    if bound.gate == "convex":
-        return (is_convex(AbsPower(m.fprime, q), (a, b), check_cfg).ok, True, True)
-    h = theorem_hypotheses(m, a, b, s, q, check_cfg)
-    return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
+    if bound.gate == "bundle":
+        h = theorem_hypotheses(m, a, b, s, q, check_cfg)
+        return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
+    if q != 1.0:
+        eq8 = BOUND_TABLE["eq8"]
+        at_q1 = (flags(eq8, a, b, 1.0, 1.0) if flags
+                 else hypothesis_flags(eq8, m, a, b, 1.0, 1.0, check_cfg))
+        if all(at_q1):
+            return at_q1
+    return (is_convex(AbsPower(m.fprime, q), (a, b), check_cfg).ok, True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +319,9 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
 class _ModelContext:
     """Per-model caches so grid checks and quadratures run once per key;
     the flags are keyed on the gate point, so one (a, b, s) serves every
-    q of the "bundle" bounds.  A check that raised is cached as its
-    exception and raised again for every record that shares its key."""
+    q of the "bundle" bounds, and eq9 reads eq8's |f'| convex check from
+    here.  A check that raised is cached as its exception and raised
+    again for every record that shares its key."""
     model: FunctionModel
     cfg: SweepConfig
     check_cfg: ClassCheckConfig
@@ -329,7 +350,7 @@ class _ModelContext:
         if key not in self.flags_cache:
             try:
                 self.flags_cache[key] = hypothesis_flags(
-                    bound, self.model, a, b, s, q, self.check_cfg)
+                    bound, self.model, a, b, s, q, self.check_cfg, self.flags)
             except Exception as e:
                 self.flags_cache[key] = e
         flags = self.flags_cache[key]

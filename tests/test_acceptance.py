@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -228,3 +229,13 @@ def test_c11_default_report_bytes(default_sweep):
     residuals = ",".join(r.oracle_residual.hex() for r in records)
     assert hashlib.sha256(residuals.encode()).hexdigest() == DEFAULT_RESIDUALS_SHA256
     ok("C11 default report bytes and oracle residuals")
+
+
+def test_c11_default_report_bytes_at_other_grid_sizes(default_sweep):
+    # The checks' grid decides no flag of the shipped config: the report
+    # at class_grid_points 9 and 65 is the pinned n = 33 one, byte for byte.
+    cfg = default_sweep[0]
+    for n in (9, 65):
+        text = records_text(run_sweep(dataclasses.replace(cfg, class_grid_points=n)), "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CSV_SHA256, n
+    ok("C11 default report bytes at class_grid_points 9 and 65")

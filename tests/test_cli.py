@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hhverify import cli
+from hhverify import cli, sweep
 from hhverify.cli import main
 from hhverify.convexity import (AbsPower, ClassCheckConfig,
                                 is_s_geometrically_convex)
@@ -162,6 +162,25 @@ class TestEvalBound:
                                 "--domain", "1,2", "--a", "1", "--b", "2"] + q,
                                capsys)
             assert code == 0 and want in out, q
+
+    @pytest.mark.parametrize("f, b, qs", [("x^300/300", "3", [1.0]),
+                                          ("x^1.5", "2", [1.0, 2.0])])
+    def test_eq9_gate_reads_the_q1_check_first(self, capsys, monkeypatch, f, b, qs):
+        # |f'| = x^299 is convex, so eq9 at q = 2 passes on that check alone;
+        # |f'| = 1.5 x^0.5 is not, and only its square is checked and passes.
+        checked = []
+        is_convex = sweep.is_convex
+
+        def spy(g, *args):
+            checked.append(g.q)
+            return is_convex(g, *args)
+        monkeypatch.setattr(sweep, "is_convex", spy)
+        code, out, _ = run(["eval-bound", "--theorem", "eq9", "--f", f,
+                            "--domain", "1,10", "--a", "1", "--b", b, "--q", "2"],
+                           capsys)
+        assert code == 0
+        assert "hypotheses: class=True monotone=True fprime_a_le_1=True\n" in out
+        assert checked == qs
 
     def test_unused_parameters_ignored(self, capsys):
         # eq8 takes neither s nor q: it is evaluated at its point (1, 1).

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 import hhverify as hv
+from conftest import pretty, random_expr
 from hhverify.cli import build_parser
-from hhverify.errors import ConfigError, EmptyFeasibleSetError
+from hhverify.convexity import AbsPower
+from hhverify.errors import ConfigError, DomainError, EmptyFeasibleSetError
 from hhverify.records import (BoundRecord, CSV_COLUMNS, make_ratio, read_csv,
                               read_json, records_equal, records_text,
                               write_csv, write_json)
@@ -524,17 +527,18 @@ class TestBundleGatedAtQ1:
         spy("convex", hv.sweep, "is_convex")
         spy("bundle", hv.sweep, "theorem_hypotheses")
         run_sweep(hv.sweep.default_config())
+        # Every interval's |f'| is convex, so eq9 at q > 1 reads eq8's check.
         assert {kind: len(c) for kind, c in calls.items()} == {
-            "class": 86, "monotone": 86, "convex": 172, "bundle": 86}
-        assert {g.q for g, *_ in calls["class"]} == {1.0}
+            "class": 86, "monotone": 86, "convex": 43, "bundle": 86}
+        assert {g.q for g, *_ in calls["class"]} == {g.q for g, *_ in calls["convex"]} == {1.0}
         # theorem_hypotheses(m, a, b, s, q, cfg): one call per (m, a, b, s).
         assert {q for *_, q, _ in calls["bundle"]} == {1.0}
         assert len({(m.name, a, b, s) for m, a, b, s, *_ in calls["bundle"]}) == 86
 
     def test_q_only_overflow_keeps_the_q1_flags(self):
         # |f'| = x^299 is finite on [1, 10] and |f'|^2 overflows: the bundle
-        # records at q = 2 carry the q = 1 flags and fail in the rhs, while
-        # eq9's convex gate still checks |f'|^2 and fails there.
+        # records at q = 2 carry the q = 1 flags and fail in the rhs, and so
+        # does eq9, whose gate passes with |f'| convex, never checking |f'|^2.
         cfg = parse_config({"models": [{"expr": "x^300/300", "domain": [1, 10]}],
                             "a_grid": [1.0], "b_grid": [10.0], "s_grid": [1.0],
                             "q_grid": [1.0, 2.0]})
@@ -543,7 +547,9 @@ class TestBundleGatedAtQ1:
             r = recs[key]
             assert (r.hyp_class, r.hyp_monotone, r.hyp_fprime_a) == (True, False, True)
             assert (r.verdict, r.discrepancy) == ("eval-error", "error:OutOfRangeError")
-        assert recs["eq9", 2.0].discrepancy == "hyp-error:DomainError"
+        r = recs["eq9", 2.0]
+        assert (r.hyp_class, r.hyp_monotone, r.hyp_fprime_a) == (True, True, True)
+        assert (r.verdict, r.discrepancy) == ("eval-error", "error:OverflowError")
 
     def test_a_raising_check_runs_once_per_a_b_s(self, monkeypatch):
         # f' = 2(x - 1) is 0 at the grid point x = 1: every bundle check
@@ -568,5 +574,67 @@ class TestBundleGatedAtQ1:
                                 bound, ctx.model, a, b, s, q, ctx.check_cfg))
         uncached = run_sweep(cfg)
         assert len(calls) == 18
+        assert records_equal(recs, uncached)
+        assert records_text(recs, "csv") == records_text(uncached, "csv")
+
+
+X300 = {"models": [{"expr": "x^300/300", "domain": [1, 10]}],
+        "a_grid": [1.0], "b_grid": [10.0], "s_grid": [1.0], "q_grid": [1.0, 2.0]}
+
+
+class TestConvexGateAtQ1:
+    """For q >= 1, |f'| convex implies |f'|^q convex, so eq9's gate at
+    q > 1 passes wherever eq8's |f'| convex check does."""
+
+    def test_q1_pass_implies_the_q_check(self):
+        # The premise, grid point by grid point: v -> v^q is increasing and
+        # convex.  A q check may still raise where |f'|^q overflows.  At
+        # q = 0.5 the power is concave, and the set shows it can fail.
+        rng = np.random.default_rng(20261018)
+        passes = fails_below_1 = 0
+        for _ in range(150):
+            dtree = hv.exprparse.differentiate(random_expr(rng, 3))
+            fprime = lambda x, e=dtree: hv.exprparse.eval_array(e, x)
+            for interval, n in itertools.product(((0.5, 2.0), (0.25, 3.0)), (9, 33)):
+                cfg = hv.ClassCheckConfig(grid_points=n)
+                try:
+                    if not hv.is_convex(AbsPower(fprime), interval, cfg).ok:
+                        continue
+                except (ValueError, ArithmeticError):
+                    continue
+                passes += 1
+                for q in (1.5, 2.0, 4.0):
+                    try:
+                        ok = hv.is_convex(AbsPower(fprime, q), interval, cfg).ok
+                    except DomainError:
+                        continue
+                    assert ok, (pretty(dtree), interval, n, q)
+                fails_below_1 += not hv.is_convex(AbsPower(fprime, 0.5), interval, cfg).ok
+        assert passes > 400 and fails_below_1 > 0
+
+    def test_a_near_tie_within_slack_passes_at_q(self):
+        # |f'| = 1 + a concave bump of height 0.6*slack: not convex, but
+        # within slack of it.  At q = 4 the bump is about 2.4*slack, which
+        # the direct check counts; the gate inherits the q = 1 pass.
+        bump = 4 * 0.6e-9
+        m = hv.make_model("near-tie", 1.0, 2.0,
+                          lambda x: x + bump * (1.5 * x**2 - x**3 / 3 - 2 * x),
+                          lambda x: 1 + bump * (x - 1) * (2 - x))
+        cfg = hv.ClassCheckConfig()
+        assert hv.is_convex(AbsPower(m.fprime), (1.0, 2.0), cfg).ok
+        assert not hv.is_convex(AbsPower(m.fprime, 4.0), (1.0, 2.0), cfg).ok
+        assert hv.sweep.hypothesis_flags(BOUND_TABLE["eq9"], m, 1.0, 2.0, 1.0, 4.0,
+                                         cfg) == (True, True, True)
+
+    @pytest.mark.parametrize("raw", [None, X300], ids=["default", "x^300/300"])
+    def test_cached_flags_match_the_uncached_rule(self, monkeypatch, default_sweep, raw):
+        # _ModelContext.flags reads eq8's gate from its cache; the records
+        # are those of hypothesis_flags run afresh for every record.
+        cfg = hv.sweep.default_config() if raw is None else parse_config(raw)
+        recs = default_sweep[1] if raw is None else run_sweep(cfg)
+        monkeypatch.setattr(hv.sweep._ModelContext, "flags",
+                            lambda ctx, bound, a, b, s, q: hv.sweep.hypothesis_flags(
+                                bound, ctx.model, a, b, s, q, ctx.check_cfg))
+        uncached = run_sweep(cfg)
         assert records_equal(recs, uncached)
         assert records_text(recs, "csv") == records_text(uncached, "csv")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hhverify.errors import DomainError
-from hhverify.models import (_chebyshev_grid, exp_model, make_model,
-                             model_from_expr, model_from_spec, power_model)
+from hhverify.models import (_chebyshev_grid, evaluate_points, exp_model,
+                             make_model, model_from_expr, model_from_spec,
+                             power_model)
 
 
 def finite_difference(fn, x: float, h: float | None = None) -> float:
@@ -151,3 +152,31 @@ def test_derivative_matches_finite_differences_on_grid(factory):
         fd = finite_difference(lambda z: float(m.f(z)), x)
         dv = float(m.fprime(x))
         assert abs(fd - dv) <= 1e-6 * max(1.0, abs(dv))
+
+
+@pytest.mark.parametrize("g", [lambda x: x, lambda x: 2.0, lambda x: x[::-1],
+                               lambda x: np.asarray(x, dtype=np.float32)],
+                         ids=["input", "constant", "view", "float32"])
+def test_evaluate_points_returns_a_fresh_array(g):
+    # Where g hands back its input, a view of it or a scalar, the result is
+    # copied: the points stay untouched when the caller writes to it.
+    pts = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+    want = np.broadcast_to(np.asarray(g(pts.ravel()), dtype=float), (12,)).reshape(3, 4)
+    vals = evaluate_points(g, pts)
+    assert vals.dtype == float and vals.shape == pts.shape
+    assert vals.flags.writeable and not np.shares_memory(vals, pts)
+    assert np.array_equal(vals, want)
+
+
+def test_evaluate_points_copies_a_view_of_g_own_array():
+    held = np.linspace(0.0, 1.0, 24)
+    pts = np.linspace(1.0, 2.0, 12)
+    vals = evaluate_points(lambda x: held[::2], pts)
+    assert not np.shares_memory(vals, held) and np.array_equal(vals, held[::2])
+
+
+def test_evaluate_points_keeps_a_fresh_result():
+    made = []
+    pts = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+    vals = evaluate_points(lambda x: made.append(x * 2.0) or made[-1], pts)
+    assert np.shares_memory(vals, made[0]) and np.array_equal(vals, 2.0 * pts)

@@ -272,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, QuadratureError, EmptyFeasibleSetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ArithmeticError as e:  # such as a bound overflowing a float
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

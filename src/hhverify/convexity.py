@@ -23,19 +23,21 @@ those of the full cube.
 
 Cost, with n = grid_points rounded up to odd: every class check compares
 the half cube in one kernel, ``_compare``, a slab of pair rows at a time.
-For ``AbsPower(fprime, q)``, the |f'|^q that the bounds' hypotheses are
-about, |fprime| is sampled once per (fprime, a, b, n): on the x grid, on
-the linear half cube t*x + (1-t)*y and on the geometric half cube
-x^t * y^(1-t), each on first use.  Each further check on that interval
-then costs a few O(n^3 / 2) array passes, plus a power of the sample when
-q != 1; the monotone check reads the x-grid sample.  The sweep checks
-the bundle at q = 1 whatever the bound's q (``sweep.BoundSpec.gate_point``
-says why), so the bundle costs one class check per (a, b, s); the
-convexity gate of eq9 reuses eq8's check of |fprime| and pays the power
-only where that fails (``sweep.hypothesis_flags``).  Only the latest
-interval's sample is kept: read-only, it holds the two half cubes of
-points and |fprime| on them, four n^2(n+1)/2 float64 arrays (about 4.5 MB
-at n = 65).
+The points depend on the interval alone, so they are built once per (a,
+b, n) and shared by every function checked there (``_points``): the x
+grid, the linear half cube t*x + (1-t)*y and the geometric half cube
+x^t * y^(1-t), each on first use.  For ``AbsPower(fprime, q)``, the
+|f'|^q that the bounds' hypotheses are about, |fprime| is sampled on
+those points once per (fprime, a, b, n).  Each further check on that
+interval then costs a few O(n^3 / 2) array passes, plus a power of the
+sample when q != 1; the monotone check reads the x-grid sample.  The
+sweep checks the bundle at q = 1 whatever the bound's q
+(``sweep.BoundSpec.gate_point`` says why), so the bundle costs one class
+check per (a, b, s); the convexity gate of eq9 reuses eq8's check of
+|fprime| and pays the power only where that fails
+(``sweep.hypothesis_flags``).  Only the latest interval is kept, read-only:
+its two half cubes of points, and |fprime| on them for the latest
+fprime, four n^2(n+1)/2 float64 arrays (about 4.5 MB at n = 65).
 """
 
 from __future__ import annotations
@@ -158,13 +160,27 @@ def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return _clip(np.exp(t * lnx[iu, None] + (1.0 - t) * lnx[ju, None]), xs)
 
 
+def _points(xs: np.ndarray, ts: np.ndarray, cube: Callable | None) -> np.ndarray:
+    """The x grid (cube None) or the half cube cube(xs, ts), read-only and
+    built on first use in the interval's ``_grid`` slot."""
+    if cube is None:
+        return xs
+    cubes = _grid(xs[0], xs[-1], len(xs))[2]
+    if cube not in cubes:
+        cubes[cube] = pts = cube(xs, ts)
+        pts.flags.writeable = False
+    return cubes[cube]
+
+
 # Callers reach the checks through their public signatures only, so the
-# sample is kept here.  One slot: a sweep finishes each interval before the
-# next, and memory stays at one interval's cubes.
+# sample is kept here.  One slot: a sweep runs every model on an interval
+# before the next interval, and a model's checks there one after another.
 @lru_cache(maxsize=1)
 def _abs_samples(fprime: Callable, lo: float, hi: float, n: int) -> dict:
-    """(points, |fprime| there) per point set of one interval's grid, keyed
-    by cube (None for the x grid); ``_sampled`` fills it on first use."""
+    """|fprime| on the points of one interval's grid that ``_points`` gives,
+    keyed by cube (None for the x grid); ``_sampled`` fills it on first
+    use.  The points are not the model's, so they are kept apart, in
+    ``_grid``."""
     return {}
 
 
@@ -174,19 +190,17 @@ def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
     non-finite value raises DomainError naming its point.  That is the
     first bad point of the full cube in C order too: a point (j, i, k') with
     j > i holds the same value as its mirror (i, j, k), which comes first."""
+    pts = _points(xs, ts, cube)
     if isinstance(g, AbsPower):
         samples = _abs_samples(g.fprime, xs[0], xs[-1], len(xs))
         if cube not in samples:
-            pts = xs if cube is None else cube(xs, ts)
-            vals = np.abs(evaluate_points(g.fprime, pts))
-            pts.flags.writeable = vals.flags.writeable = False
-            samples[cube] = pts, vals
-        pts, vals = samples[cube]
+            samples[cube] = vals = np.abs(evaluate_points(g.fprime, pts))
+            vals.flags.writeable = False
+        vals = samples[cube]
         if g.q != 1.0:
             with np.errstate(over="ignore"):  # an overflow raises below
                 vals = vals ** g.q
     else:
-        pts = xs if cube is None else cube(xs, ts)
         vals = evaluate_points(g, pts)
     finite = np.isfinite(vals)
     if not finite.all():
@@ -263,25 +277,27 @@ def _axes(interval: tuple[float, float], cfg: ClassCheckConfig):
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     n = cfg.grid_points if cfg.grid_points % 2 == 1 else cfg.grid_points + 1
-    return _grid(lo, hi, n)
+    return _grid(lo, hi, n)[:2]
 
 
-# One slot, as for _abs_samples: a sweep runs every check on one interval
+# One slot: a sweep runs every check on one interval, for every model,
 # before it moves to the next.
 @lru_cache(maxsize=1)
-def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x and t axes, read-only because every check on (lo, hi, n)
-    shares them.  The t axis mirrors exactly, ts[n-1-k] == 1 - ts[k]: its
-    lower half is 1 minus its upper half, exact by Sterbenz, and so is
-    1 - ts[k] for every k.  That equals linspace where n - 1 is a power of
-    two (9, 33, 65) and moves points by under one ulp of 1 elsewhere."""
+def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The x and t axes, and the half cubes' points keyed by cube (filled
+    by ``_points``), read-only because every check on (lo, hi, n) shares
+    them, whatever it samples there.  The t axis mirrors exactly,
+    ts[n-1-k] == 1 - ts[k]: its lower half is 1 minus its upper half, exact
+    by Sterbenz, and so is 1 - ts[k] for every k.  That equals linspace
+    where n - 1 is a power of two (9, 33, 65) and moves points by under one
+    ulp of 1 elsewhere."""
     xs = np.linspace(lo, hi, n)
     ts = np.linspace(0.0, 1.0, n)
     m = n // 2
     ts[m] = 0.5
     ts[:m] = 1.0 - ts[:m:-1]
     xs.flags.writeable = ts.flags.writeable = False
-    return xs, ts
+    return xs, ts, {}
 
 
 def _check(g: Callable, interval: tuple[float, float], s: float,
@@ -309,10 +325,13 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
     if geometric:
         _require_positive(pts, lhs)
         gx = np.log(gx)
+    # rhs at (i, j, k) is ax[i, k] + ay[j, k]: the products are those of
+    # wx*g(x_i) + wy*g(x_j), so a row gathers them instead of multiplying.
+    ax, ay = gx[:, None] * wx, gx[:, None] * wy
     iu, ju = _pairs(len(xs))
 
     def rhs_rows(rows):
-        return wx * gx[iu[rows], None] + wy * gx[ju[rows], None]
+        return ax[iu[rows]] + ay[ju[rows]]
     return _compare(lhs, rhs_rows, xs, ts, cfg, geometric)
 
 

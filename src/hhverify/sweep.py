@@ -321,7 +321,9 @@ class _ModelContext:
     the flags are keyed on the gate point, so one (a, b, s) serves every
     q of the "bundle" bounds, and eq9 reads eq8's |f'| convex check from
     here.  A check that raised is cached as its exception and raised
-    again for every record that shares its key."""
+    again for every record that shares its key, each time without a
+    traceback: the frames of the first raise would hold the check's arrays
+    for as long as the sweep runs, and every raise would add more."""
     model: FunctionModel
     cfg: SweepConfig
     check_cfg: ClassCheckConfig
@@ -352,10 +354,10 @@ class _ModelContext:
                 self.flags_cache[key] = hypothesis_flags(
                     bound, self.model, a, b, s, q, self.check_cfg, self.flags)
             except Exception as e:
-                self.flags_cache[key] = e
+                self.flags_cache[key] = e.with_traceback(None)
         flags = self.flags_cache[key]
         if isinstance(flags, Exception):
-            raise flags
+            raise flags.with_traceback(None)
         return flags
 
 
@@ -394,11 +396,6 @@ def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, a: float,
         oracle_residual=residual)
 
 
-def _pairs(cfg: SweepConfig, m: FunctionModel) -> list[tuple[float, float]]:
-    return [(a, b) for a in cfg.a_grid for b in cfg.b_grid
-            if a < b and m.contains(a, b)]
-
-
 def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
     """One record per (model, parameters, bound) tuple, deterministic order.
 
@@ -411,14 +408,20 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
     points = {theorem: dict.fromkeys(p for s in cfg.s_grid for q in cfg.q_grid
                                      if (p := bound.point(s, q)))
               for theorem, bound in BOUND_TABLE.items()}
+    contexts = [(_ModelContext(model_from_spec(spec), cfg, check_cfg),
+                 spec.get("builtin") == "power") for spec in cfg.models]
     records: list[BoundRecord] = []
-    for spec in cfg.models:
-        model = model_from_spec(spec)
-        ctx = _ModelContext(model, cfg, check_cfg)
-        is_power = spec.get("builtin") == "power"
-        # (a, b) outermost: the class checks keep one interval's |f'| sample.
-        for a, b in _pairs(cfg, model):
-            for theorem, bound in BOUND_TABLE.items():
+    # (a, b) outermost and the models inside: the class checks build an
+    # interval's points once for every model and keep only that interval.
+    # The records are sorted, and a repeated (a, b) repeats each model's
+    # records together, so two models of one name come out as they would
+    # model by model.
+    intervals = Counter((a, b) for a in cfg.a_grid for b in cfg.b_grid if a < b)
+    for (a, b), repeats in intervals.items():
+        for ctx, is_power in contexts:
+            if not ctx.model.contains(a, b):
+                continue
+            for theorem, bound in [*BOUND_TABLE.items()] * repeats:
                 for s, q in points[theorem]:
                     if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):
                         continue

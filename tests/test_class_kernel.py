@@ -378,8 +378,9 @@ def test_sample_is_read_only():
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
     samples = _cached(m.fprime, 1.0, 2.0)
     assert set(samples) == {None, convexity._linear_cube, convexity._geometric_cube}
-    for arrays in samples.values():
-        for arr in arrays:
+    xs, ts = convexity._axes((1.0, 2.0), CFG)
+    for cube, vals in samples.items():
+        for arr in (vals, convexity._points(xs, ts, cube)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -389,8 +390,10 @@ def test_only_the_latest_interval_is_kept():
     m = exp_model(1.0)
     theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
-    first = [weakref.ref(arr) for arrays in _cached(m.fprime, 1.0, 2.0).values()
-             for arr in arrays]
+    xs, ts = convexity._axes((1.0, 2.0), CFG)
+    first = [weakref.ref(arr) for cube, vals in _cached(m.fprime, 1.0, 2.0).items()
+             for arr in (vals, convexity._points(xs, ts, cube))]
+    del xs, ts
     assert len(first) == 6 and all(ref() is not None for ref in first)
     theorem_hypotheses(m, 1.0, 1.5, 1.0, 2.0, CFG)
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 1.5), CFG)

@@ -203,6 +203,15 @@ class TestEvalBound:
         assert code == 1 and out == ""
         assert err == "error: integrand not finite at x=1.5\n"
 
+    def test_overflowing_rhs_exit_1(self, capsys):
+        # eq9's rhs raises |f'(b)|^2 = 1e598 on Python floats; the sweep
+        # tags the same record error:OverflowError.
+        code, out, err = run(["eval-bound", "--theorem", "eq9", "--f", "x^300/300",
+                              "--domain", "1,10", "--a", "1", "--b", "10",
+                              "--q", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
     def test_constant_model_ratio_matches_the_sweep(self, capsys):
         # Both sides are 0 for a constant f; the record's ratio is 0, not NaN.
         cfg = parse_config({"models": [{"expr": "2", "domain": [1.0, 2.0]}],

@@ -2,18 +2,23 @@ import argparse
 import itertools
 import json
 import math
+import traceback
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import hhverify as hv
 from conftest import pretty, random_expr
+from hhverify import convexity
 from hhverify.cli import build_parser
-from hhverify.convexity import AbsPower
+from hhverify.convexity import AbsPower, ClassCheckConfig
 from hhverify.errors import ConfigError, DomainError, EmptyFeasibleSetError
+from hhverify.models import FunctionModel
 from hhverify.records import (BoundRecord, CSV_COLUMNS, make_ratio, read_csv,
                               read_json, records_equal, records_text,
-                              write_csv, write_json)
+                              sort_records, write_csv, write_json)
 from hhverify.sweep import BOUND_TABLE, PASS_SLACK, parse_config, run_sweep
 from hhverify.tightness import optimize_tightness
 
@@ -576,6 +581,74 @@ class TestBundleGatedAtQ1:
         assert len(calls) == 18
         assert records_equal(recs, uncached)
         assert records_text(recs, "csv") == records_text(uncached, "csv")
+
+    def test_a_cached_error_holds_no_frames(self):
+        # |f'| is 1 on the x grid of [1, 2] at n = 9, the multiples of 1/8,
+        # and inf elsewhere: the bundle check raises DomainError from its
+        # geometric cube sample, every time the sweep asks for the flags.
+        m = FunctionModel("grid-only", 1.0, 2.0, lambda x: x,
+                          lambda x: np.where(np.asarray(x) * 8.0 % 1.0 == 0.0, 1.0, np.inf))
+        check_cfg = ClassCheckConfig(grid_points=9)
+        ctx = hv.sweep._ModelContext(m, mini_config(), check_cfg)
+        for _ in range(5):
+            with pytest.raises(DomainError) as info:
+                ctx.flags(BOUND_TABLE["eq10"], 1.0, 2.0, 1.0, 1.0)
+            # this frame and flags(): no check frames, and no growth
+            assert len(traceback.extract_tb(info.value.__traceback__)) <= 2
+        xs, _ = convexity._axes((1.0, 2.0), check_cfg)
+        sample = convexity._abs_samples(m.fprime, xs[0], xs[-1], len(xs))
+        cube_sample = weakref.ref(sample[convexity._geometric_cube])
+        del xs, sample, info
+        convexity.is_convex(AbsPower(np.exp), (3.0, 4.0), check_cfg)   # next interval
+        assert cube_sample() is None
+        rec = hv.sweep._record(ctx, "eq10", BOUND_TABLE["eq10"], 1.0, 2.0, 1.0, 1.0)
+        assert rec.discrepancy == "hyp-error:DomainError"
+
+
+# Models on different domains, two models of one name, a repeated grid
+# value, pairs with a >= b, and a model whose bundle check raises.
+MIXED = {
+    "models": [{"name": "pow05", "builtin": "power", "s": 0.5},
+               {"name": "exp", "builtin": "exp", "rate": 1.0, "domain": [0.5, 2.0]},
+               {"name": "log", "expr": "1 - ln(x)", "domain": [0.25, 2.0]},
+               {"name": "log", "expr": "x^0.5 - ln(x)", "domain": [0.25, 1.0]},
+               {"name": "kink", "expr": "(x-1)^2", "domain": [0.5, 1.5]}],
+    "a_grid": [0.25, 0.5, 0.5, 1.0, 1.5],
+    "b_grid": [0.5, 0.75, 1.0, 1.0, 1.5, 2.0],
+    "s_grid": [0.5, 1.0],
+    "q_grid": [1.0, 2.0],
+}
+
+
+class TestIntervalMajorSweep:
+    """The sweep runs every model on an interval before the next interval;
+    the records are those of one sweep per model."""
+
+    @pytest.mark.parametrize("n", [9, 33])
+    def test_records_are_those_of_single_model_sweeps(self, n):
+        raw = dict(MIXED, class_grid_points=n)
+        together = run_sweep(parse_config(raw))
+        apart = sort_records([r for spec in raw["models"]
+                              for r in run_sweep(parse_config(dict(raw, models=[spec])))])
+        assert {r.verdict for r in together} >= {"pass", "outside-hypotheses",
+                                                  "eval-error"}
+        assert records_equal(together, apart)
+        assert records_text(together, "csv") == records_text(apart, "csv")
+
+    def test_each_interval_builds_its_cubes_once(self, monkeypatch):
+        builds = Counter()
+        for name in ("_linear_cube", "_geometric_cube"):
+            def spy(xs, ts, build=getattr(convexity, name), name=name):
+                builds[name] += 1
+                return build(xs, ts)
+            monkeypatch.setattr(convexity, name, spy)
+        cfg = hv.sweep.default_config()
+        models = [hv.models.model_from_spec(spec) for spec in cfg.models]
+        intervals = {(a, b) for a in cfg.a_grid for b in cfg.b_grid
+                     if a < b and any(m.contains(a, b) for m in models)}
+        run_sweep(cfg)
+        assert len(intervals) == 13
+        assert builds == {"_linear_cube": 13, "_geometric_cube": 13}
 
 
 X300 = {"models": [{"expr": "x^300/300", "domain": [1, 10]}],

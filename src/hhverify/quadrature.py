@@ -11,17 +11,20 @@ for larger ones.  Error estimates are the conservative |K15 - G7| local
 differences, which in practice overestimate the true Kronrod error by
 several orders of magnitude.
 
-Integrand calls: each panel calls the integrand once, with a float array
-of its 15 nodes.  An integrand that raises on the array is scalar-only and
-gets the nodes one Python float at a time instead.  The sums are taken in
-Python floats in a fixed order, so the result is the same bits either way
-as long as the array call gives each node the value a one-point call
-would.  The built-in and expression models do.  Python's float ``**``
-and NumPy's can differ in the last bit, and so can a NumPy power whose
-exponent is an array holding 2, 0.5 or -1: it skips the square, square
-root and reciprocal shortcuts a scalar exponent takes.  A non-finite value
-raises NonFiniteSample at the first such node in the order center, then
-c - h*x_j and c + h*x_j for each abscissa x_j.
+Integrand calls: each panel calls the integrand once, with the float
+array ``c + h*_NODES`` of its 15 nodes: the center c, then c - h*x_j and
+c + h*x_j for each abscissa x_j.  An integrand that raises on the array is
+scalar-only and gets the nodes one Python float at a time instead.  The
+sums are taken in Python floats in a fixed order, so the result is the
+same bits either way as long as the array call gives each node the value
+a one-point call would.  The built-in and expression models do.  Python's
+float ``**`` and NumPy's can differ in the last bit, and so can a NumPy
+power whose exponent is an array holding 2, 0.5 or -1: it skips the
+square, square root and reciprocal shortcuts a scalar exponent takes.
+Every sample has a non-zero Kronrod weight, so only a panel whose Kronrod
+sum is not finite is scanned: its first non-finite sample in node order
+raises NonFiniteSample.  If none is, a sum of finite samples overflowed,
+which raises OverflowError; so does a total over the panels that overflows.
 
 Contract note for callers: integrands with the |1-2t| kink must be
 pre-split at t = 1/2 (adaptive rules converge slowly across kinks).
@@ -68,6 +71,7 @@ _WG = (
     0.381830050505118944950369775488975,
 )
 _WG_CENTER = 0.417959183673469387755102040816327
+_NODES = np.array([0.0, *(s * x for x in _XGK for s in (-1.0, 1.0))])
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,8 @@ def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
     """One Kronrod panel; returns (K15 value, |K15 - G7| estimate)."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    # Node order: c, then c - h*x_j, c + h*x_j for each abscissa.
-    nodes = [c]
-    for x in _XGK:
-        x_off = h * x
-        nodes += (c - x_off, c + x_off)
-    vals = evaluate_points(g, nodes, lambda x: _sample(g, x))
-    finite = np.isfinite(vals)
-    if not finite.all():
-        raise NonFiniteSample(nodes[int(np.argmin(finite))])
-    fx = vals.tolist()
+    nodes = c + h * _NODES
+    fx = evaluate_points(g, nodes, lambda x: _sample(g, x)).tolist()
     # Python floats, summed in a fixed order: the same bits whether g took
     # the array or fell back to scalar calls.
     resk = _WGK_CENTER * fx[0]
@@ -107,6 +103,11 @@ def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
         resk += _WGK[j] * pair
         if j % 2 == 1:
             resg += _WG[j // 2] * pair
+    if not math.isfinite(resk):
+        for x, v in zip(nodes.tolist(), fx):
+            if not math.isfinite(v):
+                raise NonFiniteSample(x)
+        raise OverflowError(f"GK15 sum overflows on [{lo!r}, {hi!r}]")
     return h * resk, abs(h * (resk - resg))
 
 
@@ -114,15 +115,15 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10, max_subdivisions: int = 1_000_000) -> QuadResult:
     """Integrate g over [lo, hi] by adaptive bisection of GK15 panels.
 
-    Deterministic given its inputs.  Raises NonFiniteSample if the
-    integrand produces NaN/inf, and MaxSubdivisionsExceeded (carrying the
-    best estimate) if the subdivision budget runs out or the interval
-    width floor is reached before the target accuracy.
+    Deterministic given its inputs.  Raises ValueError unless lo < hi
+    and hi - lo is finite; NonFiniteSample and OverflowError as in the
+    module docstring; MaxSubdivisionsExceeded (with the best estimate) if
+    the budget or the width floor stops refinement short of the target.
     """
     lo = float(lo)
     hi = float(hi)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
     if not tol > 0.0:
         raise ValueError(f"need tol > 0, got {tol}")
 
@@ -163,6 +164,8 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
         stack.append((a, m, *_gk15(g, a, m)))
         stack.append((m, b, *_gk15(g, m, b)))
 
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise OverflowError(f"integral over [{lo!r}, {hi!r}] overflows")
     result = QuadResult(value, err, subdivisions)
     if floored and err > target:
         raise MaxSubdivisionsExceeded(result, "interval width floor reached")

@@ -212,6 +212,15 @@ class TestEvalBound:
         assert code == 1 and out == ""
         assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
 
+    def test_overflowing_integral_exit_1(self, capsys):
+        # The integral x^3/6 over [1, 1e150] overflows a float: one error
+        # line, not lhs=inf and a VIOLATION.
+        code, out, err = run(["eval-bound", "--theorem", "eq8", "--f", "x^2/2",
+                              "--domain", "1,1e150", "--a", "1", "--b", "1e150"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
     def test_constant_model_ratio_matches_the_sweep(self, capsys):
         # Both sides are 0 for a constant f; the record's ratio is 0, not NaN.
         cfg = parse_config({"models": [{"expr": "2", "domain": [1.0, 2.0]}],

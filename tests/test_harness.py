@@ -151,6 +151,18 @@ class TestRunSweep:
         assert all("hyp-error" in r.discrepancy for r in tagged)
         assert any(r.theorem == "eq8" and r.verdict == "pass" for r in records)
 
+    @pytest.mark.parametrize("expr, b", [("x^2/2", 1e150), ("x", 1e308)])
+    def test_an_overflowing_integral_is_an_eval_error(self, expr, b):
+        # The integral of f over [1, b] overflows before the mean divides
+        # by b - a, although the true gap of x^2/2 (b^2/12) is below eq8's
+        # rhs (b^2/8) and that of x is 0: not a violation.
+        cfg = mini_config(models=[{"expr": expr, "domain": [1.0, b]}],
+                          a_grid=[1.0], b_grid=[b], s_grid=[1.0])
+        records = run_sweep(cfg)
+        assert {r.theorem for r in records} == {"eq8", "eq9", "eq10", "eq11", "eq111"}
+        for r in records:
+            assert (r.verdict, r.discrepancy) == ("eval-error", "error:OverflowError")
+
     def test_deterministic_records(self):
         cfg = mini_config()
         assert records_equal(run_sweep(cfg), run_sweep(cfg))

@@ -269,3 +269,65 @@ def test_scalar_only_integrand_falls_back_per_node():
     # one rejected array call, then the 15 nodes as Python floats
     assert len(seen) == 16 * panels
     assert sum(isinstance(t, float) for t in seen) == 15 * panels
+
+
+def _ref_nodes(lo, hi):
+    """The panel's nodes in sample order, as the scalar oracle builds them."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    nodes = [c]
+    for x in _XGK:
+        nodes += (c - h * x, c + h * x)
+    return nodes
+
+
+def test_non_finite_sample_names_a_python_float():
+    with pytest.raises(NonFiniteSample) as info:
+        integrate(lambda t: np.where(t > 0.99, np.nan, t), 0.0, 1.0)
+    x = info.value.x
+    assert type(x) is float and x == _ref_nodes(0.0, 1.0)[2]
+    assert str(info.value) == f"integrand not finite at x={x!r}"
+    assert str(info.value).startswith("integrand not finite at x=0.99")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(15))
+def test_first_non_finite_node_is_reported(k, bad):
+    # a bad value at node k and a different one at every later node: the
+    # report names node k, whatever the values cancel to in the sum
+    def g(t):
+        v = np.ones_like(t)
+        v[k] = bad
+        v[k + 1:] = -bad
+        return v
+
+    with pytest.raises(NonFiniteSample) as info:
+        integrate(g, 0.25, 2.0)
+    assert info.value.x.hex() == _ref_nodes(0.25, 2.0)[k].hex()
+
+
+def _bump(t):
+    return 1.0 + np.exp(-((t - 1.3) / 0.05) ** 2)
+
+
+@pytest.mark.parametrize("g, lo, hi, where", [
+    # a panel's Kronrod sum overflows
+    (lambda t: np.full_like(t, 1e308), 0.0, 4.0, "GK15 sum"),
+    # h times the sum does, as for x^2/2 on [1, 1e150]
+    (lambda t: t * t / 2.0, 1.0, 1e150, "integral over"),
+    # the first panel is finite, and so is every refined one; their total
+    # is not (the integral of _bump is about 4.0886, its first panel 4.0026)
+    (lambda t: 4.4e307 * _bump(t), 0.0, 4.0, "integral over"),
+])
+def test_finite_samples_with_an_overflowing_sum(g, lo, hi, where):
+    with pytest.raises(OverflowError, match=where):
+        integrate(g, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0),
+                                    (math.nan, 1.0), (-1e308, 1e308)])
+def test_infinite_bounds_are_rejected_before_sampling(lo, hi):
+    calls = []
+    with pytest.raises(ValueError, match="need finite lo < hi"):
+        integrate(lambda t: calls.append(t) or np.sin(t), lo, hi)
+    assert calls == []

@@ -12,32 +12,34 @@ clipped to [a, b], so g is never sampled outside the interval.
 
 Half cube: every class inequality is unchanged when (x, y, t) is swapped
 for (y, x, 1-t), and on the grid the swap is exact.  The t axis is built
-so that ts[n-1-k] == 1 - ts[k] bitwise (``_grid``), so the point, the
+so that ts[n-1-k] == 1 - ts[k] bitwise (``_by_size``), so the point, the
 weights t^s and (1-t)^s, and both sides of the inequality at
 (xs[j], xs[i], ts[n-1-k]) are bitwise those at (xs[i], xs[j], ts[k]): the
 same products added in the other order, and IEEE addition commutes.  So
 the checks sample and compare only the pairs i <= j, times every t, as
-rows of pairs in row-major order (``_pairs``): n^2(n+1)/2 points instead
+rows of pairs in row-major order (``_by_size``): n^2(n+1)/2 points instead
 of n^3.  The count, the witnesses and the point an error names are still
 those of the full cube.
 
 Cost, with n = grid_points rounded up to odd: every class check compares
 the half cube in one kernel, ``_compare``, a slab of pair rows at a time.
-The points depend on the interval alone, so they are built once per (a,
-b, n) and shared by every function checked there (``_points``): the x
-grid, the linear half cube t*x + (1-t)*y and the geometric half cube
-x^t * y^(1-t), each on first use.  For ``AbsPower(fprime, q)``, the
-|f'|^q that the bounds' hypotheses are about, |fprime| is sampled on
-those points once per (fprime, a, b, n).  Each further check on that
-interval then costs a few O(n^3 / 2) array passes, plus a power of the
-sample when q != 1; the monotone check reads the x-grid sample.  The
-sweep checks the bundle at q = 1 whatever the bound's q
-(``sweep.BoundSpec.gate_point`` says why), so the bundle costs one class
-check per (a, b, s); the convexity gate of eq9 reuses eq8's check of
-|fprime| and pays the power only where that fails
-(``sweep.hypothesis_flags``).  Only the latest interval is kept, read-only:
-its two half cubes of points, and |fprime| on them for the latest
-fprime, four n^2(n+1)/2 float64 arrays (about 4.5 MB at n = 65).
+Two one-slot caches hold what the checks share, each keyed by what it
+depends on: the t axis and the pair rows are built once per grid size
+(``_by_size``), and the points once per (a, b, n), for every function
+checked there (``_Interval``): the x grid, the linear half cube t*x +
+(1-t)*y and the geometric half cube x^t * y^(1-t), each on first use.
+For ``AbsPower(fprime, q)``, the |f'|^q that the bounds' hypotheses are
+about, |fprime| is sampled on those points once per fprime and interval.
+Each further check on that interval then costs a few O(n^3 / 2) array
+passes, plus a power of the sample when q != 1; the monotone check reads
+the x-grid sample.  The sweep checks the bundle at q = 1 whatever the
+bound's q (``sweep.BoundSpec.gate_point`` says why), so the bundle costs
+one class check per (a, b, s); the convexity gate of eq9 reuses eq8's
+check of |fprime| and pays the power only where that fails
+(``sweep.hypothesis_flags``).  Only the latest interval is kept, and in
+it the latest fprime's samples, read-only: two half cubes of points and
+|fprime| on them, four n^2(n+1)/2 float64 arrays (about 4.5 MB at n =
+65).
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ class AbsPower:
 
     The checks recognise it and sample |fprime| once per grid, so another q
     or s on the same interval costs a power and a comparison, not a
-    re-evaluation.  fprime must be a pure, hashable function: it keys
-    the sample.
+    re-evaluation.  fprime must be a pure function: an equal fprime on the
+    same interval reads the sample taken for the last one.
     """
     fprime: Callable
     q: float = 1.0
@@ -130,14 +132,23 @@ def _clip(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.clip(pts, xs[0], xs[-1], out=pts)
 
 
-# One slot, as for _grid: every check of a sweep uses one grid size.
+# One slot: every check of a sweep uses one grid size.
 @lru_cache(maxsize=1)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of the half cube's rows: every pair i <= j, in row-major
-    order, which is the full cube's C order restricted to i <= j."""
+def _by_size(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What depends on the grid size alone, read-only: the t axis, and the
+    half cube's rows (iu, ju), every pair i <= j in row-major order, which
+    is the full cube's C order restricted to i <= j.  The t axis mirrors
+    exactly, ts[n-1-k] == 1 - ts[k]: its lower half is 1 minus its upper
+    half, exact by Sterbenz, and so is 1 - ts[k] for every k.  That equals
+    linspace where n - 1 is a power of two (9, 33, 65) and moves points by
+    under one ulp of 1 elsewhere."""
+    ts = np.linspace(0.0, 1.0, n)
+    m = n // 2
+    ts[m] = 0.5
+    ts[:m] = 1.0 - ts[:m:-1]
     iu, ju = np.triu_indices(n)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
+    ts.flags.writeable = iu.flags.writeable = ju.flags.writeable = False
+    return ts, iu, ju
 
 
 def _pair_row(i, j, n: int):
@@ -147,56 +158,56 @@ def _pair_row(i, j, n: int):
 
 def _linear_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """t*x + (1-t)*y at [p, k] = (xs[i], xs[j], ts[k]) for the p-th pair."""
-    iu, ju = _pairs(len(xs))
+    _, iu, ju = _by_size(len(xs))
     t = ts[None, :]
     return _clip(t * xs[iu, None] + (1.0 - t) * xs[ju, None], xs)
 
 
 def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """x^t * y^(1-t), computed in log space, at [p, k]."""
-    iu, ju = _pairs(len(xs))
+    _, iu, ju = _by_size(len(xs))
     t = ts[None, :]
     lnx = np.log(xs)
     return _clip(np.exp(t * lnx[iu, None] + (1.0 - t) * lnx[ju, None]), xs)
 
 
-def _points(xs: np.ndarray, ts: np.ndarray, cube: Callable | None) -> np.ndarray:
-    """The x grid (cube None) or the half cube cube(xs, ts), read-only and
-    built on first use in the interval's ``_grid`` slot."""
-    if cube is None:
-        return xs
-    cubes = _grid(xs[0], xs[-1], len(xs))[2]
-    if cube not in cubes:
-        cubes[cube] = pts = cube(xs, ts)
-        pts.flags.writeable = False
-    return cubes[cube]
+class _Interval:
+    """The grid of one (lo, hi, n) and what every check there shares,
+    read-only whatever it samples: the x grid and the half cubes' points,
+    keyed by cube (None for the x grid) and built on first use, and
+    |fprime| on them for the latest fprime only.  ts, iu and ju are
+    ``_by_size(n)``'s."""
+
+    def __init__(self, lo: float, hi: float, n: int):
+        self.ts, self.iu, self.ju = _by_size(n)
+        self.xs = np.linspace(lo, hi, n)
+        self.xs.flags.writeable = False
+        self.points = {None: self.xs}
+        self.fprime, self.samples = None, {}
 
 
-# Callers reach the checks through their public signatures only, so the
-# sample is kept here.  One slot: a sweep runs every model on an interval
-# before the next interval, and a model's checks there one after another.
-@lru_cache(maxsize=1)
-def _abs_samples(fprime: Callable, lo: float, hi: float, n: int) -> dict:
-    """|fprime| on the points of one interval's grid that ``_points`` gives,
-    keyed by cube (None for the x grid); ``_sampled`` fills it on first
-    use.  The points are not the model's, so they are kept apart, in
-    ``_grid``."""
-    return {}
+# One slot: a sweep runs every check on one interval, for every model,
+# before it moves to the next, and a model's checks there one after another.
+_interval = lru_cache(maxsize=1)(_Interval)
 
 
-def _sampled(g: Callable, xs: np.ndarray, ts: np.ndarray,
+def _sampled(g: Callable, grid: _Interval,
              cube: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(points, g there) on the x grid, or on the half cube cube(xs, ts); a
     non-finite value raises DomainError naming its point.  That is the
     first bad point of the full cube in C order too: a point (j, i, k') with
     j > i holds the same value as its mirror (i, j, k), which comes first."""
-    pts = _points(xs, ts, cube)
+    if cube not in grid.points:
+        grid.points[cube] = pts = cube(grid.xs, grid.ts)
+        pts.flags.writeable = False
+    pts = grid.points[cube]
     if isinstance(g, AbsPower):
-        samples = _abs_samples(g.fprime, xs[0], xs[-1], len(xs))
-        if cube not in samples:
-            samples[cube] = vals = np.abs(evaluate_points(g.fprime, pts))
+        if g.fprime != grid.fprime:     # release the last fprime's samples
+            grid.fprime, grid.samples = g.fprime, {}
+        if cube not in grid.samples:
+            grid.samples[cube] = vals = np.abs(evaluate_points(g.fprime, pts))
             vals.flags.writeable = False
-        vals = samples[cube]
+        vals = grid.samples[cube]
         if g.q != 1.0:
             with np.errstate(over="ignore"):  # an overflow raises below
                 vals = vals ** g.q
@@ -215,9 +226,8 @@ def _require_positive(pts: np.ndarray, vals: np.ndarray) -> None:
         raise NonPositiveValueError(float(pts.flat[i]), float(vals.flat[i]))
 
 
-def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
-             ts: np.ndarray, cfg: ClassCheckConfig,
-             geometric: bool) -> CheckResult:
+def _compare(lhs: np.ndarray, rhs_rows: Callable, grid: _Interval,
+             cfg: ClassCheckConfig, geometric: bool) -> CheckResult:
     """Violations of lhs <= rhs by more than slack over the full (x, y, t)
     cube, from its half.  Linear: lhs > rhs + slack and lhs > rhs*(1 +
     slack), so the slack is absolute up to rhs = 1 and relative above.
@@ -232,10 +242,10 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
     (x_i, x_j, ts[k]) does, with the same two sides, so each off-diagonal
     violation counts twice and a diagonal row holds every t once.
     """
+    xs, ts, iu, ju = grid.xs, grid.ts, grid.iu, grid.ju
     n = len(xs)
     viol = np.empty(lhs.shape, dtype=bool)
     step = max(1, _SLAB_POINTS // n)
-    iu, ju = _pairs(n)
     found = r = 0
     for p0 in range(0, len(lhs), step):
         rows = slice(p0, p0 + step)
@@ -272,32 +282,12 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, xs: np.ndarray,
     return CheckResult(False, tuple(wit), count)
 
 
-def _axes(interval: tuple[float, float], cfg: ClassCheckConfig):
+def _axes(interval: tuple[float, float], cfg: ClassCheckConfig) -> _Interval:
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     n = cfg.grid_points if cfg.grid_points % 2 == 1 else cfg.grid_points + 1
-    return _grid(lo, hi, n)[:2]
-
-
-# One slot: a sweep runs every check on one interval, for every model,
-# before it moves to the next.
-@lru_cache(maxsize=1)
-def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The x and t axes, and the half cubes' points keyed by cube (filled
-    by ``_points``), read-only because every check on (lo, hi, n) shares
-    them, whatever it samples there.  The t axis mirrors exactly,
-    ts[n-1-k] == 1 - ts[k]: its lower half is 1 minus its upper half, exact
-    by Sterbenz, and so is 1 - ts[k] for every k.  That equals linspace
-    where n - 1 is a power of two (9, 33, 65) and moves points by under one
-    ulp of 1 elsewhere."""
-    xs = np.linspace(lo, hi, n)
-    ts = np.linspace(0.0, 1.0, n)
-    m = n // 2
-    ts[m] = 0.5
-    ts[:m] = 1.0 - ts[:m:-1]
-    xs.flags.writeable = ts.flags.writeable = False
-    return xs, ts, {}
+    return _interval(lo, hi, n)
 
 
 def _check(g: Callable, interval: tuple[float, float], s: float,
@@ -310,8 +300,9 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
     ``nonnegative`` rejects a linear g below -slack on the x grid."""
     if geometric and not interval[0] > 0.0:
         raise ValueError(f"interval must lie in (0, inf), got {interval}")
-    xs, ts = _axes(interval, cfg)
-    _, gx = _sampled(g, xs, ts)
+    grid = _axes(interval, cfg)
+    xs, ts = grid.xs, grid.ts
+    _, gx = _sampled(g, grid)
     if geometric:
         _require_positive(xs, gx)
     elif nonnegative:
@@ -319,7 +310,7 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
         if neg.any():
             i = int(np.argmax(neg))
             raise NegativeValueError(float(xs[i]), float(gx[i]))
-    pts, lhs = _sampled(g, xs, ts, _geometric_cube if geometric else _linear_cube)
+    pts, lhs = _sampled(g, grid, _geometric_cube if geometric else _linear_cube)
     t = ts[None, :]
     wx, wy = t ** s, (1.0 - t) ** s
     if geometric:
@@ -328,11 +319,10 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
     # rhs at (i, j, k) is ax[i, k] + ay[j, k]: the products are those of
     # wx*g(x_i) + wy*g(x_j), so a row gathers them instead of multiplying.
     ax, ay = gx[:, None] * wx, gx[:, None] * wy
-    iu, ju = _pairs(len(xs))
 
     def rhs_rows(rows):
-        return ax[iu[rows]] + ay[ju[rows]]
-    return _compare(lhs, rhs_rows, xs, ts, cfg, geometric)
+        return ax[grid.iu[rows]] + ay[grid.ju[rows]]
+    return _compare(lhs, rhs_rows, grid, cfg, geometric)
 
 
 def is_convex(g: Callable, interval: tuple[float, float],
@@ -381,8 +371,7 @@ def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
     Witnesses use (x, y) for the adjacent pair and carry (lhs, rhs) =
     (g(y), g(x)); t is NaN (not meaningful here).
     """
-    xs, ts = _axes(interval, cfg)
-    _, gx = _sampled(g, xs, ts)
+    xs, gx = _sampled(g, _axes(interval, cfg))
     viol = gx[1:] > gx[:-1] + cfg.slack
     idx = np.flatnonzero(viol)
     wit = tuple(

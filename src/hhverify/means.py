@@ -36,7 +36,7 @@ _EQUAL_REL = 1e-12
 
 def arith_mean(a: float, b: float) -> float:
     _check_positive(a, b)
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b
 
 
 def log_mean(a: float, b: float) -> float:

@@ -41,7 +41,7 @@ def _chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
     # Chebyshev-Lobatto points: clustered near the endpoints, endpoints
     # included, ascending.
     k = np.arange(n)
-    return 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * k / (n - 1))
+    return 0.5 * lo + 0.5 * hi - 0.5 * (hi - lo) * np.cos(np.pi * k / (n - 1))
 
 
 def evaluate_points(g: Callable, pts, point: Callable | None = None) -> np.ndarray:

@@ -90,7 +90,7 @@ def _sample(g: Callable[[float], float], x: float) -> float:
 
 def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
     """One Kronrod panel; returns (K15 value, |K15 - G7| estimate)."""
-    c = 0.5 * (lo + hi)
+    c = 0.5 * lo + 0.5 * hi
     h = 0.5 * (hi - lo)
     nodes = c + h * _NODES
     fx = evaluate_points(g, nodes, lambda x: _sample(g, x)).tolist()
@@ -160,7 +160,7 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
             raise MaxSubdivisionsExceeded(
                 QuadResult(best_v, best_e, subdivisions))
         subdivisions += 1
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b
         stack.append((a, m, *_gk15(g, a, m)))
         stack.append((m, b, *_gk15(g, m, b)))
 

@@ -18,6 +18,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import bounds, means
@@ -292,9 +293,9 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
     q*slack*max(1, rhs)^(q-1), so a near-tie the check at q would put
     outside the hypotheses passes here.
 
-    ``flags(bound, a, b, s, q)`` gives eq8's flags where it is passed (the
-    sweep passes its cached ``_ModelContext.flags``); otherwise they are
-    computed here.  A bound is gated at ``bound.gate_point(s, q)``, so
+    ``flags(bound, s, q)`` gives eq8's flags on [a, b] where it is passed
+    (the sweep passes its cached ``_ModelContext.flags``); otherwise they
+    are computed here.  A bound is gated at ``bound.gate_point(s, q)``, so
     ``bound.point(s, q)`` must exist.  Every "bundle" bound is gated at
     q = 1: q drops out of |f'|^q being s-geometrically convex.
     """
@@ -304,7 +305,7 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
         return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
     if q != 1.0:
         eq8 = BOUND_TABLE["eq8"]
-        at_q1 = (flags(eq8, a, b, 1.0, 1.0) if flags
+        at_q1 = (flags(eq8, 1.0, 1.0) if flags
                  else hypothesis_flags(eq8, m, a, b, 1.0, 1.0, check_cfg))
         if all(at_q1):
             return at_q1
@@ -317,42 +318,37 @@ def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
 
 @dataclass
 class _ModelContext:
-    """Per-model caches so grid checks and quadratures run once per key;
-    the flags are keyed on the gate point, so one (a, b, s) serves every
-    q of the "bundle" bounds, and eq9 reads eq8's |f'| convex check from
-    here.  A check that raised is cached as its exception and raised
-    again for every record that shares its key, each time without a
-    traceback: the frames of the first raise would hold the check's arrays
-    for as long as the sweep runs, and every raise would add more."""
+    """One model on one interval [a, b], for as long as the sweep visits
+    it: the quadratures run once, and the flags once per gate point, so
+    one s serves every q of the "bundle" bounds, and eq9 reads eq8's |f'|
+    convex check from here.  A check that raised is cached as its
+    exception and raised again for every record that shares its key, each
+    time without a traceback: the frames of the first raise would hold the
+    check's arrays, and every raise would add more."""
     model: FunctionModel
     cfg: SweepConfig
     check_cfg: ClassCheckConfig
-    lhs_cache: dict = field(default_factory=dict)
-    residual_cache: dict = field(default_factory=dict)
+    a: float
+    b: float
     flags_cache: dict = field(default_factory=dict)
 
-    def lhs(self, a: float, b: float) -> float:
-        key = (a, b)
-        if key not in self.lhs_cache:
-            self.lhs_cache[key] = bounds.trapezoid_mean_gap(
-                self.model, a, b, tol=self.cfg.tolerances.quad_tol)
-        return self.lhs_cache[key]
+    @cached_property
+    def lhs(self) -> float:
+        return bounds.trapezoid_mean_gap(self.model, self.a, self.b,
+                                         tol=self.cfg.tolerances.quad_tol)
 
-    def gap_residual(self, a: float, b: float) -> float:
-        key = (a, b)
-        if key not in self.residual_cache:
-            signed = bounds.gap_integral_form(
-                self.model, a, b, tol=self.cfg.tolerances.quad_tol)
-            self.residual_cache[key] = abs(self.lhs(a, b) - abs(signed))
-        return self.residual_cache[key]
+    @cached_property
+    def gap_residual(self) -> float:
+        signed = bounds.gap_integral_form(self.model, self.a, self.b,
+                                          tol=self.cfg.tolerances.quad_tol)
+        return abs(self.lhs - abs(signed))
 
-    def flags(self, bound: BoundSpec, a: float, b: float, s: float,
-              q: float) -> tuple[bool, bool, bool]:
-        key = (bound.gate, a, b, *bound.gate_point(s, q))
+    def flags(self, bound: BoundSpec, s: float, q: float) -> tuple[bool, bool, bool]:
+        key = (bound.gate, *bound.gate_point(s, q))
         if key not in self.flags_cache:
             try:
                 self.flags_cache[key] = hypothesis_flags(
-                    bound, self.model, a, b, s, q, self.check_cfg, self.flags)
+                    bound, self.model, self.a, self.b, s, q, self.check_cfg, self.flags)
             except Exception as e:
                 self.flags_cache[key] = e.with_traceback(None)
         flags = self.flags_cache[key]
@@ -367,25 +363,25 @@ def _verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:
     return "pass" if holds(lhs, rhs) else "violation"
 
 
-def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, a: float,
-            b: float, s: float, q: float) -> BoundRecord:
-    """One bound at one point.  Failures become tags on an eval-error
-    record instead of aborting the sweep; calls run in the order identity
-    tags, hypotheses, lhs, rhs, gap-identity residual."""
-    m = ctx.model
+def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, s: float,
+            q: float) -> BoundRecord:
+    """One bound at one point on ctx's [a, b].  Failures become tags on an
+    eval-error record instead of aborting the sweep; calls run in the order
+    identity tags, hypotheses, lhs, rhs, gap-identity residual."""
+    m, a, b = ctx.model, ctx.a, ctx.b
     nan = math.nan
     tags = (bound.identity(a, b, s, q, ctx.cfg.tolerances.identity_tol)
             if bound.is_prop else [])
     try:
-        flags = ctx.flags(bound, a, b, s, q)
+        flags = ctx.flags(bound, s, q)
     except Exception as e:
         tags.append(f"hyp-error:{type(e).__name__}")
         return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
                            False, False, False, "eval-error", ";".join(tags))
     try:
-        lhs = means.prop_lhs(a, b, s) if bound.is_prop else ctx.lhs(a, b)
+        lhs = means.prop_lhs(a, b, s) if bound.is_prop else ctx.lhs
         rhs = bound.rhs(m, a, b, s, q)
-        residual = nan if bound.is_prop else ctx.gap_residual(a, b)
+        residual = nan if bound.is_prop else ctx.gap_residual
     except Exception as e:
         tags.append(f"error:{type(e).__name__}")
         return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
@@ -408,24 +404,25 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
     points = {theorem: dict.fromkeys(p for s in cfg.s_grid for q in cfg.q_grid
                                      if (p := bound.point(s, q)))
               for theorem, bound in BOUND_TABLE.items()}
-    contexts = [(_ModelContext(model_from_spec(spec), cfg, check_cfg),
-                 spec.get("builtin") == "power") for spec in cfg.models]
+    models = [(model_from_spec(spec), spec.get("builtin") == "power")
+              for spec in cfg.models]
     records: list[BoundRecord] = []
     # (a, b) outermost and the models inside: the class checks build an
-    # interval's points once for every model and keep only that interval.
-    # The records are sorted, and a repeated (a, b) repeats each model's
-    # records together, so two models of one name come out as they would
-    # model by model.
+    # interval's points once for every model and keep only that interval,
+    # and a model's context lives for its visit there.  The records are
+    # sorted, and a repeated (a, b) repeats each model's records together,
+    # in one context, so two models of one name come out as model by model.
     intervals = Counter((a, b) for a in cfg.a_grid for b in cfg.b_grid if a < b)
     for (a, b), repeats in intervals.items():
-        for ctx, is_power in contexts:
-            if not ctx.model.contains(a, b):
+        for m, is_power in models:
+            if not m.contains(a, b):
                 continue
+            ctx = _ModelContext(m, cfg, check_cfg, a, b)
             for theorem, bound in [*BOUND_TABLE.items()] * repeats:
                 for s, q in points[theorem]:
                     if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):
                         continue
-                    records.append(_record(ctx, theorem, bound, a, b, s, q))
+                    records.append(_record(ctx, theorem, bound, s, q))
     return sort_records(records)
 
 

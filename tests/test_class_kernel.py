@@ -86,10 +86,15 @@ def _ref_collect(viol, xs, ts, lhs, rhs, cfg):
     return CheckResult(count == 0, wit, count)
 
 
+def axes(interval, cfg):
+    grid = convexity._axes(interval, cfg)
+    return grid.xs, grid.ts
+
+
 def reference_check(kind, g, interval, s, cfg):
     """(CheckResult, points where the slack rule differs from a plain
     lhs > rhs + slack on values)."""
-    xs, ts = convexity._axes(interval, cfg)
+    xs, ts = axes(interval, cfg)
     gx = _ref_values(g, xs)
     t = ts[None, None, :]
     if kind == "monotone":
@@ -228,10 +233,10 @@ def test_kernel_matches_reference_across_many_slabs():
 
 def test_t_axis_mirrors_exactly():
     for n in range(3, 202, 2):
-        ts = convexity._axes((1.0, 2.0), ClassCheckConfig(grid_points=n))[1]
+        ts = convexity._axes((1.0, 2.0), ClassCheckConfig(grid_points=n)).ts
         assert (ts[::-1] == 1.0 - ts).all() and ts[n // 2] == 0.5, n
     for n in (9, 33, 65):          # the shipped grids keep linspace
-        ts = convexity._axes((1.0, 2.0), ClassCheckConfig(grid_points=n))[1]
+        ts = convexity._axes((1.0, 2.0), ClassCheckConfig(grid_points=n)).ts
         assert (ts == np.linspace(0.0, 1.0, n)).all()
 
 
@@ -258,7 +263,7 @@ def test_half_cubes_are_the_full_cubes_at_i_le_j(n):
     for _ in range(5):
         a = float(10.0 ** rng.uniform(-3.0, 1.0))
         b = a * (1.0 + float(10.0 ** rng.uniform(-2.0, 1.0)))
-        xs, ts = convexity._axes((a, b), ClassCheckConfig(grid_points=n))
+        xs, ts = axes((a, b), ClassCheckConfig(grid_points=n))
         for half, full in ((convexity._linear_cube, full_linear_cube),
                            (convexity._geometric_cube, full_geometric_cube)):
             cube = full(xs, ts)
@@ -279,7 +284,7 @@ def _sqrt_bump(level):
 def test_log_scale_decides_when_both_sides_exceed_cutoff():
     cfg = ClassCheckConfig(grid_points=9)
     g = _sqrt_bump(1e6)
-    xs, ts = convexity._axes((1.0, 2.0), cfg)
+    xs, ts = axes((1.0, 2.0), cfg)
     t = ts[None, None, :]
     lhs = g(full_linear_cube(xs, ts))
     rhs = t * g(xs)[:, None, None] + (1.0 - t) * g(xs)[None, :, None]
@@ -367,37 +372,43 @@ def test_overflow_at_large_q_raises_for_that_q_only():
                     is_convex(AbsPower(m.fprime, q), (1.0, 10.0), CFG)
 
 
-def _cached(fprime, a, b, cfg=CFG):
-    xs, _ = convexity._axes((a, b), cfg)
-    return convexity._abs_samples(fprime, xs[0], xs[-1], len(xs))
-
-
 def test_sample_is_read_only():
     m = model_from_expr("1/x", 1.0, 2.0)
     theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
-    samples = _cached(m.fprime, 1.0, 2.0)
-    assert set(samples) == {None, convexity._linear_cube, convexity._geometric_cube}
-    xs, ts = convexity._axes((1.0, 2.0), CFG)
-    for cube, vals in samples.items():
-        for arr in (vals, convexity._points(xs, ts, cube)):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 0.0
+    grid = convexity._axes((1.0, 2.0), CFG)
+    cubes = {None, convexity._linear_cube, convexity._geometric_cube}
+    assert grid.fprime == m.fprime and set(grid.samples) == set(grid.points) == cubes
+    for arr in (*grid.samples.values(), *grid.points.values(), grid.ts, grid.iu, grid.ju):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
 
 
 def test_only_the_latest_interval_is_kept():
     m = exp_model(1.0)
     theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
-    xs, ts = convexity._axes((1.0, 2.0), CFG)
-    first = [weakref.ref(arr) for cube, vals in _cached(m.fprime, 1.0, 2.0).items()
-             for arr in (vals, convexity._points(xs, ts, cube))]
-    del xs, ts
+    grid = convexity._axes((1.0, 2.0), CFG)
+    first = [weakref.ref(arr) for arr in (*grid.samples.values(), *grid.points.values())]
+    del grid
     assert len(first) == 6 and all(ref() is not None for ref in first)
     theorem_hypotheses(m, 1.0, 1.5, 1.0, 2.0, CFG)
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 1.5), CFG)
     assert all(ref() is None for ref in first)
+
+
+def test_only_the_latest_fprime_is_kept():
+    ms = [exp_model(1.0), model_from_expr("1/x", 1.0, 2.0)]
+    theorem_hypotheses(ms[0], 1.0, 2.0, 1.0, 2.0, CFG)
+    grid = convexity._axes((1.0, 2.0), CFG)
+    first = [weakref.ref(arr) for arr in grid.samples.values()]
+    cube = weakref.ref(grid.points[convexity._geometric_cube])
+    assert len(first) == 2 and all(ref() is not None for ref in first)
+    theorem_hypotheses(ms[1], 1.0, 2.0, 1.0, 2.0, CFG)
+    assert grid.fprime == ms[1].fprime and len(grid.samples) == 2
+    assert all(ref() is None for ref in first) and cube() is not None
+    assert report(ms[0], 1.0, 2.0, 1.0, 2.0) == fresh(ms[0], 1.0, 2.0, 1.0, 2.0)
 
 
 def test_checks_on_one_interval_share_read_only_axes():
@@ -406,12 +417,23 @@ def test_checks_on_one_interval_share_read_only_axes():
     def g(x):
         seen.append(x)
         return np.exp(x)
-    xs, ts = convexity._axes((1.0, 2.0), CFG)
+    grid = convexity._axes((1.0, 2.0), CFG)
     is_convex(g, (1.0, 2.0), CFG)                   # the x grid, then the cube
     is_monotone_decreasing(g, (1.0, 2.0), CFG)      # the x grid
-    assert np.shares_memory(seen[0], xs) and np.shares_memory(seen[2], xs)
-    assert convexity._axes((1.0, 2.0), CFG)[1] is ts
-    assert not xs.flags.writeable and not ts.flags.writeable
+    assert np.shares_memory(seen[0], grid.xs) and np.shares_memory(seen[2], grid.xs)
+    assert convexity._axes((1.0, 2.0), CFG) is grid
+    assert not grid.xs.flags.writeable and not grid.ts.flags.writeable
+
+
+def test_intervals_of_one_size_share_the_t_axis():
+    # The t axis and the pair rows depend on n alone: a new interval at the
+    # same n reuses them, a new n rebuilds them.
+    first = convexity._axes((1.0, 2.0), CFG)
+    second = convexity._axes((0.5, 3.0), CFG)
+    assert second is not first
+    assert second.ts is first.ts and second.iu is first.iu and second.ju is first.ju
+    other = convexity._axes((0.5, 3.0), ClassCheckConfig(grid_points=9))
+    assert other.ts is not first.ts and len(other.ts) == 9
 
 
 def test_abs_power_is_the_map_it_names():
@@ -445,7 +467,7 @@ def test_sampled_points_stay_in_interval():
         b = a * (1.0 + float(10.0 ** rng.uniform(-2.0, 1.0)))
         for n in (9, 33, 65):
             cfg = ClassCheckConfig(grid_points=n)
-            xs, ts = convexity._axes((a, b), cfg)
+            xs, ts = axes((a, b), cfg)
             t = ts[None, None, :]
             lin = t * xs[:, None, None] + (1.0 - t) * xs[None, :, None]
             lnx = np.log(xs)

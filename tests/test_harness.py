@@ -587,8 +587,8 @@ class TestBundleGatedAtQ1:
                    for r in recs) == 16
         # the same records as with no flags cache at all
         monkeypatch.setattr(hv.sweep._ModelContext, "flags",
-                            lambda ctx, bound, a, b, s, q: hv.sweep.hypothesis_flags(
-                                bound, ctx.model, a, b, s, q, ctx.check_cfg))
+                            lambda ctx, bound, s, q: hv.sweep.hypothesis_flags(
+                                bound, ctx.model, ctx.a, ctx.b, s, q, ctx.check_cfg))
         uncached = run_sweep(cfg)
         assert len(calls) == 18
         assert records_equal(recs, uncached)
@@ -601,19 +601,18 @@ class TestBundleGatedAtQ1:
         m = FunctionModel("grid-only", 1.0, 2.0, lambda x: x,
                           lambda x: np.where(np.asarray(x) * 8.0 % 1.0 == 0.0, 1.0, np.inf))
         check_cfg = ClassCheckConfig(grid_points=9)
-        ctx = hv.sweep._ModelContext(m, mini_config(), check_cfg)
+        ctx = hv.sweep._ModelContext(m, mini_config(), check_cfg, 1.0, 2.0)
         for _ in range(5):
             with pytest.raises(DomainError) as info:
-                ctx.flags(BOUND_TABLE["eq10"], 1.0, 2.0, 1.0, 1.0)
+                ctx.flags(BOUND_TABLE["eq10"], 1.0, 1.0)
             # this frame and flags(): no check frames, and no growth
             assert len(traceback.extract_tb(info.value.__traceback__)) <= 2
-        xs, _ = convexity._axes((1.0, 2.0), check_cfg)
-        sample = convexity._abs_samples(m.fprime, xs[0], xs[-1], len(xs))
-        cube_sample = weakref.ref(sample[convexity._geometric_cube])
-        del xs, sample, info
+        grid = convexity._axes((1.0, 2.0), check_cfg)
+        cube_sample = weakref.ref(grid.samples[convexity._geometric_cube])
+        del grid, info
         convexity.is_convex(AbsPower(np.exp), (3.0, 4.0), check_cfg)   # next interval
         assert cube_sample() is None
-        rec = hv.sweep._record(ctx, "eq10", BOUND_TABLE["eq10"], 1.0, 2.0, 1.0, 1.0)
+        rec = hv.sweep._record(ctx, "eq10", BOUND_TABLE["eq10"], 1.0, 1.0)
         assert rec.discrepancy == "hyp-error:DomainError"
 
 
@@ -646,6 +645,28 @@ class TestIntervalMajorSweep:
                                                   "eval-error"}
         assert records_equal(together, apart)
         assert records_text(together, "csv") == records_text(apart, "csv")
+
+    def test_one_context_per_model_and_interval(self, monkeypatch):
+        # A model's context lives for its visit to an interval, repeats of
+        # that (a, b) included: a spy on _record sees one context per
+        # (model, interval), and once the sweep is on the next one, no
+        # earlier context is alive.  The raising model is left out: the
+        # traceback of its cached error holds a frame of its context, a
+        # cycle that only the garbage collector frees.
+        raw = dict(MIXED, models=MIXED["models"][:4])
+        visits, record = [], hv.sweep._record
+
+        def spy(ctx, *args):
+            if not visits or visits[-1][0]() is not ctx:
+                assert all(ref() is None for ref, *_ in visits)
+                visits.append((weakref.ref(ctx), id(ctx.model), (ctx.a, ctx.b)))
+            return record(ctx, *args)
+        monkeypatch.setattr(hv.sweep, "_record", spy)
+        run_sweep(parse_config(raw))
+        models = [hv.models.model_from_spec(spec) for spec in raw["models"]]
+        expected = {(i, a, b) for a in raw["a_grid"] for b in raw["b_grid"]
+                    for i, m in enumerate(models) if a < b and m.contains(a, b)}
+        assert len(visits) == len({(m, ab) for _, m, ab in visits}) == len(expected)
 
     def test_each_interval_builds_its_cubes_once(self, monkeypatch):
         builds = Counter()
@@ -718,8 +739,8 @@ class TestConvexGateAtQ1:
         cfg = hv.sweep.default_config() if raw is None else parse_config(raw)
         recs = default_sweep[1] if raw is None else run_sweep(cfg)
         monkeypatch.setattr(hv.sweep._ModelContext, "flags",
-                            lambda ctx, bound, a, b, s, q: hv.sweep.hypothesis_flags(
-                                bound, ctx.model, a, b, s, q, ctx.check_cfg))
+                            lambda ctx, bound, s, q: hv.sweep.hypothesis_flags(
+                                bound, ctx.model, ctx.a, ctx.b, s, q, ctx.check_cfg))
         uncached = run_sweep(cfg)
         assert records_equal(recs, uncached)
         assert records_text(recs, "csv") == records_text(uncached, "csv")

@@ -15,6 +15,10 @@ class TestMeans:
     def test_arith(self):
         assert means.arith_mean(2.0, 4.0) == 3.0
 
+    def test_arith_near_the_top_of_the_range(self):
+        # a + b overflows here; the mean does not
+        assert means.arith_mean(1e308, 1.7e308) == 1.35e308
+
     def test_log_mean_reference(self):
         assert means.log_mean(1.0, E ** 2) == pytest.approx((E ** 2 - 1.0) / 2.0,
                                                             rel=1e-14)

@@ -141,6 +141,12 @@ def test_chebyshev_grid_includes_endpoints():
     assert np.all(np.diff(g) > 0)
 
 
+def test_chebyshev_grid_near_the_top_of_the_range():
+    # lo + hi overflows; the grid still lies in [lo, hi]
+    g = _chebyshev_grid(1e308, 1.7e308, 64)
+    assert g[0] == 1e308 and g[-1] == 1.7e308 and np.all(np.diff(g) > 0)
+
+
 @pytest.mark.parametrize("factory", REGISTERED)
 def test_derivative_matches_finite_differences_on_grid(factory):
     # 64-point grid agreement at 1e-6 relative for every registered model

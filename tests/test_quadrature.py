@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hhverify.errors import MaxSubdivisionsExceeded, NonFiniteSample
@@ -119,6 +120,41 @@ def test_divergent_integrand_fails_loudly():
     # 1/t on (0, 1]: samples stay finite but refinement hits the width floor
     with pytest.raises(MaxSubdivisionsExceeded):
         integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
+
+
+# Near the top of the float range lo + hi overflows, though lo, hi and
+# every node between them are finite.
+HUGE = (1e308, 1.7e308)
+
+
+def _recorded(g):
+    """g, and the list of the node arrays it is called with."""
+    seen = []
+
+    def wrapped(x):
+        seen.append(np.array(x, dtype=float))
+        return g(seen[-1])
+    return wrapped, seen
+
+
+def test_panel_nodes_near_the_top_of_the_range():
+    const, seen = _recorded(np.ones_like)
+    assert integrate(const, *HUGE).value == pytest.approx(7e307, rel=1e-15)
+    nodes = np.concatenate(seen)
+    assert HUGE[0] <= nodes.min() and nodes.max() <= HUGE[1]
+    # the samples are finite; the integral of ln x there, about 5e310, is not
+    with pytest.raises(OverflowError, match="integral over"):
+        integrate(np.log, *HUGE)
+
+
+def test_bisection_near_the_top_of_the_range():
+    # a Lorentzian of width 1e306: the panels must be split to resolve it
+    bump, seen = _recorded(lambda x: 1e-306 / (1.0 + ((x - 1.35e308) / 1e306) ** 2))
+    res = integrate(bump, *HUGE)
+    assert res.subdivisions > 0
+    assert res.value == pytest.approx(2.0 * math.atan(35.0), rel=1e-12)
+    nodes = np.concatenate(seen)
+    assert HUGE[0] <= nodes.min() and nodes.max() <= HUGE[1]
 
 
 def test_argument_validation():

@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import bounds, exprparse, means, sweep
+from . import exprparse, means, sweep
 from .convexity import (AbsPower, ClassCheckConfig, is_convex,
                         is_geometrically_convex, is_monotone_decreasing,
                         is_s_convex, is_s_geometrically_convex)
@@ -118,17 +118,18 @@ def cmd_eval_bound(args) -> int:
     if point is None:
         raise ValueError(f"{tag} needs q > 1, got q={args.q:g}")
     s, q = point
+    if not m.contains(a, b):  # before the hypothesis check samples f' there
+        raise ValueError(f"need {m.lo:g} <= a < b <= {m.hi:g}, got a={a:g}, b={b:g}")
 
-    lhs = (means.prop_lhs(a, b, s) if bound.is_prop
-           else bounds.trapezoid_mean_gap(m, a, b))
-    rhs = bound.rhs(m, a, b, s, q)
-    flags = sweep.hypothesis_flags(bound, m, a, b, s, q, ClassCheckConfig())
+    ctx = sweep.ModelContext(m, sweep.Tolerances(), ClassCheckConfig(), a, b)
+    flags = ctx.flags(bound, s, q)
+    lhs, rhs = ctx.sides(bound, s, q)
     print(f"model: {m.name}")
     print(f"point: s={s:.12g} q={q:.12g}")
     print(f"{tag}: lhs={lhs:.12g} rhs={rhs:.12g} gap={rhs - lhs:.12g} "
           f"ratio={make_ratio(lhs, rhs):.12g}")
     print("hypotheses: class={} monotone={} fprime_a_le_1={}".format(*flags))
-    if sweep._verdict(flags, lhs, rhs) == "violation":
+    if sweep.verdict(flags, lhs, rhs) == "violation":
         print("VIOLATION")
         return 2
     return 0

@@ -36,7 +36,7 @@ the x-grid sample.  The sweep checks the bundle at q = 1 whatever the
 bound's q (``sweep.BoundSpec.gate_point`` says why), so the bundle costs
 one class check per (a, b, s); the convexity gate of eq9 reuses eq8's
 check of |fprime| and pays the power only where that fails
-(``sweep.hypothesis_flags``).  Only the latest interval is kept, and in
+(``sweep.ModelContext.flags``).  Only the latest interval is kept, and in
 it the latest fprime's samples, read-only: two half cubes of points and
 |fprime| on them, four n^2(n+1)/2 float64 arrays (about 4.5 MB at n =
 65).

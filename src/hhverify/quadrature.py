@@ -140,7 +140,7 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
 
     while stack:
         a, b, k, e = stack.pop()
-        share = target * (b - a) / span
+        share = target * ((b - a) / span)
         if e <= share:
             value += k
             err += e

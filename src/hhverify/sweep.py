@@ -29,7 +29,7 @@ from .records import BoundRecord, make_ratio, sort_records
 
 __all__ = ["Tolerances", "SweepConfig", "load_config", "parse_config",
            "default_config", "BoundSpec", "BOUND_TABLE", "THEOREM_TAGS",
-           "hypothesis_flags", "holds", "run_sweep", "summarize", "PASS_SLACK"]
+           "ModelContext", "holds", "verdict", "run_sweep", "summarize", "PASS_SLACK"]
 
 SCHEMA_VERSION = 1
 
@@ -171,7 +171,7 @@ class BoundSpec:
 
     ``gate`` is "convex" (|f'|^q convex, the classical baselines' only
     hypothesis, which a pass of |f'| convex implies for every q >= 1; see
-    ``hypothesis_flags``) or "bundle" (``theorem_hypotheses``, checked at
+    ``ModelContext.flags``) or "bundle" (``theorem_hypotheses``, checked at
     q = 1 because q drops out of it; see ``gate_point``).  ``q_rule`` is "1"
     (q = 1 only), ">1" (q > 1 only) or "all" (every q).  The
     special-means propositions carry ``identity``, which returns their
@@ -205,7 +205,7 @@ class BoundSpec:
         check compares logs, which scale by q, so this holds up to points
         whose log margin ln lhs - ln rhs lies between slack and slack/q.
         Convexity of |f'|^q does depend on q, so a "convex" bound is gated
-        at its own point; ``hypothesis_flags`` takes a pass there from the
+        at its own point; ``ModelContext.flags`` takes a pass there from the
         q = 1 check of |f'| where it can, which is approximate in the same
         way (its docstring says how).
         """
@@ -277,56 +277,29 @@ BOUND_TABLE: dict[str, BoundSpec] = {
 THEOREM_TAGS = tuple(BOUND_TABLE)
 
 
-def hypothesis_flags(bound: BoundSpec, m: FunctionModel, a: float, b: float,
-                     s: float, q: float, check_cfg: ClassCheckConfig,
-                     flags: Callable | None = None) -> tuple[bool, bool, bool]:
-    """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
-
-    The classical baselines need only |f'|^q convex; their monotonicity
-    and derivative-size flags are vacuously true.  For q >= 1, |f'| convex
-    implies |f'|^q convex, grid point by grid point: v -> v^q is
-    increasing and convex on [0, inf).  So a "convex" bound at q != 1
-    passes where eq8's gate, |f'| convex, passes, and checks |f'|^q only
-    where that fails (sqrt(x) is not convex, but its square is).  The
-    slack makes this approximate: a q = 1 pass allows a margin of up to
-    slack (relative above 1), which at q can grow to about
-    q*slack*max(1, rhs)^(q-1), so a near-tie the check at q would put
-    outside the hypotheses passes here.
-
-    ``flags(bound, s, q)`` gives eq8's flags on [a, b] where it is passed
-    (the sweep passes its cached ``_ModelContext.flags``); otherwise they
-    are computed here.  A bound is gated at ``bound.gate_point(s, q)``, so
-    ``bound.point(s, q)`` must exist.  Every "bundle" bound is gated at
-    q = 1: q drops out of |f'|^q being s-geometrically convex.
-    """
-    s, q = bound.gate_point(s, q)
-    if bound.gate == "bundle":
-        h = theorem_hypotheses(m, a, b, s, q, check_cfg)
-        return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
-    if q != 1.0:
-        eq8 = BOUND_TABLE["eq8"]
-        at_q1 = (flags(eq8, 1.0, 1.0) if flags
-                 else hypothesis_flags(eq8, m, a, b, 1.0, 1.0, check_cfg))
-        if all(at_q1):
-            return at_q1
-    return (is_convex(AbsPower(m.fprime, q), (a, b), check_cfg).ok, True, True)
-
-
 # ---------------------------------------------------------------------------
 # Sweep execution
 # ---------------------------------------------------------------------------
 
+def _fresh(e: Exception) -> Exception:
+    """A copy of e with its attributes and no traceback (copy.copy would call
+    e's __init__ with e.args, which the classes in errors.py do not take)."""
+    copy = type(e).__new__(type(e), *e.args)
+    copy.__dict__.update(e.__dict__)
+    return copy
+
+
 @dataclass
-class _ModelContext:
-    """One model on one interval [a, b], for as long as the sweep visits
-    it: the quadratures run once, and the flags once per gate point, so
-    one s serves every q of the "bundle" bounds, and eq9 reads eq8's |f'|
-    convex check from here.  A check that raised is cached as its
-    exception and raised again for every record that shares its key, each
-    time without a traceback: the frames of the first raise would hold the
-    check's arrays, and every raise would add more."""
+class ModelContext:
+    """One model on one interval [a, b]: the one evaluator of a bound there,
+    for a sweep's visit, an ``eval-bound`` point or a search point.  The
+    quadratures run once, and the flags once per gate point, so one s
+    serves every q of the "bundle" bounds, and eq9 reads eq8's |f'| convex
+    check from here.  A check that raised is cached as its exception with
+    no traceback (its frames hold the check's arrays), and each raise is of
+    a fresh copy: a traceback on the cached one would hold this context."""
     model: FunctionModel
-    cfg: SweepConfig
+    tolerances: Tolerances
     check_cfg: ClassCheckConfig
     a: float
     b: float
@@ -335,42 +308,71 @@ class _ModelContext:
     @cached_property
     def lhs(self) -> float:
         return bounds.trapezoid_mean_gap(self.model, self.a, self.b,
-                                         tol=self.cfg.tolerances.quad_tol)
+                                         tol=self.tolerances.quad_tol)
 
     @cached_property
     def gap_residual(self) -> float:
         signed = bounds.gap_integral_form(self.model, self.a, self.b,
-                                          tol=self.cfg.tolerances.quad_tol)
+                                          tol=self.tolerances.quad_tol)
         return abs(self.lhs - abs(signed))
 
     def flags(self, bound: BoundSpec, s: float, q: float) -> tuple[bool, bool, bool]:
-        key = (bound.gate, *bound.gate_point(s, q))
+        """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
+
+        The classical baselines need only |f'|^q convex; their monotonicity
+        and derivative-size flags are vacuously true.  For q >= 1, |f'|
+        convex implies |f'|^q convex, grid point by grid point: v -> v^q is
+        increasing and convex on [0, inf).  So a "convex" bound at q != 1
+        passes where eq8's gate, |f'| convex, passes, and checks |f'|^q only
+        where that fails (sqrt(x) is not convex, but its square is).  The
+        slack makes this approximate: a q = 1 pass allows a margin of up to
+        slack (relative above 1), which at q can grow to about
+        q*slack*max(1, rhs)^(q-1), so a near-tie the check at q would put
+        outside the hypotheses passes here.
+
+        A bound is gated at ``bound.gate_point(s, q)``, so ``bound.point(s,
+        q)`` must exist; every "bundle" bound at q = 1.
+        """
+        s, q = bound.gate_point(s, q)
+        key = (bound.gate, s, q)
         if key not in self.flags_cache:
             try:
-                self.flags_cache[key] = hypothesis_flags(
-                    bound, self.model, self.a, self.b, s, q, self.check_cfg, self.flags)
+                if bound.gate == "bundle":
+                    h = theorem_hypotheses(self.model, self.a, self.b, s, q, self.check_cfg)
+                    flags = (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
+                elif q != 1.0 and all(eq8 := self.flags(BOUND_TABLE["eq8"], 1.0, 1.0)):
+                    flags = eq8
+                else:
+                    flags = (is_convex(AbsPower(self.model.fprime, q),
+                                       (self.a, self.b), self.check_cfg).ok, True, True)
             except Exception as e:
-                self.flags_cache[key] = e.with_traceback(None)
+                flags = e.with_traceback(None)
+            self.flags_cache[key] = flags
         flags = self.flags_cache[key]
         if isinstance(flags, Exception):
-            raise flags.with_traceback(None)
+            raise _fresh(flags)
         return flags
 
+    def sides(self, bound: BoundSpec, s: float, q: float) -> tuple[float, float]:
+        """(lhs, rhs) of a bound at (s, q); a proposition's lhs is prop_lhs."""
+        lhs = means.prop_lhs(self.a, self.b, s) if bound.is_prop else self.lhs
+        return lhs, bound.rhs(self.model, self.a, self.b, s, q)
 
-def _verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:
+
+def verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:
     if not all(flags):
         return "outside-hypotheses"
     return "pass" if holds(lhs, rhs) else "violation"
 
 
-def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, s: float,
+def _record(ctx: ModelContext, theorem: str, bound: BoundSpec, s: float,
             q: float) -> BoundRecord:
     """One bound at one point on ctx's [a, b].  Failures become tags on an
     eval-error record instead of aborting the sweep; calls run in the order
     identity tags, hypotheses, lhs, rhs, gap-identity residual."""
     m, a, b = ctx.model, ctx.a, ctx.b
     nan = math.nan
-    tags = (bound.identity(a, b, s, q, ctx.cfg.tolerances.identity_tol)
+    tags = (bound.identity(a, b, s, q, ctx.tolerances.identity_tol)
             if bound.is_prop else [])
     try:
         flags = ctx.flags(bound, s, q)
@@ -379,8 +381,7 @@ def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, s: float,
         return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
                            False, False, False, "eval-error", ";".join(tags))
     try:
-        lhs = means.prop_lhs(a, b, s) if bound.is_prop else ctx.lhs
-        rhs = bound.rhs(m, a, b, s, q)
+        lhs, rhs = ctx.sides(bound, s, q)
         residual = nan if bound.is_prop else ctx.gap_residual
     except Exception as e:
         tags.append(f"error:{type(e).__name__}")
@@ -388,7 +389,7 @@ def _record(ctx: _ModelContext, theorem: str, bound: BoundSpec, s: float,
                            *flags, "eval-error", ";".join(tags))
     return BoundRecord(
         m.name, theorem, a, b, s, q, lhs, rhs, rhs - lhs, make_ratio(lhs, rhs),
-        *flags, _verdict(flags, lhs, rhs), ";".join(tags),
+        *flags, verdict(flags, lhs, rhs), ";".join(tags),
         oracle_residual=residual)
 
 
@@ -417,7 +418,7 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
         for m, is_power in models:
             if not m.contains(a, b):
                 continue
-            ctx = _ModelContext(m, cfg, check_cfg, a, b)
+            ctx = ModelContext(m, cfg.tolerances, check_cfg, a, b)
             for theorem, bound in [*BOUND_TABLE.items()] * repeats:
                 for s, q in points[theorem]:
                     if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):

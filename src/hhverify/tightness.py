@@ -21,12 +21,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from . import bounds
 # theorem_hypotheses is not called here; perfbench/tracer.py patches it by name.
 from .convexity import ClassCheckConfig, theorem_hypotheses  # noqa: F401
 from .errors import EmptyFeasibleSetError
 from .models import FunctionModel
-from .sweep import BOUND_TABLE, holds, hypothesis_flags
+from .sweep import BOUND_TABLE, ModelContext, Tolerances, holds
 
 __all__ = ["TightnessResult", "optimize_tightness", "SEARCH_TAGS"]
 
@@ -37,7 +36,7 @@ SEARCH_TAGS = tuple(tag for tag, bound in BOUND_TABLE.items()
 
 # Every search evaluates lhs at this quadrature tolerance and checks the
 # hypotheses on the default grid.
-_QUAD_TOL = 1e-9
+_TOLERANCES = Tolerances(quad_tol=1e-9)
 _CHECK_CFG = ClassCheckConfig()
 
 
@@ -104,12 +103,12 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         if bound.point(s, q) is None:
             return infeasible
         evals += 1
+        ctx = ModelContext(model, _TOLERANCES, _CHECK_CFG, a, b)
         try:
-            hyp_ok = all(hypothesis_flags(bound, model, a, b, s, q, _CHECK_CFG))
+            hyp_ok = all(ctx.flags(bound, s, q))
             if require_hypotheses and not hyp_ok:
                 return infeasible
-            rhs = bound.rhs(model, a, b, s, q)
-            lhs = bounds.trapezoid_mean_gap(model, a, b, tol=_QUAD_TOL)
+            lhs, rhs = ctx.sides(bound, s, q)
         except Exception as e:
             errors[type(e).__name__] += 1
             return infeasible

@@ -134,18 +134,28 @@ class TestEvalBound:
                             "--a", "1", "--b", "2"], capsys)
         assert code == 1
 
-    def test_eq8_flags_match_the_sweep(self, capsys):
-        spec = {"name": "exp1", "builtin": "exp", "rate": 1.0, "domain": [1.0, 2.0]}
-        cfg = parse_config({"models": [spec], "a_grid": [1.0], "b_grid": [2.0],
-                            "s_grid": [1.0], "q_grid": [1.0]})
-        rec = next(r for r in run_sweep(cfg) if r.theorem == "eq8")
-        code, out, _ = run(["eval-bound", "--theorem", "eq8", "--builtin", "exp",
-                            "--rate", "1", "--domain", "1,2",
-                            "--a", "1", "--b", "2"], capsys)
-        assert code == 0
+    @pytest.mark.parametrize("tag", sweep.THEOREM_TAGS)
+    def test_bound_matches_the_sweep(self, capsys, tag):
+        # eval-bound evaluates through the sweep's ModelContext: the same
+        # point, flags, sides and ratio as the record, or the same failure.
+        cfg = parse_config({"models": [{"builtin": "power", "s": 0.5}],
+                            "a_grid": [0.25], "b_grid": [0.75], "s_grid": [0.5],
+                            "q_grid": [2.0]})
+        rec, = [r for r in run_sweep(cfg) if r.theorem == tag]
+        code, out, err = run(["eval-bound", "--theorem", tag, "--builtin", "power",
+                              "--s", "0.5", "--a", "0.25", "--b", "0.75"], capsys)
+        if tag == "prop33":
+            # prop33's rhs is undefined at this point.
+            assert rec.discrepancy.endswith(";error:ValueError")
+            assert code == 1 and out == "" and err.startswith("error: ")
+            return
+        assert rec.verdict != "eval-error" and rec.hyp_class
+        assert code == 0 and err == ""
+        assert f"point: s={rec.s:.12g} q={rec.q:.12g}\n" in out
+        assert (f"{tag}: lhs={rec.lhs:.12g} rhs={rec.rhs:.12g} gap={rec.gap:.12g} "
+                f"ratio={rec.ratio:.12g}\n") in out
         assert (f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
-                f"fprime_a_le_1={rec.hyp_fprime_a}") in out
-        assert rec.hyp_class
+                f"fprime_a_le_1={rec.hyp_fprime_a}\n") in out
 
 
     def test_q1_bound_gated_at_q1(self, capsys):
@@ -197,11 +207,37 @@ class TestEvalBound:
         assert code == 1 and out == ""
         assert err == "error: eq9 needs q > 1, got q=1\n"
 
+    @pytest.mark.parametrize("a, b", [("-1", "1"), ("0.5", "0.5")])
+    def test_interval_outside_the_domain_exit_1(self, capsys, a, b):
+        # Rejected before the hypothesis check, which would sample f' at -1.
+        code, out, err = run(["eval-bound", "--theorem", "eq8", "--f", "x^0.5",
+                              "--domain", "0.01,1", "--a", a, "--b", b], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: need 0.01 <= a < b <= 1, got a={a}, b={b}\n"
+
     def test_quadrature_error_exit_1(self, capsys):
+        # The pole at 1.5 is a point of the hypothesis check, which runs
+        # first, as in the sweep: it tags the record hyp-error:DomainError.
         code, out, err = run(["eval-bound", "--theorem", "eq8", "--f", "1/(x-1.5)",
                               "--domain", "1,2", "--a", "1", "--b", "2"], capsys)
         assert code == 1 and out == ""
-        assert err == "error: integrand not finite at x=1.5\n"
+        assert err == "error: domain error at x=1.5: function not finite at grid point\n"
+
+    def test_quadrature_error_after_the_flags_exit_1(self, capsys):
+        # 1.25048828125 = 1 + 2^-2 + 2^-11 is no point of the check, so the
+        # flags complete; it is the centre of a GK15 panel that bisection
+        # towards the pole reaches, so the quadrature raises.
+        cfg = parse_config({"models": [{"expr": "1/(x-1.25048828125)",
+                                        "domain": [1.0, 2.0]}],
+                            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [1.0],
+                            "q_grid": [1.0]})
+        rec, = [r for r in run_sweep(cfg) if r.theorem == "eq8"]
+        assert rec.discrepancy == "error:NonFiniteSample"
+        code, out, err = run(["eval-bound", "--theorem", "eq8",
+                              "--f", "1/(x-1.25048828125)", "--domain", "1,2",
+                              "--a", "1", "--b", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: integrand not finite at x=1.25048828125\n"
 
     def test_overflowing_rhs_exit_1(self, capsys):
         # eq9's rhs raises |f'(b)|^2 = 1e598 on Python floats; the sweep

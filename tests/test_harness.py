@@ -1,4 +1,5 @@
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -19,8 +20,17 @@ from hhverify.models import FunctionModel
 from hhverify.records import (BoundRecord, CSV_COLUMNS, make_ratio, read_csv,
                               read_json, records_equal, records_text,
                               sort_records, write_csv, write_json)
-from hhverify.sweep import BOUND_TABLE, PASS_SLACK, parse_config, run_sweep
+from hhverify.sweep import (BOUND_TABLE, PASS_SLACK, ModelContext, Tolerances,
+                            parse_config, run_sweep)
 from hhverify.tightness import optimize_tightness
+
+
+def fresh_context_per_record(monkeypatch):
+    """Make the sweep evaluate every record in a context of its own, so no
+    flags or sides are read from a cache."""
+    record = hv.sweep._record
+    monkeypatch.setattr(hv.sweep, "_record", lambda ctx, *args: record(
+        ModelContext(ctx.model, ctx.tolerances, ctx.check_cfg, ctx.a, ctx.b), *args))
 
 
 def mini_config(**overrides):
@@ -487,6 +497,34 @@ class TestHoldsAgreement:
         assert res.hypotheses_pass and res.violation == (not ok)
 
 
+class TestOneEvaluator:
+    """The search evaluates a point through the sweep's ModelContext: its
+    best point is the sweep's record there, at the search's quad_tol and
+    check grid."""
+
+    CASES = [("eq10", {"expr": "1/x", "domain": [1.0, 2.0]}, {}, True),
+             ("eq9", {"expr": "x^1.5", "domain": [1.0, 2.0]}, {"q": 2.0}, True),
+             ("eq11", {"builtin": "exp", "rate": 1.0, "domain": [1.0, 2.0]},
+              {"s": 0.7, "q": 2.5}, False)]
+
+    @pytest.mark.parametrize("theorem, spec, fixed, required", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_best_point_is_the_sweep_record(self, theorem, spec, fixed, required):
+        res = optimize_tightness(theorem, hv.models.model_from_spec(spec),
+                                 {"a": (1.0, 1.3), "b": (1.7, 2.0), **fixed},
+                                 require_hypotheses=required)
+        p = res.params
+        cfg = parse_config({"models": [spec], "a_grid": [p["a"]], "b_grid": [p["b"]],
+                            "s_grid": [p["s"]], "q_grid": [p["q"]],
+                            "tolerances": {"quad_tol": 1e-9}, "class_grid_points": 33})
+        rec, = [r for r in run_sweep(cfg) if r.theorem == theorem]
+        assert (rec.s, rec.q) == (p["s"], p["q"])
+        assert rec.ratio.hex() == res.ratio.hex()
+        assert res.hypotheses_pass == (rec.hyp_class and rec.hyp_monotone
+                                       and rec.hyp_fprime_a)
+        assert res.violation == (rec.verdict == "violation")
+
+
 def _theorem_choices(command: str) -> tuple:
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -586,9 +624,7 @@ class TestBundleGatedAtQ1:
         assert sum(r.discrepancy == "hyp-error:NonPositiveValueError"
                    for r in recs) == 16
         # the same records as with no flags cache at all
-        monkeypatch.setattr(hv.sweep._ModelContext, "flags",
-                            lambda ctx, bound, s, q: hv.sweep.hypothesis_flags(
-                                bound, ctx.model, ctx.a, ctx.b, s, q, ctx.check_cfg))
+        fresh_context_per_record(monkeypatch)
         uncached = run_sweep(cfg)
         assert len(calls) == 18
         assert records_equal(recs, uncached)
@@ -601,7 +637,7 @@ class TestBundleGatedAtQ1:
         m = FunctionModel("grid-only", 1.0, 2.0, lambda x: x,
                           lambda x: np.where(np.asarray(x) * 8.0 % 1.0 == 0.0, 1.0, np.inf))
         check_cfg = ClassCheckConfig(grid_points=9)
-        ctx = hv.sweep._ModelContext(m, mini_config(), check_cfg, 1.0, 2.0)
+        ctx = ModelContext(m, Tolerances(), check_cfg, 1.0, 2.0)
         for _ in range(5):
             with pytest.raises(DomainError) as info:
                 ctx.flags(BOUND_TABLE["eq10"], 1.0, 1.0)
@@ -650,10 +686,10 @@ class TestIntervalMajorSweep:
         # A model's context lives for its visit to an interval, repeats of
         # that (a, b) included: a spy on _record sees one context per
         # (model, interval), and once the sweep is on the next one, no
-        # earlier context is alive.  The raising model is left out: the
-        # traceback of its cached error holds a frame of its context, a
-        # cycle that only the garbage collector frees.
-        raw = dict(MIXED, models=MIXED["models"][:4])
+        # earlier context is alive.  With the garbage collector off, this
+        # holds for the raising model too: raising its cached error makes
+        # no cycle through its context.
+        raw = MIXED
         visits, record = [], hv.sweep._record
 
         def spy(ctx, *args):
@@ -662,7 +698,13 @@ class TestIntervalMajorSweep:
                 visits.append((weakref.ref(ctx), id(ctx.model), (ctx.a, ctx.b)))
             return record(ctx, *args)
         monkeypatch.setattr(hv.sweep, "_record", spy)
-        run_sweep(parse_config(raw))
+        gc.disable()
+        try:
+            recs = run_sweep(parse_config(raw))
+            assert all(ref() is None for ref, *_ in visits)
+        finally:
+            gc.enable()
+        assert any(r.discrepancy.startswith("hyp-error:") for r in recs)
         models = [hv.models.model_from_spec(spec) for spec in raw["models"]]
         expected = {(i, a, b) for a in raw["a_grid"] for b in raw["b_grid"]
                     for i, m in enumerate(models) if a < b and m.contains(a, b)}
@@ -729,18 +771,16 @@ class TestConvexGateAtQ1:
         cfg = hv.ClassCheckConfig()
         assert hv.is_convex(AbsPower(m.fprime), (1.0, 2.0), cfg).ok
         assert not hv.is_convex(AbsPower(m.fprime, 4.0), (1.0, 2.0), cfg).ok
-        assert hv.sweep.hypothesis_flags(BOUND_TABLE["eq9"], m, 1.0, 2.0, 1.0, 4.0,
-                                         cfg) == (True, True, True)
+        ctx = ModelContext(m, Tolerances(), cfg, 1.0, 2.0)
+        assert ctx.flags(BOUND_TABLE["eq9"], 1.0, 4.0) == (True, True, True)
 
     @pytest.mark.parametrize("raw", [None, X300], ids=["default", "x^300/300"])
     def test_cached_flags_match_the_uncached_rule(self, monkeypatch, default_sweep, raw):
-        # _ModelContext.flags reads eq8's gate from its cache; the records
-        # are those of hypothesis_flags run afresh for every record.
+        # ModelContext.flags reads eq8's gate from its cache; the records
+        # are those of a fresh context for every record.
         cfg = hv.sweep.default_config() if raw is None else parse_config(raw)
         recs = default_sweep[1] if raw is None else run_sweep(cfg)
-        monkeypatch.setattr(hv.sweep._ModelContext, "flags",
-                            lambda ctx, bound, s, q: hv.sweep.hypothesis_flags(
-                                bound, ctx.model, ctx.a, ctx.b, s, q, ctx.check_cfg))
+        fresh_context_per_record(monkeypatch)
         uncached = run_sweep(cfg)
         assert records_equal(recs, uncached)
         assert records_text(recs, "csv") == records_text(uncached, "csv")

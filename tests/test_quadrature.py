@@ -157,6 +157,17 @@ def test_bisection_near_the_top_of_the_range():
     assert HUGE[0] <= nodes.min() and nodes.max() <= HUGE[1]
 
 
+def test_error_share_near_the_top_of_the_range():
+    # The same Lorentzian at height 1: its integral, about 3e306, times a
+    # panel's width overflows, so a panel's share of the error target
+    # must be taken as a fraction of the span first.
+    w, c = 1e306, 1.35e308
+    res = integrate(lambda x: 1.0 / (1.0 + ((x - c) / w) ** 2), *HUGE)
+    exact = w * (math.atan((HUGE[1] - c) / w) - math.atan((HUGE[0] - c) / w))
+    assert res.subdivisions > 0
+    assert res.value == pytest.approx(exact, rel=1e-12)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         integrate(lambda t: 1.0, 1.0, 0.0)

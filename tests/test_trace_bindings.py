@@ -49,7 +49,8 @@ def test_tracer_bindings_resolve_and_count():
     finally:
         t.uninstall()
     for key in ("bounds.rhs_calls", "means.calls", "convexity.class_checks",
-                "convexity.convex_checks", "tightness.evals"):
+                "convexity.convex_checks", "tightness.evals",
+                "tightness.lhs_share"):
         assert metrics[key] > 0, key
     for mod_name, attr, _ in tracer.BINDINGS:
         fn = getattr(getattr(hhverify, mod_name), attr)

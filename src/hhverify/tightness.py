@@ -9,8 +9,16 @@ With ``require_hypotheses=True`` (the default) only parameter points whose
 hypothesis report fully passes are feasible; EmptyFeasibleSetError if the
 box contains none.  With False the search measures the raw ratio anywhere
 the bound evaluates, which is how behaviour outside the stated
-preconditions is quantified.  A point whose evaluation raises is
-infeasible too; ``TightnessResult.errors`` counts those exceptions by type.
+preconditions is quantified.
+
+The search keeps a point only if its ratio beats the best so far, and the
+best never falls, so a point's hypothesis flags matter only where its
+ratio can become the best.  Until a feasible point is known every point
+reads its flags first (and a required point that fails them skips lhs and
+rhs); after that a point computes lhs and rhs first and reads its flags
+only if its ratio beats the best.  A point whose flags or sides raise where
+they are read is infeasible; ``TightnessResult.errors`` counts those
+exceptions by type.
 """
 
 from __future__ import annotations
@@ -50,16 +58,19 @@ class TightnessResult:
     # True when the best point passes its hypotheses and fails sweep.holds;
     # such a point is a violation finding, not a tightness result.
     violation: bool = False
-    # Exceptions the objective turned into "infeasible", counted by type.
+    # Exceptions the objective turned into "infeasible", counted by type:
+    # those of the flags and sides it read, so not a flags error at a point
+    # whose ratio could not beat the best.
     errors: Mapping[str, int] = field(default_factory=dict)
 
 
 def _range(box: Mapping, key: str, default: float) -> tuple[float, float]:
     """box[key] as (lo, hi); a scalar fixes the parameter."""
     v = box.get(key, default)
-    if isinstance(v, (int, float)):
-        return (float(v), float(v))
-    lo, hi = float(v[0]), float(v[1])
+    lo, hi = (v, v) if isinstance(v, (int, float)) else (v[0], v[1])
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"box.{key}: need finite bounds, got ({lo}, {hi})")
     if lo > hi:
         raise ValueError(f"box.{key}: need lo <= hi, got ({lo}, {hi})")
     return (lo, hi)
@@ -70,12 +81,21 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
                        coarse_points: int = 5, max_iters: int = 60) -> TightnessResult:
     """Maximize lhs/rhs for one bound over a parameter box.
 
-    ``box`` maps "a"/"b"/"s"/"q" to (lo, hi) ranges or fixed scalars; an
-    s or q axis the bound does not use is fixed where ``bound.point`` puts
-    it.  Deterministic for fixed arguments.
+    ``box`` maps "a"/"b"/"s"/"q" to finite (lo, hi) ranges or fixed
+    scalars; an s or q axis the bound does not use is fixed where
+    ``bound.point`` puts it.  ``coarse_points`` (at least 2) seeds each
+    ranged axis.  Deterministic for fixed arguments.
+
+    Each evaluated point reads its flags at most once, and only where its
+    ratio can become the best (see the module docstring).  So once a
+    feasible point is known, a point the flags would reject still pays for
+    its lhs: a quadrature that straddles a pole spends the whole
+    subdivision budget before it raises.
     """
     if theorem not in SEARCH_TAGS:
         raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(SEARCH_TAGS)})")
+    if coarse_points < 2:
+        raise ValueError(f"coarse_points: need at least 2, got {coarse_points}")
     bound = BOUND_TABLE[theorem]
     # q = 2 stands for any q > 1. A q <= 1 stays in a q > 1 bound's box, infeasible.
     ranges = [_range(box, "a", 0.0), _range(box, "b", 0.0),
@@ -85,15 +105,20 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     evals = 0
     errors: Counter[str] = Counter()
 
-    def objective(a: float, b: float, s: float, q: float) -> tuple[float, bool, bool]:
-        """(ratio, hypotheses_pass, violation); ratio -inf when infeasible.
-        Points equal to 12 decimals are evaluated once."""
+    def objective(a: float, b: float, s: float, q: float,
+                  floor: float) -> tuple[float, bool, bool]:
+        """(ratio, hypotheses_pass, violation); ratio -inf when infeasible,
+        and both flags False when the ratio did not beat ``floor``.  Points
+        equal to 12 decimals are evaluated once."""
         key = (round(a, 12), round(b, 12), round(s, 12), round(q, 12))
         if key not in cache:
-            cache[key] = evaluate(a, b, s, q)
+            cache[key] = evaluate(a, b, s, q, floor)
         return cache[key]
 
-    def evaluate(a: float, b: float, s: float, q: float) -> tuple[float, bool, bool]:
+    def evaluate(a: float, b: float, s: float, q: float,
+                 floor: float) -> tuple[float, bool, bool]:
+        """The point's value, with flags read only where they can matter:
+        ``floor`` is the best ratio so far, and the best only rises."""
         nonlocal evals
         infeasible = (-math.inf, False, False)
         if not all(lo <= v <= hi for v, (lo, hi) in zip((a, b, s, q), ranges)):
@@ -105,14 +130,24 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         evals += 1
         ctx = ModelContext(model, _TOLERANCES, _CHECK_CFG, a, b)
         try:
-            hyp_ok = all(ctx.flags(bound, s, q))
-            if require_hypotheses and not hyp_ok:
+            # With nothing to beat yet any ratio needs the flags: read them
+            # first, and spare the sides of a required point that fails them.
+            hyp_ok = all(ctx.flags(bound, s, q)) if floor == -math.inf else None
+            if require_hypotheses and hyp_ok is False:
                 return infeasible
             lhs, rhs = ctx.sides(bound, s, q)
+            ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
+            # A ratio that does not beat the floor is never chosen, now or
+            # later, so its flags would change nothing.
+            if not ratio > floor:
+                return (ratio, False, False)
+            if hyp_ok is None:
+                hyp_ok = all(ctx.flags(bound, s, q))
+                if require_hypotheses and not hyp_ok:
+                    return infeasible
         except Exception as e:
             errors[type(e).__name__] += 1
             return infeasible
-        ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
         return (ratio, hyp_ok, hyp_ok and not holds(lhs, rhs))
 
     def axis(lo: float, hi: float) -> list[float]:
@@ -124,7 +159,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     best = (-math.inf, False, False)
     best_pt = None
     for pt in itertools.product(*(axis(lo, hi) for lo, hi in ranges)):
-        val = objective(*pt)
+        val = objective(*pt, best[0])
         if val[0] > best[0]:
             best, best_pt = val, pt
     if best_pt is None or best[0] == -math.inf:
@@ -145,7 +180,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
             for sign in (1.0, -1.0):
                 cand = list(pt)
                 cand[i] += sign * steps[i]
-                val = objective(*cand)
+                val = objective(*cand, best[0])
                 if val[0] > best[0]:
                     best, pt, improved = val, cand, True
         if not improved:

@@ -440,6 +440,13 @@ class TestTightnessCli:
         code, out, _ = run(base + ["--b-range", "1.01,1.02"], capsys)
         assert code == 0 and "errors" not in out
 
+    def test_non_finite_range_exit_1(self, capsys):
+        code, out, err = run(["tightness", "--theorem", "eq10",
+                              "--f", "1/x", "--domain", "1,2",
+                              "--a-range", "1,inf", "--b-range", "1.6,2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: box.a: need finite bounds, got (1.0, inf)\n"
+
     def test_infeasible_exit_1(self, capsys):
         code, _, err = run(["tightness", "--theorem", "eq10",
                             "--builtin", "exp", "--rate", "1", "--domain", "1,2",

@@ -395,8 +395,13 @@ class TestTightness:
     MODELS = {"exp": lambda: hv.exp_model(1.0, 1.0, 2.0),
               "power": lambda: hv.power_model(0.5, 1e-3, 1.0),
               "1 - ln(x)": lambda: hv.model_from_expr("1 - ln(x)", 1.0, 2.0),
-              "1/x": lambda: hv.model_from_expr("1/x", 1.0, 2.0)}
+              "1/x": lambda: hv.model_from_expr("1/x", 1.0, 2.0),
+              "1/x on [0.5, 2]": lambda: hv.model_from_expr("1/x", 0.5, 2.0),
+              "(x-1)^4/4 + 2*x": lambda: hv.model_from_expr("(x-1)^4/4 + 2*x", 0.5, 2.0)}
     AB = {"a": (1.0, 1.4), "b": (1.6, 2.0)}
+    # Boxes that cross a feasibility cliff: |f'(a)| <= 1 fails for 1/x below
+    # a = 1, and |f'| = |(x-1)^3 + 2| stops decreasing at x = 1.
+    CLIFF = {"a": (0.5, 1.5), "b": (1.6, 2.0)}
     ONE, TWO = "0x1.0000000000000p+0", "0x1.0000000000000p+1"
     PINNED = [
         (("eq8", "exp", AB, True),
@@ -420,6 +425,47 @@ class TestTightness:
         (("eq111", "1/x", {**AB, "q": 1.7}, True),
          ("0x1.9ae71f9b551f9p-2", ONE, TWO, ONE, "0x1.b333333333333p+0",
           57, True, False)),
+        (("eq10", "1/x on [0.5, 2]", CLIFF, True),
+         ("0x1.9e983deffaab2p-2", ONE, TWO, ONE, ONE, 76, True, False)),
+        (("eq8", "(x-1)^4/4 + 2*x", CLIFF, True),
+         ("0x1.00a9262832b58p-3", "0x1.3992200000000p+0", TWO, ONE, ONE,
+          72, True, False)),
+    ]
+
+    # The tightness-search benchmark's batch at seed 1, inlined: (search,
+    # (ratio, a, b, s, q, trace_len, hypotheses_pass, violation, errors)).
+    BENCH_SEED1 = [
+        (("eq8", {"expr": "1/x", "domain": [1.0, 2.0]},
+          {"a": [1.0, 1.23359106103], "b": [1.58814156577, 2.0]}, True),
+         ("0x1.749734049e733p-2", ONE, TWO, ONE, ONE, 57, True, False, {})),
+        (("eq10", {"expr": "1/x", "domain": [1.0, 2.0]},
+          {"a": [1.0, 1.39094365474], "b": [1.73623274357, 2.0]}, True),
+         ("0x1.9e983deffaab2p-2", ONE, TWO, ONE, ONE, 57, True, False, {})),
+        (("eq111", {"expr": "1/x", "domain": [1.0, 2.0]},
+          {"a": [1.0, 1.32385877177], "b": [1.6876272338, 2.0], "q": 2.30318594545},
+          True),
+         ("0x1.97d3eb62c3519p-2", ONE, TWO, ONE, "0x1.26cecc0c28448p+1",
+          57, True, False, {})),
+        (("eq8", {"expr": "1 - ln(x)", "domain": [1.0, 2.0]},
+          {"a": [1.0, 1.39718083778], "b": [1.77653510331, 2.0]}, True),
+         ("0x1.b1db5349c932bp-3", ONE, TWO, ONE, ONE, 57, True, False, {})),
+        (("eq10", {"expr": "1 - ln(x)", "domain": [1.0, 2.0]},
+          {"a": [1.0, 1.20708686913], "b": [1.59105872402, 2.0]}, True),
+         ("0x1.beac073aa89bcp-3", ONE, TWO, ONE, ONE, 57, True, False, {})),
+        (("eq111", {"expr": "1 - ln(x)", "domain": [1.0, 2.0]},
+          {"a": [1.0, 1.30819176698], "b": [1.60942997939, 2.0], "q": 1.0042121067},
+          True),
+         ("0x1.beaa6f209d0c3p-3", ONE, TWO, ONE, "0x1.01140b6c86155p+0",
+          57, True, False, {})),
+        (("eq11", {"builtin": "exp", "rate": 1.0, "domain": [1.0, 2.0]},
+          {"a": [1.0, 1.31134679851], "b": [1.61961499191, 2.0],
+           "s": 0.614381110635, "q": 3.86317673888}, False),
+         ("0x1.5cb3cf1c33a32p-3", ONE, TWO, "0x1.3a902932ea3b3p-1",
+          "0x1.ee7c934c142a0p+1", 57, False, False, {})),
+        (("eq10", {"builtin": "power", "s": 0.5, "domain": [0.001, 1.0]},
+          {"a": [0.001, 0.281285491522], "b": [0.79082300509, 1.0], "s": 0.5}, False),
+         ("0x1.17855a6eb260bp-1", "0x1.2f7d1ea99eb86p-7", "0x1.94e6c0bf926d8p-1",
+          "0x1.0000000000000p-1", ONE, 70, False, False, {})),
     ]
 
     def test_swallowed_errors_are_counted(self):
@@ -441,6 +487,109 @@ class TestTightness:
                                  require_hypotheses=require)
         assert (res.ratio.hex(), *(float(res.params[k]).hex() for k in "absq"),
                 res.trace_len, res.hypotheses_pass, res.violation) == expected
+
+    @pytest.mark.parametrize("search, expected", BENCH_SEED1,
+                             ids=[f"{i}-{case[0][0]}" for i, case in enumerate(BENCH_SEED1)])
+    def test_benchmark_batch_pinned(self, search, expected):
+        theorem, spec, box, require = search
+        res = optimize_tightness(theorem, hv.models.model_from_spec(spec), box,
+                                 require_hypotheses=require)
+        assert (res.ratio.hex(), *(float(res.params[k]).hex() for k in "absq"),
+                res.trace_len, res.hypotheses_pass, res.violation,
+                res.errors) == expected
+
+    def test_flags_read_only_where_the_ratio_can_become_best(self, monkeypatch):
+        # Each point reads its flags at most once: while no feasible point is
+        # known, or after its lhs and rhs gave a ratio above the best so far.
+        events = []
+        flags, sides = ModelContext.flags, ModelContext.sides
+
+        def spy_flags(ctx, *args):
+            out = flags(ctx, *args)
+            events.append(("flags", ctx, all(out)))
+            return out
+
+        def spy_sides(ctx, *args):
+            lhs, rhs = sides(ctx, *args)
+            events.append(("sides", ctx, lhs / rhs))
+            return lhs, rhs
+
+        monkeypatch.setattr(ModelContext, "flags", spy_flags)
+        monkeypatch.setattr(ModelContext, "sides", spy_sides)
+        res = optimize_tightness("eq10", self.MODELS["1/x on [0.5, 2]"](), self.CLIFF)
+        # Replay the search: a point becomes the best once its flags pass
+        # and its ratio beats the best.
+        # The events hold their contexts, so no two share an id.
+        best, ratio_of, ok_of = -math.inf, {}, {}
+        for kind, ctx, value in events:
+            key = id(ctx)
+            if kind == "flags":
+                assert key not in ok_of
+                assert best == -math.inf or ratio_of[key] > best
+                ok_of[key] = value
+            else:
+                ratio_of[key] = value
+            if ok_of.get(key) and ratio_of.get(key, -math.inf) > best:
+                best = ratio_of[key]
+        assert best == res.ratio
+        assert (len(ok_of), sum(not ok for ok in ok_of.values())) == (32, 27)
+        assert res.trace_len == 76
+
+    def test_infeasible_pole_box_never_reaches_the_sides(self, monkeypatch):
+        # Every point straddles the pole at 1.51, so no flags pass and no
+        # feasible point is ever known: no quadrature runs into the pole.
+        # The spy raises (the search counts it) rather than spend the
+        # quadrature's whole subdivision budget there.
+        sided = []
+
+        def no_sides(ctx, *args):
+            sided.append((ctx.a, ctx.b))
+            raise ArithmeticError("sides called")
+
+        monkeypatch.setattr(ModelContext, "sides", no_sides)
+        m = hv.model_from_expr("1/(x-1.51)", 1.0, 2.0)
+        with pytest.raises(EmptyFeasibleSetError):
+            optimize_tightness("eq8", m, {"a": (1.0, 1.3), "b": (1.7, 2.0)})
+        assert sided == []
+
+    def test_errors_count_what_the_search_reads(self, monkeypatch):
+        # Flags that pass at a <= 1.004 only while b < 1.05, and raise beyond.
+        # The first point (a = 1, b = 1.01) is feasible.  After it:
+        # - a point with a > 1.004 computes its sides first, and its ratio
+        #   never beats the best, so its flags error is not counted;
+        # - a required point with b >= 1.05 computes its sides first too,
+        #   and the rhs of x^300/300 overflows there, which is counted
+        #   although its flags would fail.
+        def flags(ctx, bound, s, q):
+            if ctx.a > 1.004:
+                raise RuntimeError("check failed")
+            return (ctx.b < 1.05, True, True)
+
+        sided = []
+        sides = ModelContext.sides
+
+        def spy_sides(ctx, *args):
+            sided.append(ctx.a)
+            return sides(ctx, *args)
+
+        monkeypatch.setattr(ModelContext, "flags", flags)
+        monkeypatch.setattr(ModelContext, "sides", spy_sides)
+        m = hv.model_from_expr("x^300/300", 1.0, 10.0)
+        res = optimize_tightness("eq10", m, {"a": (1.0, 1.008), "b": (1.01, 1.5)})
+        assert any(a > 1.004 for a in sided)
+        assert res.errors == {"OutOfRangeError": 20}
+        assert (res.params["a"], res.ratio.hex(), res.trace_len) == (
+            1.0, "0x1.04a076732c396p+0", 72)
+
+    @pytest.mark.parametrize("kwargs", [{"coarse_points": 1}, {"coarse_points": 0},
+                                        {"box": {"a": (1.0, math.inf), "b": (1.6, 2.0)}},
+                                        {"box": {"a": (math.nan, 1.3), "b": (1.6, 2.0)}},
+                                        {"box": {**AB, "s": math.nan}}],
+                             ids=["coarse1", "coarse0", "a-inf", "a-nan", "s-nan"])
+    def test_bad_arguments_rejected(self, kwargs):
+        kwargs = {"box": self.AB, **kwargs}
+        with pytest.raises(ValueError):
+            optimize_tightness("eq10", self.MODELS["1/x"](), **kwargs)
 
 
     # A range on an axis the bound does not use changes nothing; the result

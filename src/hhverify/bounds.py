@@ -13,6 +13,12 @@ classical baselines (|f'| convex resp. |f'|^q convex via Holder); eq10,
 eq11 and eq111 are the derivative-ratio bounds for the s-geometrically
 convex class (plain, Holder-split and power-mean-split routes).
 
+Every right-hand side reads f only through the endpoint magnitudes
+fa = |f'(a)| and fb = |f'(b)|, so the evaluators are plain formulas over
+numbers and none takes the model: the rhs_* take (a, b, fa, fb) and the
+bound's own s, q or p, the factor_* take (fa, fb) and s, q.
+``sweep.ModelContext`` evaluates fa and fb once per (model, a, b).
+
 The evaluators compute values unconditionally; hypothesis gating is the
 harness's job, since measuring what happens outside the stated
 preconditions is part of the toolkit's purpose.
@@ -21,8 +27,6 @@ preconditions is part of the toolkit's purpose.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import OutOfRangeError
 from .gfuncs import ALPHA_MAX, ALPHA_MIN, g_full, g_lower, g_upper
@@ -83,34 +87,27 @@ def alpha_ratio(fprime_a_abs: float, fprime_b_abs: float,
     return math.exp(ln_alpha)
 
 
-def _derivative_mags(m, a: float, b: float) -> tuple[float, float]:
-    return float(np.abs(m.fprime(a))), float(np.abs(m.fprime(b)))
-
-
-def factor_abs(m, a: float, b: float, s: float) -> float:
+def factor_abs(fa: float, fb: float, s: float) -> float:
     """|f'(b)|^s * (g_lower + g_upper) at alpha(s, s)."""
-    fa, fb = _derivative_mags(m, a, b)
     al = alpha_ratio(fa, fb, s, s)
     return fb ** s * (g_lower(al).value + g_upper(al).value)
 
 
-def factor_holder(m, a: float, b: float, s: float, q: float) -> float:
+def factor_holder(fa: float, fb: float, s: float, q: float) -> float:
     """|f'(b)|^s * g_full(alpha(s*q, s*q))^(1/q); requires q > 1."""
     if not q > 1.0:
         raise ValueError(f"need q > 1, got {q}")
-    fa, fb = _derivative_mags(m, a, b)
     al = alpha_ratio(fa, fb, s * q, s * q)
     return fb ** s * g_full(al).value ** (1.0 / q)
 
 
-def factor_power_mean(m, a: float, b: float, s: float, q: float) -> float:
+def factor_power_mean(fa: float, fb: float, s: float, q: float) -> float:
     """|f'(b)|^s * (g_lower^(1/q) + g_upper^(1/q)) at alpha(s*q, s*q); q >= 1.
 
     At q = 1 this collapses to factor_abs evaluated at alpha(s, s).
     """
     if not q >= 1.0:
         raise ValueError(f"need q >= 1, got {q}")
-    fa, fb = _derivative_mags(m, a, b)
     al = alpha_ratio(fa, fb, s * q, s * q)
     inv_q = 1.0 / q
     return fb ** s * (g_lower(al).value ** inv_q + g_upper(al).value ** inv_q)
@@ -123,45 +120,43 @@ def conjugate_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
-def rhs_eq10(m, a: float, b: float, s: float) -> float:
+def rhs_eq10(a: float, b: float, fa: float, fb: float, s: float) -> float:
     """(b-a)/2 times the plain-route factor."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
-    return 0.5 * (b - a) * factor_abs(m, a, b, s)
+    return 0.5 * (b - a) * factor_abs(fa, fb, s)
 
 
-def rhs_eq11(m, a: float, b: float, s: float, q: float) -> float:
+def rhs_eq11(a: float, b: float, fa: float, fb: float, s: float, q: float) -> float:
     """(b-a)/(2*(p+1)^(1/p)) times the Holder-route factor, 1/p + 1/q = 1."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
     p = conjugate_exponent(q)
-    return (b - a) / (2.0 * (p + 1.0) ** (1.0 / p)) * factor_holder(m, a, b, s, q)
+    return (b - a) / (2.0 * (p + 1.0) ** (1.0 / p)) * factor_holder(fa, fb, s, q)
 
 
-def rhs_eq111(m, a: float, b: float, s: float, q: float) -> float:
+def rhs_eq111(a: float, b: float, fa: float, fb: float, s: float, q: float) -> float:
     """(b-a)/2 * (1/4)^(1 - 1/q) times the power-mean-route factor."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
     if not q >= 1.0:
         raise ValueError(f"need q >= 1, got {q}")
     pref = 0.5 * (b - a) * 0.25 ** (1.0 - 1.0 / q)
-    return pref * factor_power_mean(m, a, b, s, q)
+    return pref * factor_power_mean(fa, fb, s, q)
 
 
-def rhs_eq8(m, a: float, b: float) -> float:
+def rhs_eq8(a: float, b: float, fa: float, fb: float) -> float:
     """Classical baseline for |f'| convex: (b-a)(|f'(a)| + |f'(b)|)/8."""
-    fa, fb = _derivative_mags(m, a, b)
     return (b - a) * (fa + fb) / 8.0
 
 
-def rhs_eq9(m, a: float, b: float, p: float) -> float:
+def rhs_eq9(a: float, b: float, fa: float, fb: float, p: float) -> float:
     """Classical Holder baseline for |f'|^(p/(p-1)) convex, p > 1:
 
         (b-a)/(2*(p+1)^(1/p)) * ((|f'(a)|^q + |f'(b)|^q)/2)^(1/q),  q = p/(p-1)
     """
     if not p > 1.0:
         raise ValueError(f"need p > 1, got {p}")
-    fa, fb = _derivative_mags(m, a, b)
     q = p / (p - 1.0)
     mean_q = 0.5 * (fa ** q + fb ** q)
     return (b - a) / (2.0 * (p + 1.0) ** (1.0 / p)) * mean_q ** (1.0 / q)

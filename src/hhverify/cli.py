@@ -129,6 +129,8 @@ def cmd_eval_bound(args) -> int:
     print(f"{tag}: lhs={lhs:.12g} rhs={rhs:.12g} gap={rhs - lhs:.12g} "
           f"ratio={make_ratio(lhs, rhs):.12g}")
     print("hypotheses: class={} monotone={} fprime_a_le_1={}".format(*flags))
+    if not bound.is_prop:  # the propositions' rhs does not read f'
+        print("fprime: |f'(a)|={:.12g} |f'(b)|={:.12g}".format(*ctx.fprime_ends))
     if sweep.verdict(flags, lhs, rhs) == "violation":
         print("VIOLATION")
         return 2

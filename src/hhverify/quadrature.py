@@ -112,13 +112,16 @@ def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
 
 
 def integrate(g: Callable[[float], float], lo: float, hi: float,
-              tol: float = 1e-10, max_subdivisions: int = 1_000_000) -> QuadResult:
+              tol: float = 1e-10, max_subdivisions: int = 10_000) -> QuadResult:
     """Integrate g over [lo, hi] by adaptive bisection of GK15 panels.
 
     Deterministic given its inputs.  Raises ValueError unless lo < hi
     and hi - lo is finite; NonFiniteSample and OverflowError as in the
     module docstring; MaxSubdivisionsExceeded (with the best estimate) if
     the budget or the width floor stops refinement short of the target.
+    The default budget of 10,000 bisections is far above what a smooth
+    integrand needs, and a non-integrable pole spends it in a fraction of
+    a second.
     """
     lo = float(lo)
     hi = float(hi)

@@ -27,6 +27,9 @@ CSV_COLUMNS = ["model", "theorem", "a", "b", "s", "q", "lhs", "rhs", "gap",
 
 VERDICTS = ("pass", "violation", "outside-hypotheses", "eval-error")
 
+# Each column with its JSON key, quoted once.
+_JSON_KEYS = [(c, json.dumps(c)) for c in CSV_COLUMNS]
+
 
 @dataclass
 class BoundRecord:
@@ -93,7 +96,7 @@ def records_text(records: list[BoundRecord], fmt: str) -> str:
     # Hand-rolled so float formatting is exactly 17 significant digits.
     rows = []
     for r in rs:
-        parts = [f"{json.dumps(c)}: {_cell(r, c, fmt)}" for c in CSV_COLUMNS]
+        parts = [f"{key}: {_cell(r, c, fmt)}" for c, key in _JSON_KEYS]
         rows.append("  {" + ", ".join(parts) + "}")
     return "{\"records\": [\n" + ",\n".join(rows) + "\n]}\n"
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import bounds, means
 from .convexity import AbsPower, ClassCheckConfig, is_convex, theorem_hypotheses
 from .errors import ConfigError
@@ -169,15 +171,16 @@ def default_config() -> SweepConfig:
 class BoundSpec:
     """How one bound is evaluated, gated and swept.
 
-    ``gate`` is "convex" (|f'|^q convex, the classical baselines' only
-    hypothesis, which a pass of |f'| convex implies for every q >= 1; see
-    ``ModelContext.flags``) or "bundle" (``theorem_hypotheses``, checked at
-    q = 1 because q drops out of it; see ``gate_point``).  ``q_rule`` is "1"
-    (q = 1 only), ">1" (q > 1 only) or "all" (every q).  The
-    special-means propositions carry ``identity``, which returns their
-    identity-check discrepancy tags.
+    ``rhs(ctx, s, q)`` is the bound's right-hand side at (s, q) on the
+    ModelContext ``ctx``.  ``gate`` is "convex" (|f'|^q convex, the
+    classical baselines' only hypothesis, which a pass of |f'| convex
+    implies for every q >= 1; see ``ModelContext.flags``) or "bundle"
+    (``theorem_hypotheses``, checked at q = 1 because q drops out of it;
+    see ``gate_point``).  ``q_rule`` is "1" (q = 1 only), ">1" (q > 1
+    only) or "all" (every q).  The special-means propositions carry
+    ``identity``, which returns their identity-check discrepancy tags.
     """
-    rhs: Callable              # rhs(model, a, b, s, q)
+    rhs: Callable              # rhs(ctx, s, q), ctx a ModelContext
     gate: str
     over_s: bool               # swept over s; otherwise s = 1
     q_rule: str
@@ -253,24 +256,29 @@ def _tags33(a: float, b: float, s: float, q: float, tol: float) -> list[str]:
 
 # Every bound the toolkit checks, in THEOREM_TAGS order.  The rhs lambdas
 # look their evaluator up on the module at call time, so a patched
-# bounds.rhs_* or means.prop*_rhs reaches every caller.
+# bounds.rhs_* or means.prop*_rhs reaches every caller.  The bounds on f
+# read it through ctx.fprime_ends alone; the propositions never evaluate f'.
 BOUND_TABLE: dict[str, BoundSpec] = {
-    "eq8": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq8(m, a, b),
+    "eq8": BoundSpec(lambda ctx, s, q: bounds.rhs_eq8(
+                         ctx.a, ctx.b, *ctx.fprime_ends),
                      "convex", False, "1"),
-    "eq9": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq9(
-                         m, a, b, bounds.conjugate_exponent(q)),
+    "eq9": BoundSpec(lambda ctx, s, q: bounds.rhs_eq9(
+                         ctx.a, ctx.b, *ctx.fprime_ends, bounds.conjugate_exponent(q)),
                      "convex", False, ">1"),
-    "eq10": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq10(m, a, b, s),
+    "eq10": BoundSpec(lambda ctx, s, q: bounds.rhs_eq10(
+                          ctx.a, ctx.b, *ctx.fprime_ends, s),
                       "bundle", True, "1"),
-    "eq11": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq11(m, a, b, s, q),
+    "eq11": BoundSpec(lambda ctx, s, q: bounds.rhs_eq11(
+                          ctx.a, ctx.b, *ctx.fprime_ends, s, q),
                       "bundle", True, ">1"),
-    "eq111": BoundSpec(lambda m, a, b, s, q: bounds.rhs_eq111(m, a, b, s, q),
+    "eq111": BoundSpec(lambda ctx, s, q: bounds.rhs_eq111(
+                           ctx.a, ctx.b, *ctx.fprime_ends, s, q),
                        "bundle", True, "all"),
-    "prop41": BoundSpec(lambda m, a, b, s, q: means.prop41_rhs(a, b, s),
+    "prop41": BoundSpec(lambda ctx, s, q: means.prop41_rhs(ctx.a, ctx.b, s),
                         "bundle", True, "1", _tags41),
-    "prop32": BoundSpec(lambda m, a, b, s, q: means.prop32_rhs(a, b, s, q),
+    "prop32": BoundSpec(lambda ctx, s, q: means.prop32_rhs(ctx.a, ctx.b, s, q),
                         "bundle", True, ">1", _tags32),
-    "prop33": BoundSpec(lambda m, a, b, s, q: means.prop33_rhs(a, b, s, q),
+    "prop33": BoundSpec(lambda ctx, s, q: means.prop33_rhs(ctx.a, ctx.b, s, q),
                         "bundle", True, "all", _tags33),
 }
 
@@ -293,11 +301,13 @@ def _fresh(e: Exception) -> Exception:
 class ModelContext:
     """One model on one interval [a, b]: the one evaluator of a bound there,
     for a sweep's visit, an ``eval-bound`` point or a search point.  The
-    quadratures run once, and the flags once per gate point, so one s
-    serves every q of the "bundle" bounds, and eq9 reads eq8's |f'| convex
-    check from here.  A check that raised is cached as its exception with
-    no traceback (its frames hold the check's arrays), and each raise is of
-    a fresh copy: a traceback on the cached one would hold this context."""
+    quadratures run once, |f'| at a and b once for every right-hand side
+    (``fprime_ends``), and the flags once per gate point, so one s serves
+    every q of the "bundle" bounds, and eq9 reads eq8's |f'| convex check
+    from here; each when it is first read.  A check that raised is cached
+    as its exception with no traceback (its frames hold the check's
+    arrays), and each raise is of a fresh copy: a traceback on the cached
+    one would hold this context."""
     model: FunctionModel
     tolerances: Tolerances
     check_cfg: ClassCheckConfig
@@ -309,6 +319,12 @@ class ModelContext:
     def lhs(self) -> float:
         return bounds.trapezoid_mean_gap(self.model, self.a, self.b,
                                          tol=self.tolerances.quad_tol)
+
+    @cached_property
+    def fprime_ends(self) -> tuple[float, float]:
+        """(|f'(a)|, |f'(b)|), the only view of f any right-hand side takes."""
+        return (float(np.abs(self.model.fprime(self.a))),
+                float(np.abs(self.model.fprime(self.b))))
 
     @cached_property
     def gap_residual(self) -> float:
@@ -356,7 +372,7 @@ class ModelContext:
     def sides(self, bound: BoundSpec, s: float, q: float) -> tuple[float, float]:
         """(lhs, rhs) of a bound at (s, q); a proposition's lhs is prop_lhs."""
         lhs = means.prop_lhs(self.a, self.b, s) if bound.is_prop else self.lhs
-        return lhs, bound.rhs(self.model, self.a, self.b, s, q)
+        return lhs, bound.rhs(self, s, q)
 
 
 def verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:

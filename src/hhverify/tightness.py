@@ -89,8 +89,8 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     Each evaluated point reads its flags at most once, and only where its
     ratio can become the best (see the module docstring).  So once a
     feasible point is known, a point the flags would reject still pays for
-    its lhs: a quadrature that straddles a pole spends the whole
-    subdivision budget before it raises.
+    its lhs: a quadrature that straddles a pole spends its whole budget of
+    10,000 subdivisions, a fraction of a second, before it raises.
     """
     if theorem not in SEARCH_TAGS:
         raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(SEARCH_TAGS)})")

@@ -15,6 +15,11 @@ def direct_model(name, lo, hi, f, fprime):
     return make_model(name, lo, hi, f, fprime)
 
 
+def ends(m, a, b):
+    """(|f'(a)|, |f'(b)|) of the model, the numbers the evaluators take."""
+    return float(np.abs(m.fprime(a))), float(np.abs(m.fprime(b)))
+
+
 @pytest.fixture(scope="module")
 def square():
     # x^2 on (~0, 1]; lo is epsilon-close to 0 so closed forms for [0, 1] apply
@@ -103,13 +108,13 @@ class TestFactors:
         m = model_from_expr("x", 0.5, 2.0)
         # alpha = 1, g_lower + g_upper = 1/2
         for s in (0.3, 1.0):
-            assert hv.factor_abs(m, 0.5, 2.0, s) == pytest.approx(0.5, rel=1e-14)
+            assert hv.factor_abs(*ends(m, 0.5, 2.0), s) == pytest.approx(0.5, rel=1e-14)
 
     def test_exp_model_composition(self):
         # |f'(b)| = e^-2, alpha(1,1) = e
         m = exp_model(1.0, 1.0, 2.0)
         expected = math.exp(-2.0) * (4.0 * math.sqrt(E) - 3.0 - E)
-        assert hv.factor_abs(m, 1.0, 2.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert hv.factor_abs(*ends(m, 1.0, 2.0), 1.0) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.118635349712, rel=1e-10)
 
     def test_branch_continuity_through_alpha_one(self):
@@ -119,37 +124,37 @@ class TestFactors:
             m = make_model("tilt", 0.5, 2.0,
                            f=lambda x, c=eps: np.asarray(x, float) ** (1.0 + c) / (1.0 + c),
                            fprime=lambda x, c=eps: np.asarray(x, float) ** c)
-            vals.append(hv.factor_abs(m, 0.5, 2.0, 1.0))
+            vals.append(hv.factor_abs(*ends(m, 0.5, 2.0), 1.0))
         for prev, nxt in zip(vals, vals[1:]):
             assert abs(nxt - prev) <= 1e-3
         assert all(abs(v - 0.5) < 1e-3 for v in vals)
 
     def test_unit_derivatives_holder(self):
         m = model_from_expr("x", 0.5, 2.0)
-        assert hv.factor_holder(m, 0.5, 2.0, 0.5, 2.0) == pytest.approx(1.0, rel=1e-14)
+        assert hv.factor_holder(*ends(m, 0.5, 2.0), 0.5, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_power_holder_chain(self):
         # alpha(sq, sq) = sqrt(3); |f'(b)|^s = 0.75^-0.25
         m = power_model(0.5)
         expected = 0.75 ** -0.25 * math.sqrt((math.sqrt(3.0) - 1.0) / math.log(math.sqrt(3.0)))
-        got = hv.factor_holder(m, 0.25, 0.75, 0.5, 2.0)
+        got = hv.factor_holder(*ends(m, 0.25, 0.75), 0.5, 2.0)
         assert got == pytest.approx(expected, rel=1e-13)
         assert got == pytest.approx(1.2405037107673254, rel=1e-12)
 
     def test_holder_rejects_q_le_1(self):
         m = power_model(0.5)
         with pytest.raises(ValueError):
-            hv.factor_holder(m, 0.25, 0.75, 0.5, 1.0)
+            hv.factor_holder(*ends(m, 0.25, 0.75), 0.5, 1.0)
 
     def test_power_mean_collapses_to_abs_at_q1(self):
         m = power_model(0.5)
-        assert hv.factor_power_mean(m, 0.25, 0.75, 0.5, 1.0) == pytest.approx(
-            hv.factor_abs(m, 0.25, 0.75, 0.5), rel=1e-14)
+        assert hv.factor_power_mean(*ends(m, 0.25, 0.75), 0.5, 1.0) == pytest.approx(
+            hv.factor_abs(*ends(m, 0.25, 0.75), 0.5), rel=1e-14)
 
     def test_power_mean_unit_derivatives(self):
         m = model_from_expr("x", 0.5, 2.0)
         for q in (1.0, 2.0, 4.0):
-            assert hv.factor_power_mean(m, 0.5, 2.0, 1.0, q) == pytest.approx(
+            assert hv.factor_power_mean(*ends(m, 0.5, 2.0), 1.0, q) == pytest.approx(
                 2.0 * 0.25 ** (1.0 / q), rel=1e-14)
 
     def test_power_mean_split_integral_oracle(self):
@@ -166,7 +171,7 @@ class TestFactors:
                        0.5, 1.0, tol=1e-12).value
         assert fb ** (s * q) * hv.g_lower(al).value == pytest.approx(low, rel=1e-12)
         assert fb ** (s * q) * hv.g_upper(al).value == pytest.approx(up, rel=1e-12)
-        got = hv.factor_power_mean(m, 1.0, 2.0, s, q)
+        got = hv.factor_power_mean(*ends(m, 1.0, 2.0), s, q)
         assert got == pytest.approx(fb ** s * (hv.g_lower(al).value ** 0.5
                                                + hv.g_upper(al).value ** 0.5), rel=1e-14)
 
@@ -174,21 +179,24 @@ class TestFactors:
 class TestFullRhs:
     def test_rhs_eq10_prefactor(self):
         m = exp_model(1.0, 1.0, 2.0)
-        assert hv.rhs_eq10(m, 1.0, 2.0, 1.0) == pytest.approx(
-            0.5 * hv.factor_abs(m, 1.0, 2.0, 1.0), rel=1e-15)
+        fa, fb = ends(m, 1.0, 2.0)
+        assert hv.rhs_eq10(1.0, 2.0, fa, fb, 1.0) == pytest.approx(
+            0.5 * hv.factor_abs(fa, fb, 1.0), rel=1e-15)
 
     def test_rhs_eq11_prefactor(self):
         m = power_model(0.5)
         q = 2.0
         p = bounds.conjugate_exponent(q)
         assert p == 2.0
-        expected = 0.5 / (2.0 * 3.0 ** 0.5) * hv.factor_holder(m, 0.25, 0.75, 0.5, q)
-        assert hv.rhs_eq11(m, 0.25, 0.75, 0.5, q) == pytest.approx(expected, rel=1e-14)
+        fa, fb = ends(m, 0.25, 0.75)
+        expected = 0.5 / (2.0 * 3.0 ** 0.5) * hv.factor_holder(fa, fb, 0.5, q)
+        assert hv.rhs_eq11(0.25, 0.75, fa, fb, 0.5, q) == pytest.approx(expected, rel=1e-14)
 
     def test_rhs_eq111_q1_equals_rhs_eq10(self):
         m = power_model(0.5)
-        assert hv.rhs_eq111(m, 0.25, 0.75, 0.5, 1.0) == pytest.approx(
-            hv.rhs_eq10(m, 0.25, 0.75, 0.5), rel=1e-14)
+        fa, fb = ends(m, 0.25, 0.75)
+        assert hv.rhs_eq111(0.25, 0.75, fa, fb, 0.5, 1.0) == pytest.approx(
+            hv.rhs_eq10(0.25, 0.75, fa, fb, 0.5), rel=1e-14)
 
     def test_conjugate_exponents(self):
         assert bounds.conjugate_exponent(2.0) == 2.0
@@ -198,31 +206,32 @@ class TestFullRhs:
 
     def test_param_validation(self):
         m = power_model(0.5)
+        fa, fb = ends(m, 0.25, 0.75)
         with pytest.raises(ValueError):
-            hv.rhs_eq10(m, 0.25, 0.75, 1.5)
+            hv.rhs_eq10(0.25, 0.75, fa, fb, 1.5)
         with pytest.raises(ValueError):
-            hv.rhs_eq111(m, 0.25, 0.75, 0.5, 0.5)
+            hv.rhs_eq111(0.25, 0.75, fa, fb, 0.5, 0.5)
 
 
 class TestClassicalBaselines:
     def test_square_eq8(self, square):
-        got = hv.rhs_eq8(square, 1e-12, 1.0)
+        got = hv.rhs_eq8(1e-12, 1.0, *ends(square, 1e-12, 1.0))
         assert got == pytest.approx(0.25, abs=1e-9)
         assert got >= hv.trapezoid_mean_gap(square, 1e-12, 1.0)
 
     def test_affine_eq8(self):
         m = model_from_expr("3*x - 1", 0.5, 2.0)
         # (b-a)|c|/4 with c = 3
-        assert hv.rhs_eq8(m, 0.5, 2.0) == pytest.approx(1.5 * 6.0 / 8.0, rel=1e-14)
+        assert hv.rhs_eq8(0.5, 2.0, *ends(m, 0.5, 2.0)) == pytest.approx(1.5 * 6.0 / 8.0, rel=1e-14)
         assert hv.trapezoid_mean_gap(m, 0.5, 2.0) <= 1e-13
 
     def test_square_eq9_p2(self, square):
         # (b-a)/(2*sqrt(3)) * ((0 + 2^2)/2)^(1/2) = sqrt(2)/(2 sqrt(3)) = 1/sqrt(6)
-        got = hv.rhs_eq9(square, 1e-12, 1.0, 2.0)
+        got = hv.rhs_eq9(1e-12, 1.0, *ends(square, 1e-12, 1.0), 2.0)
         assert got == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-9)
         assert got >= 1.0 / 6.0
 
     def test_eq9_rejects_p_le_1(self):
         m = power_model(0.5)
         with pytest.raises(ValueError):
-            hv.rhs_eq9(m, 0.25, 0.75, 1.0)
+            hv.rhs_eq9(0.25, 0.75, *ends(m, 0.25, 0.75), 1.0)

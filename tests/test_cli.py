@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,11 @@ class TestEvalBound:
                 f"ratio={rec.ratio:.12g}\n") in out
         assert (f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
                 f"fprime_a_le_1={rec.hyp_fprime_a}\n") in out
+        # The magnitudes the rhs read: |f'| = x^-0.5 at 0.25 and 0.75.
+        if sweep.BOUND_TABLE[tag].is_prop:
+            assert "fprime:" not in out
+        else:
+            assert f"fprime: |f'(a)|=2 |f'(b)|={0.75 ** -0.5:.12g}\n" in out
 
 
     def test_q1_bound_gated_at_q1(self, capsys):
@@ -238,6 +244,18 @@ class TestEvalBound:
                               "--a", "1", "--b", "2"], capsys)
         assert code == 1 and out == ""
         assert err == "error: integrand not finite at x=1.25048828125\n"
+
+    def test_pole_exhausts_the_subdivision_budget_exit_1(self, capsys):
+        # 1.51 is no grid point of the check and no GK15 node bisection
+        # reaches, so the flags complete and the quadrature refines towards
+        # the pole until its 10,000-subdivision budget runs out.
+        start = time.process_time()
+        code, out, err = run(["eval-bound", "--theorem", "eq8", "--f", "1/(x-1.51)",
+                              "--domain", "1,2", "--a", "1", "--b", "2"], capsys)
+        assert time.process_time() - start < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: subdivision budget exhausted; best estimate ")
+        assert err.count("\n") == 1
 
     def test_overflowing_rhs_exit_1(self, capsys):
         # eq9's rhs raises |f'(b)|^2 = 1e598 on Python floats; the sweep

@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import gc
 import itertools
 import json
 import math
+import time
 import traceback
 import weakref
 from collections import Counter
@@ -312,13 +314,14 @@ class TestRhsQContinuity:
         m = hv.make_model("near-flat", 1.0, 2.0,
                           f=lambda x: np.power(x, expo) / expo,
                           fprime=lambda x: np.power(x, -c))
+        fa, fb = float(np.abs(m.fprime(1.0))), float(np.abs(m.fprime(2.0)))
         qs = np.linspace(1.0, 4.0, 601)
-        vals = np.array([hv.rhs_eq111(m, 1.0, 2.0, 1.0, float(q)) for q in qs])
+        vals = np.array([hv.rhs_eq111(1.0, 2.0, fa, fb, 1.0, float(q)) for q in qs])
         assert np.isfinite(vals).all()
         rel_steps = np.abs(np.diff(vals)) / np.abs(vals[:-1])
         assert rel_steps.max() <= 1e-4          # smooth overall
-        lo = hv.rhs_eq111(m, 1.0, 2.0, 1.0, 2.0 - 1e-9)
-        hi = hv.rhs_eq111(m, 1.0, 2.0, 1.0, 2.0 + 1e-9)
+        lo = hv.rhs_eq111(1.0, 2.0, fa, fb, 1.0, 2.0 - 1e-9)
+        hi = hv.rhs_eq111(1.0, 2.0, fa, fb, 1.0, 2.0 + 1e-9)
         assert abs(hi - lo) <= 1e-6 * abs(lo)   # exactly at the switch
 
 
@@ -552,6 +555,19 @@ class TestTightness:
             optimize_tightness("eq8", m, {"a": (1.0, 1.3), "b": (1.7, 2.0)})
         assert sided == []
 
+    def test_pole_box_past_a_feasible_corner(self):
+        # a = 1.55 is feasible; once it is known, the points that straddle
+        # the pole at 1.51 compute their lhs before their flags, and each
+        # such quadrature runs out of its 10,000-subdivision budget in well
+        # under a second.
+        m = hv.model_from_expr("1/(x-1.51)", 1.0, 2.0)
+        start = time.process_time()
+        res = optimize_tightness("eq8", m, {"a": (1.0, 1.55), "b": (1.6, 2.0)})
+        assert time.process_time() - start < 10.0
+        assert (res.ratio, res.trace_len, res.errors) == (
+            0.4227776301064016, 83, {"MaxSubdivisionsExceeded": 2})
+        assert res.hypotheses_pass and not res.violation
+
     def test_errors_count_what_the_search_reads(self, monkeypatch):
         # Flags that pass at a <= 1.004 only while b < 1.05, and raise beyond.
         # The first point (a = 1, b = 1.01) is feasible.  After it:
@@ -627,8 +643,10 @@ class TestHoldsAgreement:
     @pytest.mark.parametrize("offset, ok", [(1e-11, False), (1e-13, True)])
     def test_sweep_summary_and_search_agree(self, monkeypatch, offset, ok):
         gap, prop_lhs = hv.bounds.trapezoid_mean_gap, hv.means.prop_lhs
+        # Only the 1/x record is read; the rhs takes numbers, not the model.
+        inv = hv.model_from_expr("1/x", 1.0, 2.0)
         monkeypatch.setattr(hv.bounds, "rhs_eq8",
-                            lambda m, a, b: gap(m, a, b) - offset)
+                            lambda a, b, fa, fb: gap(inv, a, b) - offset)
         monkeypatch.setattr(hv.means, "prop41_rhs",
                             lambda a, b, s: prop_lhs(a, b, s) - offset)
         assert hv.sweep.holds(1.0, 1.0 - offset) == ok
@@ -873,6 +891,65 @@ class TestIntervalMajorSweep:
         run_sweep(cfg)
         assert len(intervals) == 13
         assert builds == {"_linear_cube": 13, "_geometric_cube": 13}
+
+
+class TestFprimeEnds:
+    """Every rhs reads f only through |f'(a)| and |f'(b)|, which a
+    ModelContext evaluates once, when a rhs first reads them."""
+
+    @staticmethod
+    def spy_models(monkeypatch, raise_at=None):
+        """Count each swept model's scalar f' calls; f' raises on the
+        scalar ``raise_at``."""
+        calls = Counter()
+        build = hv.sweep.model_from_spec
+
+        def spied(spec):
+            m = build(spec)
+
+            def fprime(x, inner=m.fprime, name=m.name):
+                if np.ndim(x) == 0:
+                    calls[name] += 1
+                    if x == raise_at:
+                        raise FloatingPointError(f"f' at {x}")
+                return inner(x)
+            return dataclasses.replace(m, fprime=fprime)
+        monkeypatch.setattr(hv.sweep, "model_from_spec", spied)
+        return calls
+
+    def test_default_sweep_evaluates_the_ends_once(self, monkeypatch):
+        cfg = hv.sweep.default_config()
+        calls = self.spy_models(monkeypatch)
+        records = run_sweep(cfg)
+        # Two per (model, a, b), for every rhs there, and one |f'(a)| per
+        # bundle gate point (model, a, b, s) in theorem_hypotheses.
+        visits = {(r.model, r.a, r.b) for r in records}
+        gates = {(r.model, r.a, r.b, r.s) for r in records
+                 if BOUND_TABLE[r.theorem].gate == "bundle"}
+        assert (len(visits), len(gates)) == (43, 86)
+        assert sum(calls.values()) == 2 * len(visits) + len(gates) == 172
+
+    def test_fprime_raising_at_b_fails_only_the_rhs_that_read_it(self, monkeypatch):
+        raw = {"models": [{"builtin": "power", "s": 0.5}],
+               "a_grid": [0.25], "b_grid": [0.75, 1.0], "s_grid": [0.5, 1.0],
+               "q_grid": [1.0, 2.0]}
+        plain = run_sweep(parse_config(raw))
+        self.spy_models(monkeypatch, raise_at=0.75)
+        raised = run_sweep(parse_config(raw))
+        assert len(raised) == len(plain) == 28
+        failed = 0
+        for old, new in zip(plain, raised):
+            if BOUND_TABLE[old.theorem].is_prop or old.b != 0.75:
+                assert records_equal([old], [new])
+                continue
+            # The flags read f' at a and on arrays, so they are unchanged.
+            failed += 1
+            assert (new.verdict, new.discrepancy) == ("eval-error",
+                                                      "error:FloatingPointError")
+            assert ((new.hyp_class, new.hyp_monotone, new.hyp_fprime_a)
+                    == (old.hyp_class, old.hyp_monotone, old.hyp_fprime_a))
+            assert all(math.isnan(v) for v in (new.lhs, new.rhs, new.gap, new.ratio))
+        assert failed == 10
 
 
 X300 = {"models": [{"expr": "x^300/300", "domain": [1, 10]}],

@@ -40,7 +40,7 @@ def _ref_gk15(g, lo, hi):
     return h * resk, abs(h * (resk - resg))
 
 
-def ref_integrate(g, lo, hi, tol=1e-10, max_subdivisions=1_000_000):
+def ref_integrate(g, lo, hi, tol=1e-10, max_subdivisions=10_000):
     lo = float(lo)
     hi = float(hi)
     span = hi - lo

@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True, help="'lo,hi'")
     p.add_argument("--s", type=float, help="class parameter s in (0,1]")
     p.add_argument("--q", type=float, help="power applied to |f'| with --on-derivative")
-    p.add_argument("--grid", type=int, default=33)
-    p.add_argument("--slack", type=float, default=1e-9,
+    p.add_argument("--grid", type=int, default=ClassCheckConfig.grid_points)
+    p.add_argument("--slack", type=float, default=ClassCheckConfig.slack,
                    help="tolerance of a violation: absolute up to 1 and relative "
                         "to rhs above for convex/s-convex, on logs for the geo "
                         "kinds, absolute for decreasing")

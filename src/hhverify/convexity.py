@@ -33,13 +33,12 @@ about, |fprime| is sampled on those points once per fprime and interval.
 Each further check on that interval then costs a few O(n^3 / 2) array
 passes, plus a power of the sample when q != 1; the monotone check reads
 the x-grid sample.  The sweep checks the bundle at q = 1 whatever the
-bound's q (``sweep.BoundSpec.gate_point`` says why), so the bundle costs
-one class check per (a, b, s); the convexity gate of eq9 reuses eq8's
-check of |fprime| and pays the power only where that fails
-(``sweep.ModelContext.flags``).  Only the latest interval is kept, and in
-it the latest fprime's samples, read-only: two half cubes of points and
-|fprime| on them, four n^2(n+1)/2 float64 arrays (about 4.5 MB at n =
-65).
+bound's q, so the bundle costs one class check per (a, b, s), and the
+convexity gate of eq9 reuses eq8's check of |fprime| and pays the power
+only where that fails; ``sweep.ModelContext.flags`` says why.  Only the
+latest interval is kept, and in it the latest fprime's samples,
+read-only: two half cubes of points and |fprime| on them, four
+n^2(n+1)/2 float64 arrays (about 4.5 MB at n = 65).
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import attrgetter
+from typing import Mapping, get_type_hints
 
 __all__ = ["BoundRecord", "CSV_COLUMNS", "VERDICTS",
            "write_csv", "write_json", "read_csv", "read_json",
@@ -27,8 +28,8 @@ CSV_COLUMNS = ["model", "theorem", "a", "b", "s", "q", "lhs", "rhs", "gap",
 
 VERDICTS = ("pass", "violation", "outside-hypotheses", "eval-error")
 
-# Each column with its JSON key, quoted once.
-_JSON_KEYS = [(c, json.dumps(c)) for c in CSV_COLUMNS]
+# Each column's JSON key, quoted once.
+_JSON_KEYS = [json.dumps(c) for c in CSV_COLUMNS]
 
 
 @dataclass
@@ -65,22 +66,22 @@ def sort_records(records: list[BoundRecord]) -> list[BoundRecord]:
     return sorted(records, key=lambda r: (r.model, r.theorem, r.a, r.b, r.s, r.q))
 
 
-_FLOAT_COLS = ("a", "b", "s", "q", "lhs", "rhs", "gap", "ratio")
-_BOOL_COLS = ("hyp_class", "hyp_monotone", "hyp_fprime_a")
+# Each wire column's kind (float, bool or str), in column order.
+_KINDS = [get_type_hints(BoundRecord)[c] for c in CSV_COLUMNS]
+_values = attrgetter(*CSV_COLUMNS)
 
 # How each wire format spells the non-finite floats (keyed by str(x)).
 _NONFINITE = {"csv": {"nan": "nan", "inf": "inf", "-inf": "-inf"},
               "json": {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}}
 
 
-def _cell(r: BoundRecord, col: str, fmt: str) -> str:
-    """One column of one record as ``fmt`` ("csv" or "json") writes it."""
-    v = getattr(r, col)
-    if col in _FLOAT_COLS:
-        return f"{v:.17g}" if math.isfinite(v) else _NONFINITE[fmt][str(v)]
-    if col in _BOOL_COLS:
-        return "true" if v else "false"
-    return json.dumps(v) if fmt == "json" else str(v)
+def _cells(r: BoundRecord, fmt: str) -> list[str]:
+    """The columns of one record as ``fmt`` ("csv" or "json") writes them."""
+    nonfinite = _NONFINITE[fmt]
+    return [(f"{v:.17g}" if math.isfinite(v) else nonfinite[str(v)]) if kind is float
+            else ("true" if v else "false") if kind is bool
+            else json.dumps(v) if fmt == "json" else str(v)
+            for kind, v in zip(_KINDS, _values(r))]
 
 
 def records_text(records: list[BoundRecord], fmt: str) -> str:
@@ -90,13 +91,12 @@ def records_text(records: list[BoundRecord], fmt: str) -> str:
     rs = sort_records(records)
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for r in rs:
-            lines.append(",".join(_cell(r, c, fmt) for c in CSV_COLUMNS))
+        lines.extend(",".join(_cells(r, fmt)) for r in rs)
         return "\n".join(lines) + "\n"
     # Hand-rolled so float formatting is exactly 17 significant digits.
     rows = []
     for r in rs:
-        parts = [f"{key}: {_cell(r, c, fmt)}" for c, key in _JSON_KEYS]
+        parts = [f"{key}: {cell}" for key, cell in zip(_JSON_KEYS, _cells(r, fmt))]
         rows.append("  {" + ", ".join(parts) + "}")
     return "{\"records\": [\n" + ",\n".join(rows) + "\n]}\n"
 
@@ -127,14 +127,14 @@ def _record(cells: Mapping, where: str) -> BoundRecord:
     if missing:
         raise ValueError(f"{where}: missing column(s) {', '.join(missing)}")
     kwargs = {}
-    for c in CSV_COLUMNS:
+    for c, kind in zip(CSV_COLUMNS, _KINDS):
         v = cells[c]
-        if c in _FLOAT_COLS:
+        if kind is float:
             try:
                 kwargs[c] = float(v)
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: {c} is not a number: {v!r}") from None
-        elif c in _BOOL_COLS:
+        elif kind is bool:
             kwargs[c] = str(v).strip().lower() == "true"
         else:
             kwargs[c] = v
@@ -166,9 +166,8 @@ def records_equal(a: list[BoundRecord], b: list[BoundRecord]) -> bool:
     if len(a) != len(b):
         return False
     for ra, rb in zip(sort_records(a), sort_records(b)):
-        for c in CSV_COLUMNS:
-            va, vb = getattr(ra, c), getattr(rb, c)
-            if va == vb or (c in _FLOAT_COLS and math.isnan(va) and math.isnan(vb)):
+        for kind, va, vb in zip(_KINDS, _values(ra), _values(rb)):
+            if va == vb or (kind is float and math.isnan(va) and math.isnan(vb)):
                 continue
             return False
     return True

@@ -18,7 +18,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ def holds(lhs: float, rhs: float) -> bool:
 @dataclass(frozen=True)
 class Tolerances:
     quad_tol: float = 1e-10
-    slack: float = 1e-9
+    slack: float = ClassCheckConfig.slack
     identity_tol: float = 1e-8
 
 
@@ -58,7 +57,7 @@ class SweepConfig:
     s_grid: tuple[float, ...]
     q_grid: tuple[float, ...]
     tolerances: Tolerances = Tolerances()
-    class_grid_points: int = 33
+    class_grid_points: int = ClassCheckConfig.grid_points
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -136,7 +135,7 @@ def parse_config(raw: Mapping) -> SweepConfig:
     seed = raw.get("seed", 0)
     _expect(isinstance(seed, int) and seed >= 0, "seed",
             "must be a nonnegative integer")
-    gp = raw.get("class_grid_points", 33)
+    gp = raw.get("class_grid_points", SweepConfig.class_grid_points)
     _expect(isinstance(gp, int) and gp >= 3, "class_grid_points", "must be >= 3")
 
     return SweepConfig(
@@ -174,10 +173,10 @@ class BoundSpec:
     ``rhs(ctx, s, q)`` is the bound's right-hand side at (s, q) on the
     ModelContext ``ctx``.  ``gate`` is "convex" (|f'|^q convex, the
     classical baselines' only hypothesis, which a pass of |f'| convex
-    implies for every q >= 1; see ``ModelContext.flags``) or "bundle"
-    (``theorem_hypotheses``, checked at q = 1 because q drops out of it;
-    see ``gate_point``).  ``q_rule`` is "1" (q = 1 only), ">1" (q > 1
-    only) or "all" (every q).  The special-means propositions carry
+    implies for every q >= 1) or "bundle" (``theorem_hypotheses``, checked
+    at q = 1 because q drops out of it); ``ModelContext.flags`` says how
+    each is read.  ``q_rule`` is "1" (q = 1 only), ">1" (q > 1 only) or
+    "all" (every q).  The special-means propositions carry
     ``identity``, which returns their identity-check discrepancy tags.
     """
     rhs: Callable              # rhs(ctx, s, q), ctx a ModelContext
@@ -196,24 +195,6 @@ class BoundSpec:
         if self.q_rule == ">1" and not q > 1.0:
             return None
         return (s if self.over_s else 1.0, 1.0 if self.q_rule == "1" else q)
-
-    def gate_point(self, s: float, q: float) -> tuple[float, float]:
-        """The (s, q) at which this bound's hypotheses are checked when it
-        is asked for (s, q), where ``point(s, q)`` exists.
-
-        A "bundle" bound is gated at q = 1.  Since ln(|f'|^q) = q*ln|f'|,
-        |f'|^q is s-geometrically convex for one q > 0 exactly when it is
-        for every q, and the monotone and |f'(a)| flags do not read q; so
-        the bundle's flags depend on (a, b, s) alone.  On the grid the
-        check compares logs, which scale by q, so this holds up to points
-        whose log margin ln lhs - ln rhs lies between slack and slack/q.
-        Convexity of |f'|^q does depend on q, so a "convex" bound is gated
-        at its own point; ``ModelContext.flags`` takes a pass there from the
-        q = 1 check of |f'| where it can, which is approximate in the same
-        way (its docstring says how).
-        """
-        s, q = self.point(s, q)
-        return (s, q) if self.gate == "convex" else (s, 1.0)
 
 
 def _tags41(a: float, b: float, s: float, q: float, tol: float) -> list[str]:
@@ -290,8 +271,9 @@ THEOREM_TAGS = tuple(BOUND_TABLE)
 # ---------------------------------------------------------------------------
 
 def _fresh(e: Exception) -> Exception:
-    """A copy of e with its attributes and no traceback (copy.copy would call
-    e's __init__ with e.args, which the classes in errors.py do not take)."""
+    """A copy of e with its attributes and no traceback, cause or context
+    (copy.copy would call e's __init__ with e.args, which the classes in
+    errors.py do not take)."""
     copy = type(e).__new__(type(e), *e.args)
     copy.__dict__.update(e.__dict__)
     return copy
@@ -300,74 +282,91 @@ def _fresh(e: Exception) -> Exception:
 @dataclass
 class ModelContext:
     """One model on one interval [a, b]: the one evaluator of a bound there,
-    for a sweep's visit, an ``eval-bound`` point or a search point.  The
-    quadratures run once, |f'| at a and b once for every right-hand side
-    (``fprime_ends``), and the flags once per gate point, so one s serves
-    every q of the "bundle" bounds, and eq9 reads eq8's |f'| convex check
-    from here; each when it is first read.  A check that raised is cached
-    as its exception with no traceback (its frames hold the check's
-    arrays), and each raise is of a fresh copy: a traceback on the cached
-    one would hold this context."""
+    for a sweep's visit, an ``eval-bound`` point or a search point.  Every
+    value it computes goes through one memo, on its first read: the
+    quadratures (``lhs``, ``gap_residual``), |f'| at a and b for every
+    right-hand side (``fprime_ends``) and the flags of each gate (see
+    ``flags``).  A computation that raised is kept as a copy of its
+    exception with no traceback, cause or context (their frames hold the
+    check's arrays and this context), so it runs once too, and each read
+    raises a fresh copy: a traceback on the kept one would hold this
+    context."""
     model: FunctionModel
     tolerances: Tolerances
     check_cfg: ClassCheckConfig
     a: float
     b: float
-    flags_cache: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)
 
-    @cached_property
+    def _once(self, key, compute: Callable):
+        """compute() on the first read of key; its value, or its exception
+        raised afresh, on every read."""
+        if key not in self.memo:
+            try:
+                self.memo[key] = compute()
+            except Exception as e:
+                self.memo[key] = _fresh(e)
+        value = self.memo[key]
+        if isinstance(value, Exception):
+            raise _fresh(value)
+        return value
+
+    @property
     def lhs(self) -> float:
-        return bounds.trapezoid_mean_gap(self.model, self.a, self.b,
-                                         tol=self.tolerances.quad_tol)
+        return self._once("lhs", lambda: bounds.trapezoid_mean_gap(
+            self.model, self.a, self.b, tol=self.tolerances.quad_tol))
 
-    @cached_property
+    @property
     def fprime_ends(self) -> tuple[float, float]:
         """(|f'(a)|, |f'(b)|), the only view of f any right-hand side takes."""
-        return (float(np.abs(self.model.fprime(self.a))),
-                float(np.abs(self.model.fprime(self.b))))
+        return self._once("fprime_ends", lambda: (
+            float(np.abs(self.model.fprime(self.a))),
+            float(np.abs(self.model.fprime(self.b)))))
 
-    @cached_property
+    @property
     def gap_residual(self) -> float:
-        signed = bounds.gap_integral_form(self.model, self.a, self.b,
-                                          tol=self.tolerances.quad_tol)
-        return abs(self.lhs - abs(signed))
+        return self._once("gap_residual", lambda: abs(self.lhs - abs(
+            bounds.gap_integral_form(self.model, self.a, self.b,
+                                     tol=self.tolerances.quad_tol))))
 
     def flags(self, bound: BoundSpec, s: float, q: float) -> tuple[bool, bool, bool]:
-        """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at one point.
+        """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at its
+        ``point(s, q)``, which must exist.
 
-        The classical baselines need only |f'|^q convex; their monotonicity
-        and derivative-size flags are vacuously true.  For q >= 1, |f'|
-        convex implies |f'|^q convex, grid point by grid point: v -> v^q is
-        increasing and convex on [0, inf).  So a "convex" bound at q != 1
-        passes where eq8's gate, |f'| convex, passes, and checks |f'|^q only
-        where that fails (sqrt(x) is not convex, but its square is).  The
-        slack makes this approximate: a q = 1 pass allows a margin of up to
-        slack (relative above 1), which at q can grow to about
+        A "bundle" bound is checked at q = 1, under the key ("bundle", s),
+        so one check serves every q.  Since ln(|f'|^q) = q*ln|f'|, |f'|^q is
+        s-geometrically convex for one q > 0 exactly when it is for every q,
+        and the monotone and |f'(a)| flags do not read q.  On the grid the
+        check compares logs, which scale by q, so this holds up to points
+        whose log margin ln lhs - ln rhs lies between slack and slack/q.
+
+        The classical baselines need only |f'|^q convex, which does depend
+        on q, so a "convex" bound is keyed ("convex", q); their
+        monotonicity and derivative-size flags are vacuously true.  For
+        q >= 1, |f'| convex implies |f'|^q convex, grid point by grid point:
+        v -> v^q is increasing and convex on [0, inf).  So a "convex" bound
+        at q != 1 passes where eq8's gate, |f'| convex, passes, and checks
+        |f'|^q only where that fails (sqrt(x) is not convex, but its square
+        is).  The slack makes this approximate: a q = 1 pass allows a margin
+        of up to slack (relative above 1), which at q can grow to about
         q*slack*max(1, rhs)^(q-1), so a near-tie the check at q would put
         outside the hypotheses passes here.
-
-        A bound is gated at ``bound.gate_point(s, q)``, so ``bound.point(s,
-        q)`` must exist; every "bundle" bound at q = 1.
         """
-        s, q = bound.gate_point(s, q)
-        key = (bound.gate, s, q)
-        if key not in self.flags_cache:
-            try:
-                if bound.gate == "bundle":
-                    h = theorem_hypotheses(self.model, self.a, self.b, s, q, self.check_cfg)
-                    flags = (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
-                elif q != 1.0 and all(eq8 := self.flags(BOUND_TABLE["eq8"], 1.0, 1.0)):
-                    flags = eq8
-                else:
-                    flags = (is_convex(AbsPower(self.model.fprime, q),
-                                       (self.a, self.b), self.check_cfg).ok, True, True)
-            except Exception as e:
-                flags = e.with_traceback(None)
-            self.flags_cache[key] = flags
-        flags = self.flags_cache[key]
-        if isinstance(flags, Exception):
-            raise _fresh(flags)
-        return flags
+        s, q = bound.point(s, q)
+
+        def bundle():
+            h = theorem_hypotheses(self.model, self.a, self.b, s, 1.0, self.check_cfg)
+            return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
+
+        def convex():
+            if q != 1.0 and all(eq8 := self.flags(BOUND_TABLE["eq8"], 1.0, 1.0)):
+                return eq8
+            return (is_convex(AbsPower(self.model.fprime, q), (self.a, self.b),
+                              self.check_cfg).ok, True, True)
+
+        if bound.gate == "bundle":
+            return self._once(("bundle", s), bundle)
+        return self._once(("convex", q), convex)
 
     def sides(self, bound: BoundSpec, s: float, q: float) -> tuple[float, float]:
         """(lhs, rhs) of a bound at (s, q); a proposition's lhs is prop_lhs."""
@@ -390,17 +389,14 @@ def _record(ctx: ModelContext, theorem: str, bound: BoundSpec, s: float,
     nan = math.nan
     tags = (bound.identity(a, b, s, q, ctx.tolerances.identity_tol)
             if bound.is_prop else [])
+    flags, stage = (False, False, False), "hyp-error"
     try:
         flags = ctx.flags(bound, s, q)
-    except Exception as e:
-        tags.append(f"hyp-error:{type(e).__name__}")
-        return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
-                           False, False, False, "eval-error", ";".join(tags))
-    try:
+        stage = "error"
         lhs, rhs = ctx.sides(bound, s, q)
         residual = nan if bound.is_prop else ctx.gap_residual
     except Exception as e:
-        tags.append(f"error:{type(e).__name__}")
+        tags.append(f"{stage}:{type(e).__name__}")
         return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
                            *flags, "eval-error", ";".join(tags))
     return BoundRecord(

@@ -17,7 +17,8 @@ from conftest import pretty, random_expr
 from hhverify import convexity
 from hhverify.cli import build_parser
 from hhverify.convexity import AbsPower, ClassCheckConfig
-from hhverify.errors import ConfigError, DomainError, EmptyFeasibleSetError
+from hhverify.errors import (ConfigError, DomainError, EmptyFeasibleSetError,
+                             NonFiniteSample)
 from hhverify.models import FunctionModel
 from hhverify.records import (BoundRecord, CSV_COLUMNS, make_ratio, read_csv,
                               read_json, records_equal, records_text,
@@ -801,15 +802,29 @@ class TestBundleGatedAtQ1:
         # |f'| is 1 on the x grid of [1, 2] at n = 9, the multiples of 1/8,
         # and inf elsewhere: the bundle check raises DomainError from its
         # geometric cube sample, every time the sweep asks for the flags.
-        m = FunctionModel("grid-only", 1.0, 2.0, lambda x: x,
-                          lambda x: np.where(np.asarray(x) * 8.0 % 1.0 == 0.0, 1.0, np.inf))
+        # f is the same function, finite at the GK15 center 1.5 and at no
+        # other node, so the lhs quadrature raises NonFiniteSample.
+        on_grid = lambda x: np.where(np.asarray(x) * 8.0 % 1.0 == 0.0, 1.0, np.inf)
+        m = FunctionModel("grid-only", 1.0, 2.0, on_grid, on_grid)
         check_cfg = ClassCheckConfig(grid_points=9)
         ctx = ModelContext(m, Tolerances(), check_cfg, 1.0, 2.0)
+
+        def frames(info):
+            return traceback.extract_tb(info.value.__traceback__)
+        flags_tbs, lhs_tbs = [], []
         for _ in range(5):
             with pytest.raises(DomainError) as info:
                 ctx.flags(BOUND_TABLE["eq10"], 1.0, 1.0)
-            # this frame and flags(): no check frames, and no growth
-            assert len(traceback.extract_tb(info.value.__traceback__)) <= 2
+            flags_tbs.append(frames(info))
+            with pytest.raises(NonFiniteSample) as info:
+                ctx.lhs
+            lhs_tbs.append(frames(info))
+        for tbs in (flags_tbs, lhs_tbs):
+            # this frame, flags() or lhs, and the memo: no frames of the
+            # check or the quadrature, and no growth
+            assert {len(tb) for tb in tbs} == {3}
+            assert not any(f.filename.endswith(("convexity.py", "quadrature.py"))
+                           for tb in tbs for f in tb)
         grid = convexity._axes((1.0, 2.0), check_cfg)
         cube_sample = weakref.ref(grid.samples[convexity._geometric_cube])
         del grid, info
@@ -817,6 +832,25 @@ class TestBundleGatedAtQ1:
         assert cube_sample() is None
         rec = hv.sweep._record(ctx, "eq10", BOUND_TABLE["eq10"], 1.0, 1.0)
         assert rec.discrepancy == "hyp-error:DomainError"
+
+    def test_a_chained_error_keeps_no_context_alive(self):
+        # f' is scalar-only (math.sqrt fails on the array call) and raises on
+        # its first scalar, x = 1 < 1.2, while the array call's TypeError is
+        # handled: its __context__ holds the sampling frames, and through
+        # them the context.  The kept copy has no chain, so with the
+        # garbage collector off the context dies with its last reference.
+        m = FunctionModel("chained", 1.0, 2.0, lambda x: x,
+                          lambda x: math.sqrt(x - 1.2))
+        ctx = ModelContext(m, Tolerances(), ClassCheckConfig(grid_points=9), 1.0, 2.0)
+        gc.disable()
+        try:
+            rec = hv.sweep._record(ctx, "eq10", BOUND_TABLE["eq10"], 1.0, 1.0)
+            assert rec.discrepancy == "hyp-error:ValueError"
+            alive = weakref.ref(ctx)
+            del ctx
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 # Models on different domains, two models of one name, a repeated grid
@@ -899,8 +933,8 @@ class TestFprimeEnds:
 
     @staticmethod
     def spy_models(monkeypatch, raise_at=None):
-        """Count each swept model's scalar f' calls; f' raises on the
-        scalar ``raise_at``."""
+        """Count each swept model's scalar f' calls by (name, x); f' raises
+        on the scalar ``raise_at``."""
         calls = Counter()
         build = hv.sweep.model_from_spec
 
@@ -909,7 +943,7 @@ class TestFprimeEnds:
 
             def fprime(x, inner=m.fprime, name=m.name):
                 if np.ndim(x) == 0:
-                    calls[name] += 1
+                    calls[name, float(x)] += 1
                     if x == raise_at:
                         raise FloatingPointError(f"f' at {x}")
                 return inner(x)
@@ -934,9 +968,13 @@ class TestFprimeEnds:
                "a_grid": [0.25], "b_grid": [0.75, 1.0], "s_grid": [0.5, 1.0],
                "q_grid": [1.0, 2.0]}
         plain = run_sweep(parse_config(raw))
-        self.spy_models(monkeypatch, raise_at=0.75)
+        calls = self.spy_models(monkeypatch, raise_at=0.75)
         raised = run_sweep(parse_config(raw))
         assert len(raised) == len(plain) == 28
+        # The raise is kept: f'(0.75) runs once for the 10 rhs that read it.
+        # Two ends per interval, and one |f'(a)| per bundle gate point (s).
+        assert sum(n for (_, x), n in calls.items() if x == 0.75) == 1
+        assert sum(calls.values()) == 2 * 2 + 2 * 2
         failed = 0
         for old, new in zip(plain, raised):
             if BOUND_TABLE[old.theorem].is_prop or old.b != 0.75:
@@ -950,6 +988,35 @@ class TestFprimeEnds:
                     == (old.hyp_class, old.hyp_monotone, old.hyp_fprime_a))
             assert all(math.isnan(v) for v in (new.lhs, new.rhs, new.gap, new.ratio))
         assert failed == 10
+
+
+class TestRaisingQuadrature:
+    # 1/(x - 1.51) has a pole inside [1, 2]: the lhs quadrature spends its
+    # whole subdivision budget and raises.  POLE_CSV is what the sweep
+    # wrote when it ran that quadrature again for every record.
+    POLE_CSV = """\
+model,theorem,a,b,s,q,lhs,rhs,gap,ratio,hyp_class,hyp_monotone,hyp_fprime_a,verdict,discrepancy
+1/(x-1.51),eq10,1,2,1,1,nan,nan,nan,nan,false,false,false,eval-error,error:MaxSubdivisionsExceeded
+1/(x-1.51),eq11,1,2,1,2,nan,nan,nan,nan,false,false,false,eval-error,error:MaxSubdivisionsExceeded
+1/(x-1.51),eq111,1,2,1,1,nan,nan,nan,nan,false,false,false,eval-error,error:MaxSubdivisionsExceeded
+1/(x-1.51),eq111,1,2,1,2,nan,nan,nan,nan,false,false,false,eval-error,error:MaxSubdivisionsExceeded
+1/(x-1.51),eq8,1,2,1,1,nan,nan,nan,nan,false,true,true,eval-error,error:MaxSubdivisionsExceeded
+1/(x-1.51),eq9,1,2,1,2,nan,nan,nan,nan,false,true,true,eval-error,error:MaxSubdivisionsExceeded
+"""
+
+    def test_a_raising_lhs_is_integrated_once_per_model_and_interval(self, monkeypatch):
+        cfg = parse_config({"models": [{"expr": "1/(x-1.51)", "domain": [1, 2]}],
+                            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [1.0],
+                            "q_grid": [1.0, 2.0]})
+        calls, gap = [], hv.bounds.trapezoid_mean_gap
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return gap(*args, **kwargs)
+        monkeypatch.setattr(hv.bounds, "trapezoid_mean_gap", spy)
+        records = run_sweep(cfg)
+        assert len(calls) == 1
+        assert records_text(records, "csv") == self.POLE_CSV
 
 
 X300 = {"models": [{"expr": "x^300/300", "domain": [1, 10]}],

@@ -17,7 +17,9 @@ Every right-hand side reads f only through the endpoint magnitudes
 fa = |f'(a)| and fb = |f'(b)|, so the evaluators are plain formulas over
 numbers and none takes the model: the rhs_* take (a, b, fa, fb) and the
 bound's own s, q or p, the factor_* take (fa, fb) and s, q.
-``sweep.ModelContext`` evaluates fa and fb once per (model, a, b).
+``sweep.ModelContext`` evaluates fa and fb once per (model, a, b), in
+one call of f' on the array [a, b], as ``trapezoid_mean_gap`` does f(a)
+and f(b).
 
 The evaluators compute values unconditionally; hypothesis gating is the
 harness's job, since measuring what happens outside the stated
@@ -28,8 +30,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import OutOfRangeError
 from .gfuncs import ALPHA_MAX, ALPHA_MIN, g_full, g_lower, g_upper
+from .models import evaluate_points
 from .quadrature import integrate, mean_integral
 
 __all__ = [
@@ -41,9 +46,13 @@ __all__ = [
 
 
 def trapezoid_mean_gap(m, a: float, b: float, tol: float = 1e-10) -> float:
-    """|average of endpoint values - mean integral| for the model's f."""
-    trap = 0.5 * (float(m.f(a)) + float(m.f(b)))
-    return abs(trap - mean_integral(m, a, b, tol=tol))
+    """|average of endpoint values - mean integral| for the model's f.
+
+    f(a) and f(b) come from one call on the array [a, b] (one call per
+    point for a scalar-only f), the same bits as two one-point calls.
+    """
+    f_a, f_b = evaluate_points(m.f, np.array([a, b], dtype=float)).tolist()
+    return abs(0.5 * (f_a + f_b) - mean_integral(m, a, b, tol=tol))
 
 
 def gap_integral_form(m, a: float, b: float, tol: float = 1e-10) -> float:

@@ -121,16 +121,27 @@ def cmd_eval_bound(args) -> int:
     if not m.contains(a, b):  # before the hypothesis check samples f' there
         raise ValueError(f"need {m.lo:g} <= a < b <= {m.hi:g}, got a={a:g}, b={b:g}")
 
-    ctx = sweep.ModelContext(m, sweep.Tolerances(), ClassCheckConfig(), a, b)
+    tols = sweep.Tolerances()
+    ctx = sweep.ModelContext(m, tols, ClassCheckConfig(), a, b)
     flags = ctx.flags(bound, s, q)
     lhs, rhs = ctx.sides(bound, s, q)
+    # A proposition's rhs reads no f' and has no gap-identity residual.
+    residual = None if bound.is_prop else ctx.gap_residual
     print(f"model: {m.name}")
     print(f"point: s={s:.12g} q={q:.12g}")
     print(f"{tag}: lhs={lhs:.12g} rhs={rhs:.12g} gap={rhs - lhs:.12g} "
           f"ratio={make_ratio(lhs, rhs):.12g}")
     print("hypotheses: class={} monotone={} fprime_a_le_1={}".format(*flags))
-    if not bound.is_prop:  # the propositions' rhs does not read f'
+    if residual is not None:
         print("fprime: |f'(a)|={:.12g} |f'(b)|={:.12g}".format(*ctx.fprime_ends))
+        print(f"gap-identity residual: {residual:.3e}")
+        if sweep.oracle_fails(residual, lhs, tols.identity_tol):
+            # The sweep's record is an eval-error tagged oracle-residual.
+            print(f"error: gap-identity residual {residual:.3e} exceeds "
+                  f"identity_tol {tols.identity_tol:g} (relative "
+                  "above lhs = 1): f' does not integrate to f on [a, b]",
+                  file=sys.stderr)
+            return 1
     if sweep.verdict(flags, lhs, rhs) == "violation":
         print("VIOLATION")
         return 2

@@ -321,8 +321,15 @@ def _rec_array(n: Expr, xs: np.ndarray):
         return -_rec_array(n.args[0], xs)
     if k == "exp":
         return np.exp(_rec_array(n.args[0], xs))
+    # The ln and / guards give NaN where the operand leaves the domain.
+    # Where no point does (the usual case) the np.where passes change no
+    # bit, so they are skipped.  Operands may be Python floats (x-free
+    # subtrees), NumPy scalars or arrays; np.count_nonzero and np.size take
+    # all three, and NaN counts as non-zero, as it passes r != 0.
     if k == "ln":
         a = _rec_array(n.args[0], xs)
+        if np.count_nonzero(a > 0.0) == np.size(a):
+            return np.log(a)
         return np.log(np.where(a > 0.0, a, np.nan))
     l = _rec_array(n.args[0], xs)
     r = _rec_array(n.args[1], xs)
@@ -333,6 +340,8 @@ def _rec_array(n: Expr, xs: np.ndarray):
     if k == "mul":
         return l * r
     if k == "div":
+        if np.count_nonzero(r) == np.size(r):
+            return l / r
         return np.where(r != 0.0, l / np.where(r != 0.0, r, 1.0), np.nan)
     return np.power(l, r)
 

@@ -15,11 +15,13 @@ Integrand calls: each panel calls the integrand once, with the float
 array ``c + h*_NODES`` of its 15 nodes: the center c, then c - h*x_j and
 c + h*x_j for each abscissa x_j.  An integrand that raises on the array is
 scalar-only and gets the nodes one Python float at a time instead.  The
-sums are taken in Python floats in a fixed order, so the result is the
-same bits either way as long as the array call gives each node the value
-a one-point call would.  The built-in and expression models do.  Python's
-float ``**`` and NumPy's can differ in the last bit, and so can a NumPy
-power whose exponent is an array holding 2, 0.5 or -1: it skips the
+sums are taken in Python floats in a fixed order, written out without a
+loop: the Kronrod sum adds the centre, then the pairs at -x_j and +x_j in
+turn, and the Gauss sum the centre, then pairs 1, 3 and 5.  So the result
+is the same bits either way as long as the array call gives each node the
+value a one-point call would.  The built-in and expression models do.
+Python's float ``**`` and NumPy's can differ in the last bit, and so can a
+NumPy power whose exponent is an array holding 2, 0.5 or -1: it skips the
 square, square root and reciprocal shortcuts a scalar exponent takes.
 Every sample has a non-zero Kronrod weight, so only a panel whose Kronrod
 sum is not finite is scanned: its first non-finite sample in node order
@@ -95,14 +97,14 @@ def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
     nodes = c + h * _NODES
     fx = evaluate_points(g, nodes, lambda x: _sample(g, x)).tolist()
     # Python floats, summed in a fixed order: the same bits whether g took
-    # the array or fell back to scalar calls.
-    resk = _WGK_CENTER * fx[0]
-    resg = _WG_CENTER * fx[0]
-    for j in range(7):
-        pair = fx[2 * j + 1] + fx[2 * j + 2]
-        resk += _WGK[j] * pair
-        if j % 2 == 1:
-            resg += _WG[j // 2] * pair
+    # the array or fell back to scalar calls.  Pair j is the two samples
+    # at -x_j and +x_j; the Gauss nodes are pairs 1, 3 and 5.
+    mid, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fx
+    p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+    resk = (_WGK_CENTER * mid + _WGK[0] * (l0 + r0) + _WGK[1] * p1
+            + _WGK[2] * (l2 + r2) + _WGK[3] * p3 + _WGK[4] * (l4 + r4)
+            + _WGK[5] * p5 + _WGK[6] * (l6 + r6))
+    resg = _WG_CENTER * mid + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
     if not math.isfinite(resk):
         for x, v in zip(nodes.tolist(), fx):
             if not math.isfinite(v):

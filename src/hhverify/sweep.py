@@ -25,12 +25,14 @@ import numpy as np
 from . import bounds, means
 from .convexity import AbsPower, ClassCheckConfig, is_convex, theorem_hypotheses
 from .errors import ConfigError
-from .models import FunctionModel, missing_spec_key, model_from_spec
+from .models import (FunctionModel, evaluate_points, missing_spec_key,
+                     model_from_spec)
 from .records import BoundRecord, make_ratio, sort_records
 
 __all__ = ["Tolerances", "SweepConfig", "load_config", "parse_config",
            "default_config", "BoundSpec", "BOUND_TABLE", "THEOREM_TAGS",
-           "ModelContext", "holds", "verdict", "run_sweep", "summarize", "PASS_SLACK"]
+           "ModelContext", "holds", "oracle_fails", "verdict", "run_sweep",
+           "summarize", "PASS_SLACK"]
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +42,15 @@ PASS_SLACK = 1e-12
 def holds(lhs: float, rhs: float) -> bool:
     """The pass criterion of every verdict: lhs <= rhs + PASS_SLACK."""
     return lhs <= rhs + PASS_SLACK
+
+
+def oracle_fails(residual: float, lhs: float, identity_tol: float) -> bool:
+    """Whether a bound on f fails the oracle: its gap-identity residual
+    exceeds identity_tol, relative above lhs = 1 as the quadrature's
+    tolerance is.  Then the f' it is gated on does not integrate to f on
+    [a, b] (f jumps, say), and neither a pass nor a violation means
+    anything."""
+    return residual > identity_tol * max(1.0, lhs)
 
 
 @dataclass(frozen=True)
@@ -285,7 +296,8 @@ class ModelContext:
     for a sweep's visit, an ``eval-bound`` point or a search point.  Every
     value it computes goes through one memo, on its first read: the
     quadratures (``lhs``, ``gap_residual``), |f'| at a and b for every
-    right-hand side (``fprime_ends``) and the flags of each gate (see
+    right-hand side (``fprime_ends``, one call of f' on the array [a, b],
+    as ``lhs`` makes one of f) and the flags of each gate (see
     ``flags``).  A computation that raised is kept as a copy of its
     exception with no traceback, cause or context (their frames hold the
     check's arrays and this context), so it runs once too, and each read
@@ -318,10 +330,11 @@ class ModelContext:
 
     @property
     def fprime_ends(self) -> tuple[float, float]:
-        """(|f'(a)|, |f'(b)|), the only view of f any right-hand side takes."""
-        return self._once("fprime_ends", lambda: (
-            float(np.abs(self.model.fprime(self.a))),
-            float(np.abs(self.model.fprime(self.b)))))
+        """(|f'(a)|, |f'(b)|), the only view of f any right-hand side takes:
+        f' on the array [a, b] in one call, or one call per point where f'
+        is scalar-only, the same bits as two one-point calls."""
+        return self._once("fprime_ends", lambda: tuple(np.abs(evaluate_points(
+            self.model.fprime, np.array([self.a, self.b], dtype=float))).tolist()))
 
     @property
     def gap_residual(self) -> float:
@@ -384,7 +397,9 @@ def _record(ctx: ModelContext, theorem: str, bound: BoundSpec, s: float,
             q: float) -> BoundRecord:
     """One bound at one point on ctx's [a, b].  Failures become tags on an
     eval-error record instead of aborting the sweep; calls run in the order
-    identity tags, hypotheses, lhs, rhs, gap-identity residual."""
+    identity tags, hypotheses, lhs, rhs, gap-identity residual.  A bound on
+    f that fails the oracle (``oracle_fails``) is an eval-error tagged
+    oracle-residual that keeps its sides and residual."""
     m, a, b = ctx.model, ctx.a, ctx.b
     nan = math.nan
     tags = (bound.identity(a, b, s, q, ctx.tolerances.identity_tol)
@@ -399,10 +414,13 @@ def _record(ctx: ModelContext, theorem: str, bound: BoundSpec, s: float,
         tags.append(f"{stage}:{type(e).__name__}")
         return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
                            *flags, "eval-error", ";".join(tags))
+    result = verdict(flags, lhs, rhs)
+    if oracle_fails(residual, lhs, ctx.tolerances.identity_tol):
+        result = "eval-error"
+        tags.append("oracle-residual")
     return BoundRecord(
         m.name, theorem, a, b, s, q, lhs, rhs, rhs - lhs, make_ratio(lhs, rhs),
-        *flags, verdict(flags, lhs, rhs), ";".join(tags),
-        oracle_residual=residual)
+        *flags, result, ";".join(tags), oracle_residual=residual)
 
 
 def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:

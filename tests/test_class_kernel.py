@@ -271,6 +271,28 @@ def test_half_cubes_are_the_full_cubes_at_i_le_j(n):
             assert (half(xs, ts) == cube[iu, ju]).all()
 
 
+@pytest.mark.parametrize("n", [3, 9, 33, 65])
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.25, 0.75), (0.1, 0.7),
+                                    (1e-3, 1.0), (1.3, 2.9)])
+def test_half_cubes_are_the_broadcast_products_bitwise(n, lo, hi):
+    # The cubes gather rows of n x n tables of the products x*t and
+    # x*(1-t) (of ln x for the geometric one) and add them in place: the
+    # bits of the broadcast formula over the pair rows, on dyadic and
+    # non-dyadic intervals alike.
+    xs, ts = axes((lo, hi), ClassCheckConfig(grid_points=n))
+    iu, ju = np.triu_indices(n)
+    t = ts[None, :]
+    lnx = np.log(xs)
+    linear = np.clip(t * xs[iu, None] + (1.0 - t) * xs[ju, None], lo, hi)
+    geometric = np.clip(np.exp(t * lnx[iu, None] + (1.0 - t) * lnx[ju, None]),
+                        lo, hi)
+    for cube, want in ((convexity._linear_cube, linear),
+                       (convexity._geometric_cube, geometric)):
+        got = cube(xs, ts)
+        assert got.shape == want.shape == (n * (n + 1) // 2, n)
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The slack rule: relative above 1 for linear checks, on logs for geometric
 # ---------------------------------------------------------------------------

@@ -275,6 +275,32 @@ class TestEvalBound:
         assert code == 1 and out == ""
         assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
 
+    def test_gap_identity_residual_matches_the_sweep(self, capsys):
+        cfg = parse_config({"models": [{"builtin": "exp", "rate": 1.0}],
+                            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [1.0],
+                            "q_grid": [1.0]})
+        rec = next(r for r in run_sweep(cfg) if r.theorem == "eq8")
+        code, out, err = run(["eval-bound", "--theorem", "eq8", "--builtin", "exp",
+                              "--rate", "1", "--domain", "1,2",
+                              "--a", "1", "--b", "2"], capsys)
+        assert code == 0 and err == ""
+        assert f"gap-identity residual: {rec.oracle_residual:.3e}\n" in out
+
+    def test_jump_in_f_is_an_error_not_a_violation(self, capsys):
+        # f = sign(x - 1.51): its f' is 0 wherever it evaluates, so the flags
+        # pass and rhs = 0 < lhs = 0.02, but f' does not integrate to f.  The
+        # sweep's record is an eval-error tagged oracle-residual.
+        code, out, err = run(["eval-bound", "--theorem", "eq8",
+                              "--f", "((x-1.51)^2)^0.5/(x-1.51)", "--domain", "1,2",
+                              "--a", "1", "--b", "2"], capsys)
+        assert code == 1
+        assert "eq8: lhs=0.02 rhs=0 " in out
+        assert "gap-identity residual: 2.000e-02\n" in out
+        assert "VIOLATION" not in out
+        assert err.startswith("error: gap-identity residual 2.000e-02 exceeds "
+                              "identity_tol 1e-08 ")
+        assert err.count("\n") == 1
+
     def test_constant_model_ratio_matches_the_sweep(self, capsys):
         # Both sides are 0 for a constant f; the record's ratio is 0, not NaN.
         cfg = parse_config({"models": [{"expr": "2", "domain": [1.0, 2.0]}],

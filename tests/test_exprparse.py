@@ -188,6 +188,39 @@ def test_eval_array_x_free_keeps_shape(src):
     assert np.shape(ep.eval_array(ep.parse(src), 1.5)) == ()
 
 
+# A grid from 0.5 through 1 and 1.5 (step 1/16, so each is a grid point
+# exactly), and the part of it above 1.5, where no guard trips.
+GUARD_GRID = np.linspace(0.5, 2.5, 33)
+
+
+@pytest.mark.parametrize("src, trips", [
+    ("ln(x - 1)", lambda x: x <= 1.0),
+    ("ln(x - 0.5)", lambda x: x == 0.5),
+    ("1/(x - 1.5)", lambda x: x == 1.5),
+    ("ln(2)*x", lambda x: False),
+    ("ln(1 - 2)*x", lambda x: True),
+    ("x/(2 - 1)", lambda x: False),
+    ("x/(1 - 1)", lambda x: True),
+])
+@pytest.mark.parametrize("xs", [GUARD_GRID, GUARD_GRID[GUARD_GRID > 1.5]],
+                         ids=["some-trip", "none-trip"])
+def test_guards_agree_with_one_point_evaluate(src, trips, xs):
+    # The ln and / guards skip their np.where passes unless some point
+    # leaves the domain, on arrays and on x-free operands alike: each
+    # point has the bits evaluate gives it alone, and NaN exactly where
+    # the guard trips.
+    tree = ep.parse(src)
+    got = ep.eval_array(tree, xs)
+    assert got.shape == xs.shape
+    for x, v in zip(xs.tolist(), got.tolist()):
+        if trips(x):
+            assert math.isnan(v), x
+            with pytest.raises(DomainError):
+                ep.evaluate(tree, x)
+        else:
+            assert v.hex() == ep.evaluate(tree, x).hex(), x
+
+
 def test_eval_array_leaves_no_reference_cycle():
     # A cycle per call would keep each n^3 input alive until the gc ran.
     tree = ep.differentiate(ep.parse("x^0.5 - ln(x) + 2*x"))

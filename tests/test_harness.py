@@ -929,52 +929,63 @@ class TestIntervalMajorSweep:
 
 class TestFprimeEnds:
     """Every rhs reads f only through |f'(a)| and |f'(b)|, which a
-    ModelContext evaluates once, when a rhs first reads them."""
+    ModelContext evaluates once, in one call of f' on [a, b], when a rhs
+    first reads them."""
 
     @staticmethod
     def spy_models(monkeypatch, raise_at=None):
-        """Count each swept model's scalar f' calls by (name, x); f' raises
-        on the scalar ``raise_at``."""
-        calls = Counter()
+        """Count the points of each swept model's endpoint calls of f' by
+        (name, x), and the calls on arrays.  Endpoint calls are the scalar
+        ones and those on the array [a, b]; the class checks' grids have at
+        least 3 points.  An endpoint call that holds ``raise_at`` raises."""
+        points, arrays = Counter(), Counter()
         build = hv.sweep.model_from_spec
 
         def spied(spec):
             m = build(spec)
 
             def fprime(x, inner=m.fprime, name=m.name):
-                if np.ndim(x) == 0:
-                    calls[name, float(x)] += 1
-                    if x == raise_at:
-                        raise FloatingPointError(f"f' at {x}")
+                if np.size(x) < 3:
+                    if np.ndim(x) > 0:
+                        arrays[name] += 1
+                    for v in np.ravel(x).tolist():
+                        points[name, v] += 1
+                    if raise_at in np.ravel(x):
+                        raise FloatingPointError(f"f' at {raise_at}")
                 return inner(x)
             return dataclasses.replace(m, fprime=fprime)
         monkeypatch.setattr(hv.sweep, "model_from_spec", spied)
-        return calls
+        return points, arrays
 
     def test_default_sweep_evaluates_the_ends_once(self, monkeypatch):
         cfg = hv.sweep.default_config()
-        calls = self.spy_models(monkeypatch)
+        points, arrays = self.spy_models(monkeypatch)
         records = run_sweep(cfg)
-        # Two per (model, a, b), for every rhs there, and one |f'(a)| per
-        # bundle gate point (model, a, b, s) in theorem_hypotheses.
+        # One call on [a, b] per (model, a, b), for every rhs there, and one
+        # scalar |f'(a)| per bundle gate point (model, a, b, s) in
+        # theorem_hypotheses.
         visits = {(r.model, r.a, r.b) for r in records}
         gates = {(r.model, r.a, r.b, r.s) for r in records
                  if BOUND_TABLE[r.theorem].gate == "bundle"}
         assert (len(visits), len(gates)) == (43, 86)
-        assert sum(calls.values()) == 2 * len(visits) + len(gates) == 172
+        assert sum(arrays.values()) == len(visits)
+        assert sum(points.values()) == 2 * len(visits) + len(gates) == 172
 
     def test_fprime_raising_at_b_fails_only_the_rhs_that_read_it(self, monkeypatch):
         raw = {"models": [{"builtin": "power", "s": 0.5}],
                "a_grid": [0.25], "b_grid": [0.75, 1.0], "s_grid": [0.5, 1.0],
                "q_grid": [1.0, 2.0]}
         plain = run_sweep(parse_config(raw))
-        calls = self.spy_models(monkeypatch, raise_at=0.75)
+        points, arrays = self.spy_models(monkeypatch, raise_at=0.75)
         raised = run_sweep(parse_config(raw))
         assert len(raised) == len(plain) == 28
-        # The raise is kept: f'(0.75) runs once for the 10 rhs that read it.
-        # Two ends per interval, and one |f'(a)| per bundle gate point (s).
-        assert sum(n for (_, x), n in calls.items() if x == 0.75) == 1
-        assert sum(calls.values()) == 2 * 2 + 2 * 2
+        # The raise is kept: f' at 0.75 runs once for the 10 rhs that read
+        # it, in the call on [0.25, 0.75] and in its one-point fallback.
+        # One call on [a, b] per interval, and one |f'(a)| per bundle gate
+        # point (s).
+        assert points["power(s=0.5)", 0.75] == 2
+        assert sum(arrays.values()) == 2
+        assert sum(points.values()) == 2 * 2 + 2 + 2 * 2
         failed = 0
         for old, new in zip(plain, raised):
             if BOUND_TABLE[old.theorem].is_prop or old.b != 0.75:
@@ -988,6 +999,77 @@ class TestFprimeEnds:
                     == (old.hyp_class, old.hyp_monotone, old.hyp_fprime_a))
             assert all(math.isnan(v) for v in (new.lhs, new.rhs, new.gap, new.ratio))
         assert failed == 10
+
+    def test_scalar_only_model_reads_the_ends_point_by_point(self):
+        # math-based f and f' raise on arrays, so the call on [a, b] falls
+        # back to one call per point: lhs and fprime_ends keep the bits of
+        # two one-point calls.
+        seen = []
+
+        def f(x):
+            seen.append(("f", x))
+            return x * math.log(x)
+
+        def fprime(x):
+            seen.append(("f'", x))
+            return math.log(x) + 1.0
+        m = hv.models.make_model("scalar-only", 1.0, 2.0, f, fprime)
+        a, b = 1.25, 1.7
+        ctx = ModelContext(m, Tolerances(), ClassCheckConfig(), a, b)
+
+        def read(value):
+            """value(), and its calls of f and f' that were not on a grid
+            of the class checks, by points."""
+            seen.clear()
+            got = value()
+            return got, [(name, np.ravel(x).tolist()) for name, x in seen
+                         if np.size(x) < 3]
+        ends, calls = read(lambda: ctx.fprime_ends)
+        assert ends == (abs(fprime(a)), abs(fprime(b)))
+        assert calls == [("f'", [a, b]), ("f'", [a]), ("f'", [b])]
+        lhs, calls = read(lambda: ctx.lhs)
+        want = abs(0.5 * (float(f(a)) + float(f(b)))
+                   - hv.quadrature.mean_integral(m, a, b, tol=1e-10))
+        assert lhs.hex() == want.hex()
+        # The ends first, then the quadrature's nodes one at a time.
+        assert calls[:3] == [("f", [a, b]), ("f", [a]), ("f", [b])]
+
+
+class TestOracleResidual:
+    """A bound on f whose gap-identity residual exceeds identity_tol
+    (relative above lhs = 1) is an eval-error, not a pass or a violation:
+    the f' it was gated on does not integrate to f."""
+
+    # f = sign(x - 1.51) jumps inside [1, 2].  Its symbolic f' is 0 wherever
+    # it evaluates, so eq8's and eq9's flags pass with rhs = 0 < lhs = 0.02.
+    JUMP = {"models": [{"expr": "((x-1.51)^2)^0.5/(x-1.51)", "domain": [1, 2]}],
+            "a_grid": [1.0], "b_grid": [2.0], "s_grid": [1.0], "q_grid": [1.0, 2.0]}
+
+    def test_a_jump_in_f_is_an_eval_error_that_keeps_its_sides(self, tmp_path):
+        records = run_sweep(parse_config(self.JUMP))
+        flagged = [r for r in records if r.discrepancy == "oracle-residual"]
+        assert [r.theorem for r in flagged] == ["eq8", "eq9"]
+        for r in flagged:
+            assert r.verdict == "eval-error"
+            assert (r.hyp_class, r.hyp_monotone, r.hyp_fprime_a) == (True,) * 3
+            assert r.lhs == pytest.approx(0.02) and r.rhs == 0.0
+            assert r.gap == r.rhs - r.lhs
+            assert r.oracle_residual == pytest.approx(0.02)
+        summary = hv.sweep.summarize(records)
+        assert summary["violations"] == 0
+        assert summary["max_gap_identity_residual"] == pytest.approx(0.02)
+        # The kept sides survive a round trip through the CSV.
+        path = tmp_path / "jump.csv"
+        write_csv(records, str(path))
+        assert records_equal(records, read_csv(str(path)))
+
+    @pytest.mark.parametrize("tol, fails", [(1e-15, True), (1e-13, False)])
+    def test_identity_tol_is_relative_above_lhs_1(self, tol, fails):
+        # lhs is about 2.26e140 and the residual about 2.2e126, 9.6e-15 of it.
+        m = hv.models.model_from_expr("x^300/300", 1.0, 10.0)
+        ctx = ModelContext(m, Tolerances(), ClassCheckConfig(), 1.0, 3.0)
+        assert 1e125 < ctx.gap_residual < 1e127
+        assert hv.sweep.oracle_fails(ctx.gap_residual, ctx.lhs, tol) is fails
 
 
 class TestRaisingQuadrature:

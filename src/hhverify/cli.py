@@ -183,8 +183,15 @@ def cmd_tightness(args) -> int:
     print(f"{args.theorem} tightness on {m.name}: max ratio {res.ratio:.9g}")
     print(f"  at a={p['a']:.9g} b={p['b']:.9g} s={p['s']:.9g} q={p['q']:.9g}")
     print(f"  evaluations: {res.trace_len}; hypotheses pass: {res.hypotheses_pass}")
+    print(f"  gap-identity residual: {res.oracle_residual:.3e}")
     if res.errors:
         print("  errors: " + ", ".join(f"{k}={v}" for k, v in res.errors.items()))
+    if res.oracle_failed:
+        print(f"error: gap-identity residual {res.oracle_residual:.3e} exceeds "
+              f"identity_tol {sweep.Tolerances().identity_tol:g} (relative above "
+              "lhs = 1) at the best point: f' does not integrate to f on [a, b]",
+              file=sys.stderr)
+        return 1
     if res.violation:
         print("VIOLATION: ratio exceeds 1 within hypotheses")
         return 2

@@ -5,43 +5,49 @@ The classes are universally quantified over (x, y, t), so at desk scale the
 predicates are falsification-oriented semi-decisions: "no violation found on
 the grid within slack".  Failures are exact and come back as witnesses.
 
-Grid policy: x and y share one grid (so the x = y diagonal, where the s < 1
-degeneracy bites, is always included); the t grid has odd size, so 0, 1/2
-and 1 are grid points (the equality/extremal cases).  Cube points are
-clipped to [a, b], so g is never sampled outside the interval.
+Grid policy: x and y share one grid, xs = linspace(a, b, n) (so the x = y
+diagonal, where the s < 1 degeneracy bites, is always included); the t
+grid has odd size, so 0, 1/2 and 1 are grid points (the equality/extremal
+cases).  The linear cube t*x + (1-t)*y has only (n-1)^2 + 1 distinct
+points, and g is sampled on those, a fine grid (``_linear_cube``): on the
+default config's dyadic intervals they are bitwise the product form, and
+elsewhere within a few ulps of it.  Cube points are clipped to [a, b], so
+g is never sampled outside the interval.
 
 Half cube: every class inequality is unchanged when (x, y, t) is swapped
 for (y, x, 1-t), and on the grid the swap is exact.  The t axis is built
 so that ts[n-1-k] == 1 - ts[k] bitwise (``_by_size``), so the point, the
 weights t^s and (1-t)^s, and both sides of the inequality at
 (xs[j], xs[i], ts[n-1-k]) are bitwise those at (xs[i], xs[j], ts[k]): the
-same products added in the other order, and IEEE addition commutes.  So
-the checks sample and compare only the pairs i <= j, times every t, as
-rows of pairs in row-major order (``_by_size``): n^2(n+1)/2 points instead
-of n^3.  The count, the witnesses and the point an error names are still
-those of the full cube.
+same products added in the other order, and IEEE addition commutes, and
+on the linear cube the same m.  So the checks compare only the pairs
+i <= j, times every t, as rows of pairs in row-major order (``_by_size``):
+n^2(n+1)/2 points instead of n^3.  The count, the witnesses and the point
+an error names are still those of the full cube.
 
 Cost, with n = grid_points rounded up to odd: every class check compares
 the half cube in one kernel, ``_compare``, a slab of pair rows at a time.
 Two one-slot caches hold what the checks share, each keyed by what it
-depends on: the t axis and the pair rows are built once per grid size
-(``_by_size``), and the points once per (a, b, n), for every function
-checked there (``_Interval``): the x grid, the linear half cube t*x +
-(1-t)*y and the geometric half cube x^t * y^(1-t), each on first use.
-A half cube takes the products from two n x n tables, x_i*t_k and
-x_i*(1-t_k) (of ln x_i for the geometric one), and gathers their rows by
-pair, so it pays n^2 products instead of n^2(n+1) and the same bits.
+depends on: the t axis, the pair rows and lin are built once per grid
+size (``_by_size``), and the points once per (a, b, n), for every
+function checked there (``_Interval``): the x grid, the linear cube's
+fine grid and the geometric half cube x^t * y^(1-t), each on first use.
 For ``AbsPower(fprime, q)``, the |f'|^q that the bounds' hypotheses are
-about, |fprime| is sampled on those points once per fprime and interval.
-Each further check on that interval then costs a few O(n^3 / 2) array
-passes, plus a power of the sample when q != 1; the monotone check reads
-the x-grid sample.  The sweep checks the bundle at q = 1 whatever the
-bound's q, so the bundle costs one class check per (a, b, s), and the
-convexity gate of eq9 reuses eq8's check of |fprime| and pays the power
-only where that fails; ``sweep.ModelContext.flags`` says why.  Only the
-latest interval is kept, and in it the latest fprime's samples,
-read-only: two half cubes of points and |fprime| on them, four
-n^2(n+1)/2 float64 arrays (about 4.5 MB at n = 65).
+about, |fprime| is sampled on those points once per fprime and interval:
+n, (n-1)^2 + 1 and n^2(n+1)/2 points (65, 4,097 and 139,425 at n = 65).
+Each (points, q) is then powered (q != 1), checked finite, and on the
+geometric cube checked positive and logged, once; a further check on
+that interval costs a few O(n^3 / 2) compare passes.  The monotone check
+and |f'(a)| read the x-grid sample.  The sweep checks the bundle at q = 1
+whatever the bound's q, so the bundle costs one class check per (a, b,
+s), and the convexity gate of eq9 reuses eq8's check of |fprime| and
+pays the power only where that fails; ``sweep.ModelContext.flags`` says
+why.
+Only the latest interval is kept, and in it the latest fprime's samples,
+read-only: at q = 1, three n^2(n+1)/2 float64 arrays (the geometric half
+cube, |fprime| on it and its log; about 3.3 MB at n = 65), the int32 lin
+of n^2(n+1)/2 entries (0.56 MB), and the x and fine grids with their
+samples (about 66 KB).
 """
 
 from __future__ import annotations
@@ -136,21 +142,26 @@ def _clip(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 # One slot: every check of a sweep uses one grid size.
 @lru_cache(maxsize=1)
-def _by_size(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What depends on the grid size alone, read-only: the t axis, and the
+def _by_size(n: int) -> tuple[np.ndarray, ...]:
+    """What depends on the grid size alone, read-only: the t axis, the
     half cube's rows (iu, ju), every pair i <= j in row-major order, which
-    is the full cube's C order restricted to i <= j.  The t axis mirrors
-    exactly, ts[n-1-k] == 1 - ts[k]: its lower half is 1 minus its upper
-    half, exact by Sterbenz, and so is 1 - ts[k] for every k.  That equals
-    linspace where n - 1 is a power of two (9, 33, 65) and moves points by
-    under one ulp of 1 elsewhere."""
+    is the full cube's C order restricted to i <= j, and the linear cube's
+    index into its fine grid, lin[p, k] = j*(n-1) + k*(i-j) for the p-th
+    pair (i, j), as int32.  The t axis mirrors exactly, ts[n-1-k] == 1 -
+    ts[k]: its lower half is 1 minus its upper half, exact by Sterbenz, and
+    so is 1 - ts[k] for every k.  That equals linspace where n - 1 is a
+    power of two (9, 33, 65) and moves points by under one ulp of 1
+    elsewhere."""
     ts = np.linspace(0.0, 1.0, n)
     m = n // 2
     ts[m] = 0.5
     ts[:m] = 1.0 - ts[:m:-1]
     iu, ju = np.triu_indices(n)
-    ts.flags.writeable = iu.flags.writeable = ju.flags.writeable = False
-    return ts, iu, ju
+    i, j = iu.astype(np.int32), ju.astype(np.int32)
+    lin = j[:, None] * np.int32(n - 1) + (i - j)[:, None] * np.arange(n, dtype=np.int32)
+    for arr in (ts, iu, ju, lin):
+        arr.flags.writeable = False
+    return ts, iu, ju, lin
 
 
 def _pair_row(i, j, n: int):
@@ -158,73 +169,48 @@ def _pair_row(i, j, n: int):
     return i * n - i * (i - 1) // 2 + j - i
 
 
-def _weighted_sum(v: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """t*v[i] + (1-t)*v[j] at [p, k] = (i, j, ts[k]) for the p-th pair: the
-    rows of the n x n tables v*t and v*(1-t), gathered and added in place."""
-    _, iu, ju = _by_size(len(v))
-    out = (v[:, None] * ts)[iu]
-    out += (v[:, None] * (1.0 - ts))[ju]
-    return out
-
-
 def _linear_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """t*x + (1-t)*y at [p, k] = (xs[i], xs[j], ts[k]) for the p-th pair."""
-    return _clip(_weighted_sum(xs, ts), xs)
+    """The linear cube's distinct points, the fine grid: t*x_i + (1-t)*x_j
+    at t = k/(n-1) is lo + (hi-lo)*m/(n-1)^2 with m = j*(n-1) + k*(i-j) in
+    exact arithmetic, so [p, k] reads fine[lin[p, k]] (``_by_size``).  The
+    x grid is fine[::n-1]: bitwise already where n - 1 is a power of two,
+    since the two steps then differ by an exact power-of-two factor."""
+    n = len(xs)
+    fine = np.linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
+    fine[::n - 1] = xs
+    return _clip(fine, xs)
 
 
 def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """x^t * y^(1-t), computed in log space, at [p, k]."""
-    pts = _weighted_sum(np.log(xs), ts)
+    """x^t * y^(1-t), computed in log space, at [p, k] = (xs[i], xs[j],
+    ts[k]) for the p-th pair: the rows of the n x n tables t*ln x and
+    (1-t)*ln x, gathered and added in place."""
+    _, iu, ju, _ = _by_size(len(xs))
+    lnx = np.log(xs)[:, None]
+    pts = (lnx * ts)[iu]
+    pts += (lnx * (1.0 - ts))[ju]
     return _clip(np.exp(pts, out=pts), xs)
 
 
 class _Interval:
     """The grid of one (lo, hi, n) and what every check there shares,
-    read-only whatever it samples: the x grid and the half cubes' points,
-    keyed by cube (None for the x grid) and built on first use, and
-    |fprime| on them for the latest fprime only.  ts, iu and ju are
-    ``_by_size(n)``'s."""
+    read-only whatever it samples: the x grid and the cubes' points, keyed
+    by cube (None for the x grid) and built on first use, and for the
+    latest fprime only, |fprime| on them (``samples``, by cube) and the
+    checked values and logs the checks compare (``checked``, by (cube,
+    q)).  ts, iu, ju and lin are ``_by_size(n)``'s."""
 
     def __init__(self, lo: float, hi: float, n: int):
-        self.ts, self.iu, self.ju = _by_size(n)
+        self.ts, self.iu, self.ju, self.lin = _by_size(n)
         self.xs = np.linspace(lo, hi, n)
         self.xs.flags.writeable = False
         self.points = {None: self.xs}
-        self.fprime, self.samples = None, {}
+        self.fprime, self.samples, self.checked = None, {}, {}
 
 
 # One slot: a sweep runs every check on one interval, for every model,
 # before it moves to the next, and a model's checks there one after another.
 _interval = lru_cache(maxsize=1)(_Interval)
-
-
-def _sampled(g: Callable, grid: _Interval,
-             cube: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(points, g there) on the x grid, or on the half cube cube(xs, ts); a
-    non-finite value raises DomainError naming its point.  That is the
-    first bad point of the full cube in C order too: a point (j, i, k') with
-    j > i holds the same value as its mirror (i, j, k), which comes first."""
-    if cube not in grid.points:
-        grid.points[cube] = pts = cube(grid.xs, grid.ts)
-        pts.flags.writeable = False
-    pts = grid.points[cube]
-    if isinstance(g, AbsPower):
-        if g.fprime != grid.fprime:     # release the last fprime's samples
-            grid.fprime, grid.samples = g.fprime, {}
-        if cube not in grid.samples:
-            grid.samples[cube] = vals = np.abs(evaluate_points(g.fprime, pts))
-            vals.flags.writeable = False
-        vals = grid.samples[cube]
-        if g.q != 1.0:
-            with np.errstate(over="ignore"):  # an overflow raises below
-                vals = vals ** g.q
-    else:
-        vals = evaluate_points(g, pts)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError(float(pts.flat[i]), "function not finite at grid point")
-    return pts, vals
 
 
 def _require_positive(pts: np.ndarray, vals: np.ndarray) -> None:
@@ -233,15 +219,65 @@ def _require_positive(pts: np.ndarray, vals: np.ndarray) -> None:
         raise NonPositiveValueError(float(pts.flat[i]), float(vals.flat[i]))
 
 
-def _compare(lhs: np.ndarray, rhs_rows: Callable, grid: _Interval,
-             cfg: ClassCheckConfig, geometric: bool) -> CheckResult:
+def _checked(vals: np.ndarray, pts: np.ndarray, grid: _Interval,
+             cube: Callable | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(vals, ln vals on the geometric cube, else None).  A non-finite value
+    raises DomainError naming its point, and a non-positive one on the
+    geometric cube NonPositiveValueError: the first bad point of the full
+    cube in C order, since a point (j, i, k') with j > i holds the same
+    value as its mirror (i, j, k), which comes first.  On the linear cube
+    that is the first in the order of lin, gathered here only."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        if cube is _linear_cube:
+            pts, finite = pts[grid.lin], finite[grid.lin]
+        i = int(np.argmin(finite))
+        raise DomainError(float(pts.flat[i]), "function not finite at grid point")
+    if cube is not _geometric_cube:
+        return vals, None
+    _require_positive(pts, vals)
+    return vals, np.log(vals)
+
+
+def _sampled(g: Callable, grid: _Interval, cube: Callable | None = None
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(g, ln g or None) on the x grid, or on the points of cube(xs, ts),
+    through ``_checked``.  For an AbsPower, |fprime| is sampled once per
+    cube, and each (cube, q) is powered, checked and logged once."""
+    if cube not in grid.points:
+        grid.points[cube] = pts = cube(grid.xs, grid.ts)
+        pts.flags.writeable = False
+    pts = grid.points[cube]
+    if not isinstance(g, AbsPower):
+        return _checked(evaluate_points(g, pts), pts, grid, cube)
+    if g.fprime != grid.fprime:     # release the last fprime's samples
+        grid.fprime, grid.samples, grid.checked = g.fprime, {}, {}
+    if cube not in grid.samples:
+        grid.samples[cube] = vals = np.abs(evaluate_points(g.fprime, pts))
+        vals.flags.writeable = False
+    key = (cube, g.q)
+    if key not in grid.checked:
+        vals = grid.samples[cube]
+        if g.q != 1.0:
+            with np.errstate(over="ignore"):  # an overflow raises in _checked
+                vals = vals ** g.q
+        grid.checked[key] = _checked(vals, pts, grid, cube)
+        for arr in grid.checked[key]:
+            if arr is not None:
+                arr.flags.writeable = False
+    return grid.checked[key]
+
+
+def _compare(vals: np.ndarray, ln: np.ndarray | None, rhs_rows: Callable,
+             grid: _Interval, cfg: ClassCheckConfig) -> CheckResult:
     """Violations of lhs <= rhs by more than slack over the full (x, y, t)
-    cube, from its half.  Linear: lhs > rhs + slack and lhs > rhs*(1 +
-    slack), so the slack is absolute up to rhs = 1 and relative above.
-    Geometric: rhs_rows gives ln rhs, and the test is ln lhs > ln rhs +
-    slack, a relative slack at every scale.  Witnesses carry values, not
-    logs, and are the first max_witnesses violations in the full cube's C
-    order.
+    cube, from its half.  Linear (ln None): vals is g on the fine grid, and
+    lhs at [p, k] is vals[lin[p, k]]; the test is lhs > rhs + slack and
+    lhs > rhs*(1 + slack), so the slack is absolute up to rhs = 1 and
+    relative above.  Geometric: vals is g on the half cube, ln its log,
+    rhs_rows gives ln rhs, and the test is ln lhs > ln rhs + slack, a
+    relative slack at every scale.  Witnesses carry values, not logs, and
+    are the first max_witnesses violations in the full cube's C order.
 
     rhs_rows(rows) gives rhs on the pair rows ``rows`` (a slice or an index
     array); the half cube is compared a slab of rows at a time, so the
@@ -249,16 +285,16 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, grid: _Interval,
     (x_i, x_j, ts[k]) does, with the same two sides, so each off-diagonal
     violation counts twice and a diagonal row holds every t once.
     """
-    xs, ts, iu, ju = grid.xs, grid.ts, grid.iu, grid.ju
+    xs, ts, iu, ju, lin = grid.xs, grid.ts, grid.iu, grid.ju, grid.lin
+    geometric = ln is not None
     n = len(xs)
-    viol = np.empty(lhs.shape, dtype=bool)
+    viol = np.empty(lin.shape, dtype=bool)
     step = max(1, _SLAB_POINTS // n)
     found = r = 0
-    for p0 in range(0, len(lhs), step):
+    for p0 in range(0, len(lin), step):
         rows = slice(p0, p0 + step)
-        left, right = lhs[rows], rhs_rows(rows)
-        if geometric:
-            left = np.log(left)
+        left = ln[rows] if geometric else np.take(vals, lin[rows])
+        right = rhs_rows(rows)
         v = np.greater(left, right + cfg.slack, out=viol[rows])
         if not geometric and v.any():
             v &= left > right * (1.0 + cfg.slack)
@@ -284,8 +320,9 @@ def _compare(lhs: np.ndarray, rhs_rows: Callable, grid: _Interval,
     p = _pair_row(np.minimum(i, j), np.maximum(i, j), n)
     kc = np.where(i > j, n - 1 - k, k)
     rhs = rhs_rows(p)[np.arange(len(p)), kc]
+    lhs = vals[p, kc] if geometric else vals[lin[p, kc]]
     wit = map(Witness, xs[i].tolist(), xs[j].tolist(), ts[k].tolist(),
-              lhs[p, kc].tolist(), (np.exp(rhs) if geometric else rhs).tolist())
+              lhs.tolist(), (np.exp(rhs) if geometric else rhs).tolist())
     return CheckResult(False, tuple(wit), count)
 
 
@@ -309,27 +346,25 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
         raise ValueError(f"interval must lie in (0, inf), got {interval}")
     grid = _axes(interval, cfg)
     xs, ts = grid.xs, grid.ts
-    _, gx = _sampled(g, grid)
+    gx, _ = _sampled(g, grid)
     if geometric:
         _require_positive(xs, gx)
+        gx = np.log(gx)
     elif nonnegative:
         neg = gx < -cfg.slack
         if neg.any():
             i = int(np.argmax(neg))
             raise NegativeValueError(float(xs[i]), float(gx[i]))
-    pts, lhs = _sampled(g, grid, _geometric_cube if geometric else _linear_cube)
+    vals, ln = _sampled(g, grid, _geometric_cube if geometric else _linear_cube)
     t = ts[None, :]
-    wx, wy = t ** s, (1.0 - t) ** s
-    if geometric:
-        _require_positive(pts, lhs)
-        gx = np.log(gx)
     # rhs at (i, j, k) is ax[i, k] + ay[j, k]: the products are those of
-    # wx*g(x_i) + wy*g(x_j), so a row gathers them instead of multiplying.
-    ax, ay = gx[:, None] * wx, gx[:, None] * wy
+    # t^s*g(x_i) + (1-t)^s*g(x_j), so a row gathers them instead of
+    # multiplying.
+    ax, ay = gx[:, None] * t ** s, gx[:, None] * (1.0 - t) ** s
 
     def rhs_rows(rows):
-        return ax[grid.iu[rows]] + ay[grid.ju[rows]]
-    return _compare(lhs, rhs_rows, grid, cfg, geometric)
+        return np.take(ax, grid.iu[rows], axis=0) + np.take(ay, grid.ju[rows], axis=0)
+    return _compare(vals, ln, rhs_rows, grid, cfg)
 
 
 def is_convex(g: Callable, interval: tuple[float, float],
@@ -378,7 +413,8 @@ def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
     Witnesses use (x, y) for the adjacent pair and carry (lhs, rhs) =
     (g(y), g(x)); t is NaN (not meaningful here).
     """
-    xs, gx = _sampled(g, _axes(interval, cfg))
+    grid = _axes(interval, cfg)
+    xs, (gx, _) = grid.xs, _sampled(g, grid)
     viol = gx[1:] > gx[:-1] + cfg.slack
     idx = np.flatnonzero(viol)
     wit = tuple(
@@ -415,7 +451,8 @@ def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
     fprime = m.fprime
     class_res = is_s_geometrically_convex(AbsPower(fprime, q), (a, b), s, cfg)
     mono_res = is_monotone_decreasing(AbsPower(fprime), (a, b), cfg)
-    fpa = float(np.abs(fprime(a)))
+    # |f'(a)| is the monotone check's x-grid sample at xs[0] == a.
+    fpa = float(_sampled(AbsPower(fprime), _axes((a, b), cfg))[0][0])
     return HypothesisReport(
         class_ok=class_res.ok,
         monotone_decreasing_ok=mono_res.ok,

@@ -1,7 +1,8 @@
 """The class-check kernel against the full-cube reference it replaced, the
-half cube and its mirror, the slack rule, the per-interval |f'| sample,
-and the cube points."""
+half cube and its mirror, the fine grid of the linear cube, the slack
+rule, the per-interval |f'| sample, and the cube points."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -33,10 +34,19 @@ from hhverify.sweep import default_config, parse_config, run_sweep
 # ---------------------------------------------------------------------------
 
 
+def fine_grid(xs):
+    """The linear cube's distinct points: t*x_i + (1-t)*x_j at t = k/(n-1)
+    is lo + (hi-lo)*m/(n-1)^2 in exact arithmetic, m = j(n-1) + k(i-j)."""
+    n = len(xs)
+    fine = np.linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
+    fine[::n - 1] = xs
+    return np.clip(fine, xs[0], xs[-1], out=fine)
+
+
 def full_linear_cube(xs, ts):
-    t = ts[None, None, :]
-    pts = t * xs[:, None, None] + (1.0 - t) * xs[None, :, None]
-    return np.clip(pts, xs[0], xs[-1], out=pts)
+    n = len(xs)
+    i, j, k = np.indices((n, n, n))
+    return fine_grid(xs)[j * (n - 1) + k * (i - j)]
 
 
 def full_geometric_cube(xs, ts):
@@ -242,6 +252,9 @@ def test_t_axis_mirrors_exactly():
 
 @pytest.mark.parametrize("n", [9, 33, 65])
 def test_each_cube_samples_the_half(n):
+    # The geometric cube samples its half, the linear one its (n-1)^2 + 1
+    # distinct points, and |f'(a)| is the x grid's first point.  Another
+    # check on the same (f', interval, q) evaluates nothing.
     sizes = []
 
     def fprime(x):
@@ -250,47 +263,164 @@ def test_each_cube_samples_the_half(n):
     cfg = ClassCheckConfig(grid_points=n)
     m = make_model("exp", 1.0, 2.0, f=np.exp, fprime=fprime)
     sizes.clear()                                   # the model's own probe
-    theorem_hypotheses(m, 1.0, 2.0, 0.5, 2.0, cfg)  # x grid, geometric cube, f'(a)
+    theorem_hypotheses(m, 1.0, 2.0, 0.5, 2.0, cfg)  # x grid, geometric cube
     is_convex(AbsPower(fprime, 2.0), (1.0, 2.0), cfg)   # linear cube
-    half = n * n * (n + 1) // 2
-    assert sizes == [n, half, 1, half]
+    assert sizes == [n, n * n * (n + 1) // 2, (n - 1) ** 2 + 1]
+    grid = convexity._axes((1.0, 2.0), cfg)
+    logs = grid.checked[convexity._geometric_cube, 2.0][1]
+    theorem_hypotheses(m, 1.0, 2.0, 0.3, 2.0, cfg)
+    is_s_geometrically_convex(AbsPower(fprime, 2.0), (1.0, 2.0), 1.0, cfg)
+    is_s_convex(AbsPower(fprime, 2.0), (1.0, 2.0), 0.5, cfg)
+    assert len(sizes) == 3
+    assert grid.checked[convexity._geometric_cube, 2.0][1] is logs
 
 
 @pytest.mark.parametrize("n", [9, 21, 33, 65])
 def test_half_cubes_are_the_full_cubes_at_i_le_j(n):
+    # The geometric half cube is the full cube's rows i <= j; the linear
+    # cube's fine grid, read through lin, is the reference's, which finds
+    # each point by its own index arithmetic.
     rng = np.random.default_rng(n)
     iu, ju = np.triu_indices(n)
+    lin = convexity._by_size(n)[3]
+    assert lin.dtype == np.int32 and lin.shape == (n * (n + 1) // 2, n)
     for _ in range(5):
         a = float(10.0 ** rng.uniform(-3.0, 1.0))
         b = a * (1.0 + float(10.0 ** rng.uniform(-2.0, 1.0)))
         xs, ts = axes((a, b), ClassCheckConfig(grid_points=n))
-        for half, full in ((convexity._linear_cube, full_linear_cube),
+        for half, full in ((lambda xs, ts: convexity._linear_cube(xs, ts)[lin],
+                            full_linear_cube),
                            (convexity._geometric_cube, full_geometric_cube)):
             cube = full(xs, ts)
             assert (cube == cube.transpose(1, 0, 2)[:, :, ::-1]).all()
             assert (half(xs, ts) == cube[iu, ju]).all()
 
 
+def test_linear_cube_error_names_the_full_cubes_first_bad_point():
+    # Off the x grid, g is NaN at fine[5] and fine[7].  The full cube's C
+    # order meets fine[7] first, at (x_0, x_1, t_1), and fine[5] at
+    # (x_0, x_1, t_3): the error names fine[7], not the fine grid's first.
+    cfg = ClassCheckConfig(grid_points=9)
+    fine = fine_grid(np.linspace(1.0, 2.0, 9))
+    bad = fine[[5, 7]]
+
+    def g(x):
+        x = np.asarray(x)
+        return np.where(np.isin(x, bad), np.nan, x * x)
+    for fn in (g, AbsPower(g)):
+        for kind, s in (("convex", 1.0), ("s_convex", 0.5)):
+            ref = _outcome(lambda: reference_check(kind, fn, (1.0, 2.0), s, cfg))
+            got = _outcome(lambda: public_check(kind, fn, (1.0, 2.0), s, cfg))
+            assert got == ref == ("DomainError", str(DomainError(
+                float(fine[7]), "function not finite at grid point")))
+
+
+def test_geometric_cube_zero_names_the_full_cubes_first_bad_point():
+    # g is 0 at two geometric cube points off the x grid: the error names
+    # the one the full cube meets first, with g > 0 on the x grid.
+    cfg = ClassCheckConfig(grid_points=9)
+    xs, ts = axes((1.0, 2.0), cfg)
+    cube = full_geometric_cube(xs, ts)
+    first, second = cube[0, 1, 3], cube[0, 2, 1]
+    assert first not in xs and second not in xs
+
+    def g(x):
+        x = np.asarray(x)
+        return np.where((x == first) | (x == second), 0.0, x)
+    for fn in (g, AbsPower(g)):
+        for s in (1.0, 0.5):
+            ref = _outcome(lambda: reference_check("geometric", fn, (1.0, 2.0), s, cfg))
+            got = _outcome(lambda: public_check("geometric", fn, (1.0, 2.0), s, cfg))
+            assert got == ref == ("NonPositiveValueError",
+                                  str(NonPositiveValueError(float(first), 0.0)))
+
+
+POW2_SIZES = (3, 5, 9, 17, 33, 65, 129)
+
+
+def _random_intervals(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = float(10.0 ** rng.uniform(-3.0, 1.0))
+        yield a, a * (1.0 + float(10.0 ** rng.uniform(-2.0, 1.0)))
+
+
+def test_x_grid_is_every_step_of_the_fine_grid():
+    # xs is linspace(a, b, n) at every n.  Where n - 1 is a power of two
+    # the fine grid's linspace already holds it at every (n-1)-th point,
+    # bitwise, so the fine grid takes nothing from xs.
+    for a, b in _random_intervals(21, 20):
+        for n in range(3, 130, 2):
+            xs = axes((a, b), ClassCheckConfig(grid_points=n))[0]
+            assert xs.tobytes() == np.linspace(a, b, n).tobytes(), (a, b, n)
+            fine = convexity._linear_cube(xs, None)
+            assert fine.shape == ((n - 1) ** 2 + 1,)
+            assert fine[::n - 1].tobytes() == xs.tobytes()
+            assert fine.min() >= a and fine.max() <= b
+            if n in POW2_SIZES:
+                raw = np.linspace(a, b, (n - 1) ** 2 + 1)
+                assert raw[::n - 1].tobytes() == xs.tobytes(), (a, b, n)
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+
+
+def _linear_products(xs, ts):
+    iu, ju = np.triu_indices(len(xs))
+    t = ts[None, :]
+    return np.clip(t * xs[iu, None] + (1.0 - t) * xs[ju, None], xs[0], xs[-1])
+
+
+def test_linear_points_are_the_products_within_4_ulps():
+    # Each point of the fine grid is lo + (hi-lo)*m/(n-1)^2 rounded, the
+    # product form t*x_i + (1-t)*x_j its value up to a few roundings.
+    worst = 0.0
+    for a, b in _random_intervals(5, 20):
+        for n in POW2_SIZES:
+            grid = convexity._axes((a, b), ClassCheckConfig(grid_points=n))
+            got = convexity._linear_cube(grid.xs, grid.ts)[grid.lin]
+            worst = max(worst, float(_ulps(got, _linear_products(grid.xs, grid.ts)).max()))
+    assert 0.0 < worst <= 4.0
+
+
+def test_linear_points_are_the_products_on_the_default_intervals():
+    cfg = default_config()
+    pairs = [(a, b) for a in cfg.a_grid for b in cfg.b_grid if a < b]
+    assert len(pairs) == 13
+    for (a, b), n in itertools.product(pairs, (9, 33, 65)):
+        grid = convexity._axes((a, b), ClassCheckConfig(grid_points=n))
+        got = convexity._linear_cube(grid.xs, grid.ts)[grid.lin]
+        assert got.tobytes() == _linear_products(grid.xs, grid.ts).tobytes(), (a, b, n)
+
+
 @pytest.mark.parametrize("n", [3, 9, 33, 65])
 @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.25, 0.75), (0.1, 0.7),
                                     (1e-3, 1.0), (1.3, 2.9)])
 def test_half_cubes_are_the_broadcast_products_bitwise(n, lo, hi):
-    # The cubes gather rows of n x n tables of the products x*t and
-    # x*(1-t) (of ln x for the geometric one) and add them in place: the
-    # bits of the broadcast formula over the pair rows, on dyadic and
-    # non-dyadic intervals alike.
-    xs, ts = axes((lo, hi), ClassCheckConfig(grid_points=n))
+    # The geometric cube gathers rows of n x n tables of the products
+    # t*ln x and (1-t)*ln x and adds them in place: the bits of the
+    # broadcast formula over the pair rows, on dyadic and non-dyadic
+    # intervals alike.  The linear cube's fine grid, read through lin, has
+    # the broadcast formula's bits on the dyadic intervals, and is within
+    # a few ulps of it on the others.
+    grid = convexity._axes((lo, hi), ClassCheckConfig(grid_points=n))
+    xs, ts = grid.xs, grid.ts
     iu, ju = np.triu_indices(n)
     t = ts[None, :]
     lnx = np.log(xs)
     linear = np.clip(t * xs[iu, None] + (1.0 - t) * xs[ju, None], lo, hi)
     geometric = np.clip(np.exp(t * lnx[iu, None] + (1.0 - t) * lnx[ju, None]),
                         lo, hi)
-    for cube, want in ((convexity._linear_cube, linear),
-                       (convexity._geometric_cube, geometric)):
-        got = cube(xs, ts)
-        assert got.shape == want.shape == (n * (n + 1) // 2, n)
-        assert got.tobytes() == want.tobytes()
+    got = convexity._geometric_cube(xs, ts)
+    assert got.shape == geometric.shape == (n * (n + 1) // 2, n)
+    assert got.tobytes() == geometric.tobytes()
+    got = convexity._linear_cube(xs, ts)[grid.lin]
+    assert got.shape == linear.shape
+    if (lo, hi) in ((1.0, 2.0), (0.25, 0.75)):
+        assert got.tobytes() == linear.tobytes()
+    else:
+        assert _ulps(got, linear).max() <= 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +531,12 @@ def test_sample_is_read_only():
     grid = convexity._axes((1.0, 2.0), CFG)
     cubes = {None, convexity._linear_cube, convexity._geometric_cube}
     assert grid.fprime == m.fprime and set(grid.samples) == set(grid.points) == cubes
-    for arr in (*grid.samples.values(), *grid.points.values(), grid.ts, grid.iu, grid.ju):
+    assert set(grid.checked) == {(None, 1.0), (None, 2.0), (convexity._linear_cube, 2.0),
+                                 (convexity._geometric_cube, 2.0)}
+    assert [ln is None for _, ln in grid.checked.values()].count(False) == 1
+    checked = [arr for pair in grid.checked.values() for arr in pair if arr is not None]
+    for arr in (*grid.samples.values(), *grid.points.values(), *checked,
+                grid.ts, grid.iu, grid.ju, grid.lin):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
@@ -413,11 +548,13 @@ def test_only_the_latest_interval_is_kept():
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
     first = [weakref.ref(arr) for arr in (*grid.samples.values(), *grid.points.values())]
+    checked = [weakref.ref(arr) for pair in grid.checked.values() for arr in pair
+               if arr is not None]
     del grid
-    assert len(first) == 6 and all(ref() is not None for ref in first)
+    assert len(first) == 6 and all(ref() is not None for ref in first + checked)
     theorem_hypotheses(m, 1.0, 1.5, 1.0, 2.0, CFG)
     is_convex(AbsPower(m.fprime, 2.0), (1.0, 1.5), CFG)
-    assert all(ref() is None for ref in first)
+    assert all(ref() is None for ref in first + checked)
 
 
 def test_only_the_latest_fprime_is_kept():
@@ -425,11 +562,12 @@ def test_only_the_latest_fprime_is_kept():
     theorem_hypotheses(ms[0], 1.0, 2.0, 1.0, 2.0, CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
     first = [weakref.ref(arr) for arr in grid.samples.values()]
+    logs = weakref.ref(grid.checked[convexity._geometric_cube, 2.0][1])
     cube = weakref.ref(grid.points[convexity._geometric_cube])
-    assert len(first) == 2 and all(ref() is not None for ref in first)
+    assert len(first) == 2 and all(ref() is not None for ref in first + [logs])
     theorem_hypotheses(ms[1], 1.0, 2.0, 1.0, 2.0, CFG)
     assert grid.fprime == ms[1].fprime and len(grid.samples) == 2
-    assert all(ref() is None for ref in first) and cube() is not None
+    assert all(ref() is None for ref in first + [logs]) and cube() is not None
     assert report(ms[0], 1.0, 2.0, 1.0, 2.0) == fresh(ms[0], 1.0, 2.0, 1.0, 2.0)
 
 
@@ -548,3 +686,30 @@ def test_steep_report_pinned():
     assert len(records) == 264
     assert hashlib.sha256(records_text(records, "csv").encode()).hexdigest() == \
         "90b4f79b12f0de3a3ea4e7bed5f876ec1a5e795921f4cf6452cc0735dd8cbc64"
+
+
+# sha256 over the repr of (ok, violation_count, witnesses) of every class
+# and monotone check a default sweep makes, in order, by class_grid_points.
+# The default report is the same at all three sizes, so only these see a
+# change of the kernel's own outputs.
+DEFAULT_CHECK_DIGESTS = {
+    9: "04732407ce38d9eb340c3173bf9c34022c3ac18ca1a5489837c8eb9ef8456b4d",
+    33: "6b91fcade1d5d9b7907cd76691634166eece0fde8ae7b413df8515f8156009f3",
+    65: "e0f4b586b8521a2eff23e945fb0f1da7e37a132dc64aaa88ff205acfe3c119ec",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DEFAULT_CHECK_DIGESTS))
+def test_default_check_results_pinned(monkeypatch, n):
+    seen = []
+    for name in ("_check", "is_monotone_decreasing"):
+        def spy(*args, check=getattr(convexity, name), **kwargs):
+            seen.append(check(*args, **kwargs))
+            return seen[-1]
+        monkeypatch.setattr(convexity, name, spy)
+    run_sweep(dataclasses.replace(default_config(), class_grid_points=n))
+    digest = hashlib.sha256()
+    for res in seen:
+        digest.update(repr((res.ok, res.violation_count, res.witnesses)).encode())
+    assert len(seen) == 215
+    assert digest.hexdigest() == DEFAULT_CHECK_DIGESTS[n]

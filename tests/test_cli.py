@@ -491,6 +491,20 @@ class TestTightnessCli:
         assert (code, out) == (1, "")
         assert err == "error: box.a: need finite bounds, got (1.0, inf)\n"
 
+    def test_jump_in_f_is_an_error_not_a_violation(self, capsys):
+        # As eval-bound: the best point's ratio is inf with passing flags,
+        # but its f' does not integrate to f.
+        code, out, err = run(["tightness", "--theorem", "eq8",
+                              "--f", "((x-1.51)^2)^0.5/(x-1.51)", "--domain", "1,2",
+                              "--a-range", "1,1.3", "--b-range", "1.7,2"], capsys)
+        assert code == 1
+        assert "max ratio inf\n" in out and "hypotheses pass: True\n" in out
+        assert "  gap-identity residual: 2.000e-02\n" in out
+        assert "VIOLATION" not in out
+        assert err.startswith("error: gap-identity residual 2.000e-02 exceeds "
+                              "identity_tol 1e-08 ")
+        assert err.count("\n") == 1
+
     def test_infeasible_exit_1(self, capsys):
         code, _, err = run(["tightness", "--theorem", "eq10",
                             "--builtin", "exp", "--rate", "1", "--domain", "1,2",

@@ -961,15 +961,15 @@ class TestFprimeEnds:
         cfg = hv.sweep.default_config()
         points, arrays = self.spy_models(monkeypatch)
         records = run_sweep(cfg)
-        # One call on [a, b] per (model, a, b), for every rhs there, and one
-        # scalar |f'(a)| per bundle gate point (model, a, b, s) in
-        # theorem_hypotheses.
+        # One call on [a, b] per (model, a, b), for every rhs there; the
+        # bundle's |f'(a)| at each gate point (model, a, b, s) is read from
+        # the x-grid sample of its checks, so it makes no call.
         visits = {(r.model, r.a, r.b) for r in records}
         gates = {(r.model, r.a, r.b, r.s) for r in records
                  if BOUND_TABLE[r.theorem].gate == "bundle"}
         assert (len(visits), len(gates)) == (43, 86)
         assert sum(arrays.values()) == len(visits)
-        assert sum(points.values()) == 2 * len(visits) + len(gates) == 172
+        assert sum(points.values()) == 2 * len(visits) == 86
 
     def test_fprime_raising_at_b_fails_only_the_rhs_that_read_it(self, monkeypatch):
         raw = {"models": [{"builtin": "power", "s": 0.5}],
@@ -981,17 +981,17 @@ class TestFprimeEnds:
         assert len(raised) == len(plain) == 28
         # The raise is kept: f' at 0.75 runs once for the 10 rhs that read
         # it, in the call on [0.25, 0.75] and in its one-point fallback.
-        # One call on [a, b] per interval, and one |f'(a)| per bundle gate
-        # point (s).
+        # One call on [a, b] per interval; the bundle reads |f'(a)| from its
+        # checks' x grid.
         assert points["power(s=0.5)", 0.75] == 2
         assert sum(arrays.values()) == 2
-        assert sum(points.values()) == 2 * 2 + 2 + 2 * 2
+        assert sum(points.values()) == 2 * 2 + 2
         failed = 0
         for old, new in zip(plain, raised):
             if BOUND_TABLE[old.theorem].is_prop or old.b != 0.75:
                 assert records_equal([old], [new])
                 continue
-            # The flags read f' at a and on arrays, so they are unchanged.
+            # The flags read f' on the checks' arrays only, so they are unchanged.
             failed += 1
             assert (new.verdict, new.discrepancy) == ("eval-error",
                                                       "error:FloatingPointError")
@@ -1062,6 +1062,26 @@ class TestOracleResidual:
         path = tmp_path / "jump.csv"
         write_csv(records, str(path))
         assert records_equal(records, read_csv(str(path)))
+
+    def test_the_search_judges_its_best_point_by_the_oracle(self):
+        # The search's best point is a = 1, b = 2 with ratio inf and passing
+        # flags: no violation, since f' does not integrate to f there.  The
+        # residual is that point's own, at the search's tolerances.
+        m = hv.model_from_expr("((x-1.51)^2)^0.5/(x-1.51)", 1.0, 2.0)
+        res = optimize_tightness("eq8", m, {"a": (1.0, 1.3), "b": (1.7, 2.0)})
+        assert (res.ratio, res.params["a"], res.params["b"]) == (math.inf, 1.0, 2.0)
+        assert res.hypotheses_pass and res.oracle_failed and not res.violation
+        ctx = ModelContext(m, Tolerances(quad_tol=1e-9), ClassCheckConfig(), 1.0, 2.0)
+        assert res.oracle_residual == ctx.gap_residual == pytest.approx(0.02)
+        # The benchmark batch's best points pass it, with the residual its
+        # output check computes.
+        for (theorem, spec, box, require), _ in TestTightness.BENCH_SEED1[:3]:
+            m = hv.models.model_from_spec(spec)
+            res = optimize_tightness(theorem, m, box, require_hypotheses=require)
+            a, b = res.params["a"], res.params["b"]
+            gap = hv.bounds.trapezoid_mean_gap(m, a, b, tol=1e-9)
+            want = abs(gap - abs(hv.bounds.gap_integral_form(m, a, b, tol=1e-9)))
+            assert res.oracle_residual == want < 1e-8 and not res.oracle_failed
 
     @pytest.mark.parametrize("tol, fails", [(1e-15, True), (1e-13, False)])
     def test_identity_tol_is_relative_above_lhs_1(self, tol, fails):

@@ -23,7 +23,7 @@ from .convexity import (AbsPower, ClassCheckConfig, is_convex,
                         is_s_convex, is_s_geometrically_convex)
 from .errors import EmptyFeasibleSetError, QuadratureError
 from .models import FunctionModel, model_from_expr, model_from_spec
-from .records import make_ratio, records_text, write_csv, write_json
+from .records import records_text, write_csv, write_json
 from .tightness import SEARCH_TAGS, optimize_tightness
 
 _CLASS_KINDS = ("convex", "s-convex", "geo-convex", "s-geo-convex", "decreasing")
@@ -121,31 +121,35 @@ def cmd_eval_bound(args) -> int:
     if not m.contains(a, b):  # before the hypothesis check samples f' there
         raise ValueError(f"need {m.lo:g} <= a < b <= {m.hi:g}, got a={a:g}, b={b:g}")
 
-    tols = sweep.Tolerances()
-    ctx = sweep.ModelContext(m, tols, ClassCheckConfig(), a, b)
-    flags = ctx.flags(bound, s, q)
-    lhs, rhs = ctx.sides(bound, s, q)
-    # A proposition's rhs reads no f' and has no gap-identity residual.
-    residual = None if bound.is_prop else ctx.gap_residual
+    ctx = sweep.ModelContext(m, sweep.Tolerances(), ClassCheckConfig(), a, b)
+    rec = ctx.record(tag, s, q)
+    if rec.error is not None:
+        raise rec.error
     print(f"model: {m.name}")
     print(f"point: s={s:.12g} q={q:.12g}")
-    print(f"{tag}: lhs={lhs:.12g} rhs={rhs:.12g} gap={rhs - lhs:.12g} "
-          f"ratio={make_ratio(lhs, rhs):.12g}")
-    print("hypotheses: class={} monotone={} fprime_a_le_1={}".format(*flags))
-    if residual is not None:
+    print(f"{tag}: lhs={rec.lhs:.12g} rhs={rec.rhs:.12g} gap={rec.gap:.12g} "
+          f"ratio={rec.ratio:.12g}")
+    print(f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
+          f"fprime_a_le_1={rec.hyp_fprime_a}")
+    # A proposition's rhs reads no f' and has no gap-identity residual.
+    if not bound.is_prop:
         print("fprime: |f'(a)|={:.12g} |f'(b)|={:.12g}".format(*ctx.fprime_ends))
-        print(f"gap-identity residual: {residual:.3e}")
-        if sweep.oracle_fails(residual, lhs, tols.identity_tol):
-            # The sweep's record is an eval-error tagged oracle-residual.
-            print(f"error: gap-identity residual {residual:.3e} exceeds "
-                  f"identity_tol {tols.identity_tol:g} (relative "
-                  "above lhs = 1): f' does not integrate to f on [a, b]",
-                  file=sys.stderr)
-            return 1
-    if sweep.verdict(flags, lhs, rhs) == "violation":
+        print(f"gap-identity residual: {rec.oracle_residual:.3e}")
+    if "oracle-residual" in rec.discrepancy.split(";"):
+        return _oracle_error(rec.oracle_residual)
+    if rec.verdict == "violation":
         print("VIOLATION")
         return 2
     return 0
+
+
+def _oracle_error(residual: float, where: str = "") -> int:
+    """Report a verdict the gap-identity oracle voids (an eval-error tagged
+    oracle-residual in the sweep): exit code 1."""
+    print(f"error: gap-identity residual {residual:.3e} exceeds identity_tol "
+          f"{sweep.Tolerances().identity_tol:g} (relative above lhs = 1){where}: "
+          "f' does not integrate to f on [a, b]", file=sys.stderr)
+    return 1
 
 
 def cmd_verify(args) -> int:
@@ -187,11 +191,7 @@ def cmd_tightness(args) -> int:
     if res.errors:
         print("  errors: " + ", ".join(f"{k}={v}" for k, v in res.errors.items()))
     if res.oracle_failed:
-        print(f"error: gap-identity residual {res.oracle_residual:.3e} exceeds "
-              f"identity_tol {sweep.Tolerances().identity_tol:g} (relative above "
-              "lhs = 1) at the best point: f' does not integrate to f on [a, b]",
-              file=sys.stderr)
-        return 1
+        return _oracle_error(res.oracle_residual, " at the best point")
     if res.violation:
         print("VIOLATION: ratio exceeds 1 within hypotheses")
         return 2

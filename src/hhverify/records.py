@@ -49,9 +49,11 @@ class BoundRecord:
     hyp_fprime_a: bool
     verdict: str
     discrepancy: str = ""
-    # Oracle residual of the gap identity for this (model, a, b); carried on
-    # the record for diagnostics but not part of the wire format.
+    # Not part of the wire format: the oracle residual of the gap identity
+    # for this (model, a, b), and the exception of an eval-error that raised,
+    # with no traceback, cause or context.
     oracle_residual: float = field(default=math.nan, compare=False)
+    error: Exception | None = field(default=None, compare=False)
 
 
 def make_ratio(lhs: float, rhs: float) -> float:

@@ -9,7 +9,7 @@ outside the preconditions is part of the job (the special-means
 propositions live entirely in that regime).
 
 Per-record evaluation errors are captured in the record rather than
-aborting the sweep.
+aborting the sweep.  ``ModelContext.record`` makes every verdict.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .records import BoundRecord, make_ratio, sort_records
 
 __all__ = ["Tolerances", "SweepConfig", "load_config", "parse_config",
            "default_config", "BoundSpec", "BOUND_TABLE", "THEOREM_TAGS",
-           "ModelContext", "holds", "oracle_fails", "verdict", "run_sweep",
-           "summarize", "PASS_SLACK"]
+           "ModelContext", "holds", "run_sweep", "summarize", "PASS_SLACK"]
 
 SCHEMA_VERSION = 1
 
@@ -42,15 +41,6 @@ PASS_SLACK = 1e-12
 def holds(lhs: float, rhs: float) -> bool:
     """The pass criterion of every verdict: lhs <= rhs + PASS_SLACK."""
     return lhs <= rhs + PASS_SLACK
-
-
-def oracle_fails(residual: float, lhs: float, identity_tol: float) -> bool:
-    """Whether a bound on f fails the oracle: its gap-identity residual
-    exceeds identity_tol, relative above lhs = 1 as the quadrature's
-    tolerance is.  Then the f' it is gated on does not integrate to f on
-    [a, b] (f jumps, say), and neither a pass nor a violation means
-    anything."""
-    return residual > identity_tol * max(1.0, lhs)
 
 
 @dataclass(frozen=True)
@@ -292,13 +282,13 @@ def _fresh(e: Exception) -> Exception:
 
 @dataclass
 class ModelContext:
-    """One model on one interval [a, b]: the one evaluator of a bound there,
-    for a sweep's visit, an ``eval-bound`` point or a search point.  Every
-    value it computes goes through one memo, on its first read: the
-    quadratures (``lhs``, ``gap_residual``), |f'| at a and b for every
-    right-hand side (``fprime_ends``, one call of f' on the array [a, b],
-    as ``lhs`` makes one of f) and the flags of each gate (see
-    ``flags``).  A computation that raised is kept as a copy of its
+    """One model on one interval [a, b]: the one evaluator and judge
+    (``record``) of a bound there, for a sweep's visit, an ``eval-bound``
+    point or a search point.  Every value it computes goes through one
+    memo, on its first read: the quadratures (``lhs``, ``gap_residual``),
+    |f'| at a and b for every right-hand side (``fprime_ends``, one call of
+    f' on the array [a, b], as ``lhs`` makes one of f) and the flags of
+    each gate (see ``flags``).  A computation that raised is kept as a copy of its
     exception with no traceback, cause or context (their frames hold the
     check's arrays and this context), so it runs once too, and each read
     raises a fresh copy: a traceback on the kept one would hold this
@@ -386,41 +376,39 @@ class ModelContext:
         lhs = means.prop_lhs(self.a, self.b, s) if bound.is_prop else self.lhs
         return lhs, bound.rhs(self, s, q)
 
-
-def verdict(flags: tuple[bool, bool, bool], lhs: float, rhs: float) -> str:
-    if not all(flags):
-        return "outside-hypotheses"
-    return "pass" if holds(lhs, rhs) else "violation"
-
-
-def _record(ctx: ModelContext, theorem: str, bound: BoundSpec, s: float,
-            q: float) -> BoundRecord:
-    """One bound at one point on ctx's [a, b].  Failures become tags on an
-    eval-error record instead of aborting the sweep; calls run in the order
-    identity tags, hypotheses, lhs, rhs, gap-identity residual.  A bound on
-    f that fails the oracle (``oracle_fails``) is an eval-error tagged
-    oracle-residual that keeps its sides and residual."""
-    m, a, b = ctx.model, ctx.a, ctx.b
-    nan = math.nan
-    tags = (bound.identity(a, b, s, q, ctx.tolerances.identity_tol)
-            if bound.is_prop else [])
-    flags, stage = (False, False, False), "hyp-error"
-    try:
-        flags = ctx.flags(bound, s, q)
-        stage = "error"
-        lhs, rhs = ctx.sides(bound, s, q)
-        residual = nan if bound.is_prop else ctx.gap_residual
-    except Exception as e:
-        tags.append(f"{stage}:{type(e).__name__}")
-        return BoundRecord(m.name, theorem, a, b, s, q, nan, nan, nan, nan,
-                           *flags, "eval-error", ";".join(tags))
-    result = verdict(flags, lhs, rhs)
-    if oracle_fails(residual, lhs, ctx.tolerances.identity_tol):
-        result = "eval-error"
-        tags.append("oracle-residual")
-    return BoundRecord(
-        m.name, theorem, a, b, s, q, lhs, rhs, rhs - lhs, make_ratio(lhs, rhs),
-        *flags, result, ";".join(tags), oracle_residual=residual)
+    def record(self, theorem: str, s: float, q: float) -> BoundRecord:
+        """The one judgment of a bound at its point (s, q) on [a, b].  Calls
+        run in the order identity tags, flags, lhs and rhs, gap-identity
+        residual; a failure makes an eval-error tagged ``hyp-error:`` (the
+        flags) or ``error:`` (after them) that keeps the flags read so far
+        and, in ``error``, a ``_fresh`` copy of the exception.  A bound on f
+        fails the oracle where its residual exceeds identity_tol (relative
+        above lhs = 1, as the quadrature's tolerance is): its f' does not
+        integrate to f on [a, b] (f jumps, say), so it is an eval-error
+        tagged oracle-residual that keeps its sides and residual."""
+        bound, a, b, nan = BOUND_TABLE[theorem], self.a, self.b, math.nan
+        tags = (bound.identity(a, b, s, q, self.tolerances.identity_tol)
+                if bound.is_prop else [])
+        flags, stage = (False, False, False), "hyp-error"
+        try:
+            flags = self.flags(bound, s, q)
+            stage = "error"
+            lhs, rhs = self.sides(bound, s, q)
+            residual = nan if bound.is_prop else self.gap_residual
+        except Exception as e:
+            tags.append(f"{stage}:{type(e).__name__}")
+            return BoundRecord(self.model.name, theorem, a, b, s, q, nan, nan, nan,
+                               nan, *flags, "eval-error", ";".join(tags),
+                               error=_fresh(e))
+        verdict = ("outside-hypotheses" if not all(flags)
+                   else "pass" if holds(lhs, rhs) else "violation")
+        if residual > self.tolerances.identity_tol * max(1.0, lhs):
+            verdict = "eval-error"
+            tags.append("oracle-residual")
+        return BoundRecord(
+            self.model.name, theorem, a, b, s, q, lhs, rhs, rhs - lhs,
+            make_ratio(lhs, rhs), *flags, verdict, ";".join(tags),
+            oracle_residual=residual)
 
 
 def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
@@ -453,7 +441,7 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
                 for s, q in points[theorem]:
                     if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):
                         continue
-                    records.append(_record(ctx, theorem, bound, s, q))
+                    records.append(ctx.record(theorem, s, q))
     return sort_records(records)
 
 

@@ -20,10 +20,10 @@ only if its ratio beats the best.  A point whose flags or sides raise where
 they are read is infeasible; ``TightnessResult.errors`` counts those
 exceptions by type.
 
-Only the best point is judged by the quadrature oracle
-(``sweep.oracle_fails``), from its own context: one gap quadrature per
-search.  Where its f' does not integrate to f on [a, b] (f jumps, say),
-its ratio means nothing, so it is no violation.
+Only the best point is judged, by ``ModelContext.record`` on its own
+context: one gap quadrature per search.  Where its f' does not integrate
+to f on [a, b] (f jumps, say), its ratio means nothing, so it is no
+violation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Mapping
 from .convexity import ClassCheckConfig, theorem_hypotheses  # noqa: F401
 from .errors import EmptyFeasibleSetError
 from .models import FunctionModel
-from .sweep import BOUND_TABLE, ModelContext, Tolerances, holds, oracle_fails
+from .sweep import BOUND_TABLE, ModelContext, Tolerances
 
 __all__ = ["TightnessResult", "optimize_tightness", "SEARCH_TAGS"]
 
@@ -55,21 +55,19 @@ _CHECK_CFG = ClassCheckConfig()
 
 @dataclass(frozen=True)
 class TightnessResult:
+    """The best point of a search.  Its ``hypotheses_pass``, ``violation``
+    (a finding, not a tightness result), ``oracle_residual`` and
+    ``oracle_failed`` (tagged oracle-residual) are read from its record."""
     theorem: str
     params: Mapping[str, float]
     ratio: float
     trace_len: int
     hypotheses_pass: bool
-    # True when the best point passes its hypotheses and the oracle and
-    # fails sweep.holds; such a point is a violation finding, not a
-    # tightness result.
     violation: bool = False
     # Exceptions the objective turned into "infeasible", counted by type:
     # those of the flags and sides it read, so not a flags error at a point
     # whose ratio could not beat the best.
     errors: Mapping[str, int] = field(default_factory=dict)
-    # The best point's gap-identity residual, and whether it fails the
-    # oracle (sweep.oracle_fails).
     oracle_residual: float = math.nan
     oracle_failed: bool = False
 
@@ -101,8 +99,8 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     feasible point is known, a point the flags would reject still pays for
     its lhs: a quadrature that straddles a pole spends its whole budget of
     10,000 subdivisions, a fraction of a second, before it raises.  Only
-    the best point's gap-identity residual is computed, at the end; an
-    error there propagates.
+    the best point is judged, at the end, which computes its gap-identity
+    residual; an error there propagates.
     """
     if theorem not in SEARCH_TAGS:
         raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(SEARCH_TAGS)})")
@@ -118,22 +116,21 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     errors: Counter[str] = Counter()
 
     def objective(a: float, b: float, s: float, q: float,
-                  floor: float) -> tuple[float, bool, bool, ModelContext | None]:
-        """(ratio, hypotheses_pass, violation, context); ratio -inf when
-        infeasible, and both flags False and no context when the ratio did
-        not beat ``floor``.  Points equal to 12 decimals are evaluated
-        once."""
+                  floor: float) -> tuple[float, ModelContext | None]:
+        """(ratio, context); ratio -inf when infeasible, and no context when
+        infeasible or the ratio did not beat ``floor``.  Points equal to 12
+        decimals are evaluated once."""
         key = (round(a, 12), round(b, 12), round(s, 12), round(q, 12))
         if key not in cache:
             cache[key] = evaluate(a, b, s, q, floor)
         return cache[key]
 
     def evaluate(a: float, b: float, s: float, q: float,
-                 floor: float) -> tuple[float, bool, bool, ModelContext | None]:
+                 floor: float) -> tuple[float, ModelContext | None]:
         """The point's value, with flags read only where they can matter:
         ``floor`` is the best ratio so far, and the best only rises."""
         nonlocal evals
-        infeasible = (-math.inf, False, False, None)
+        infeasible = (-math.inf, None)
         if not all(lo <= v <= hi for v, (lo, hi) in zip((a, b, s, q), ranges)):
             return infeasible
         if not (a + 1e-9 < b and model.contains(a, b)):
@@ -153,7 +150,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
             # A ratio that does not beat the floor is never chosen, now or
             # later, so its flags would change nothing.
             if not ratio > floor:
-                return (ratio, False, False, None)
+                return (ratio, None)
             if hyp_ok is None:
                 hyp_ok = all(ctx.flags(bound, s, q))
                 if require_hypotheses and not hyp_ok:
@@ -161,7 +158,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         except Exception as e:
             errors[type(e).__name__] += 1
             return infeasible
-        return (ratio, hyp_ok, hyp_ok and not holds(lhs, rhs), ctx)
+        return (ratio, ctx)
 
     def axis(lo: float, hi: float) -> list[float]:
         if hi <= lo:
@@ -169,7 +166,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         n = coarse_points
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
-    best = (-math.inf, False, False, None)
+    best = (-math.inf, None)
     best_pt = None
     for pt in itertools.product(*(axis(lo, hi) for lo, hi in ranges)):
         val = objective(*pt, best[0])
@@ -199,17 +196,18 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
         if not improved:
             steps = [st / 2.0 for st in steps]
 
-    ratio, hyp_ok, violation, ctx = best
-    residual = ctx.gap_residual
-    failed = oracle_fails(residual, ctx.lhs, ctx.tolerances.identity_tol)
+    ratio, ctx = best
+    rec = ctx.record(theorem, pt[2], pt[3])
+    if rec.error is not None:
+        raise rec.error
     return TightnessResult(
         theorem=theorem,
         params={"a": pt[0], "b": pt[1], "s": pt[2], "q": pt[3]},
         ratio=ratio,
         trace_len=evals,
-        hypotheses_pass=hyp_ok,
-        violation=violation and not failed,
+        hypotheses_pass=rec.hyp_class and rec.hyp_monotone and rec.hyp_fprime_a,
+        violation=rec.verdict == "violation",
         errors=dict(sorted(errors.items())),
-        oracle_residual=residual,
-        oracle_failed=failed,
+        oracle_residual=rec.oracle_residual,
+        oracle_failed="oracle-residual" in rec.discrepancy.split(";"),
     )

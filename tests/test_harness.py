@@ -31,8 +31,8 @@ from hhverify.tightness import optimize_tightness
 def fresh_context_per_record(monkeypatch):
     """Make the sweep evaluate every record in a context of its own, so no
     flags or sides are read from a cache."""
-    record = hv.sweep._record
-    monkeypatch.setattr(hv.sweep, "_record", lambda ctx, *args: record(
+    record = ModelContext.record
+    monkeypatch.setattr(ModelContext, "record", lambda ctx, *args: record(
         ModelContext(ctx.model, ctx.tolerances, ctx.check_cfg, ctx.a, ctx.b), *args))
 
 
@@ -505,8 +505,10 @@ class TestTightness:
     def test_flags_read_only_where_the_ratio_can_become_best(self, monkeypatch):
         # Each point reads its flags at most once: while no feasible point is
         # known, or after its lhs and rhs gave a ratio above the best so far.
+        # The search judges its best point once, at the end, through
+        # ModelContext.record, which reads that point's flags and sides again.
         events = []
-        flags, sides = ModelContext.flags, ModelContext.sides
+        flags, sides, record = ModelContext.flags, ModelContext.sides, ModelContext.record
 
         def spy_flags(ctx, *args):
             out = flags(ctx, *args)
@@ -518,14 +520,22 @@ class TestTightness:
             events.append(("sides", ctx, lhs / rhs))
             return lhs, rhs
 
+        def spy_record(ctx, *args):
+            events.append(("record", ctx, None))
+            return record(ctx, *args)
+
         monkeypatch.setattr(ModelContext, "flags", spy_flags)
         monkeypatch.setattr(ModelContext, "sides", spy_sides)
+        monkeypatch.setattr(ModelContext, "record", spy_record)
         res = optimize_tightness("eq10", self.MODELS["1/x on [0.5, 2]"](), self.CLIFF)
-        # Replay the search: a point becomes the best once its flags pass
-        # and its ratio beats the best.
+        judged = [i for i, (kind, *_) in enumerate(events) if kind == "record"]
+        assert len(judged) == 1
+        cut = judged[0]
+        # Replay the search up to the judgment: a point becomes the best
+        # once its flags pass and its ratio beats the best.
         # The events hold their contexts, so no two share an id.
-        best, ratio_of, ok_of = -math.inf, {}, {}
-        for kind, ctx, value in events:
+        best, best_ctx, ratio_of, ok_of = -math.inf, None, {}, {}
+        for kind, ctx, value in events[:cut]:
             key = id(ctx)
             if kind == "flags":
                 assert key not in ok_of
@@ -534,8 +544,11 @@ class TestTightness:
             else:
                 ratio_of[key] = value
             if ok_of.get(key) and ratio_of.get(key, -math.inf) > best:
-                best = ratio_of[key]
+                best, best_ctx = ratio_of[key], ctx
         assert best == res.ratio
+        # The one judgment is of the best point, and reads nothing else.
+        assert all(ctx is best_ctx for _, ctx, _ in events[cut:])
+        assert [kind for kind, *_ in events[cut:]] == ["record", "flags", "sides"]
         assert (len(ok_of), sum(not ok for ok in ok_of.values())) == (32, 27)
         assert res.trace_len == 76
 
@@ -830,7 +843,7 @@ class TestBundleGatedAtQ1:
         del grid, info
         convexity.is_convex(AbsPower(np.exp), (3.0, 4.0), check_cfg)   # next interval
         assert cube_sample() is None
-        rec = hv.sweep._record(ctx, "eq10", BOUND_TABLE["eq10"], 1.0, 1.0)
+        rec = ctx.record("eq10", 1.0, 1.0)
         assert rec.discrepancy == "hyp-error:DomainError"
 
     def test_a_chained_error_keeps_no_context_alive(self):
@@ -844,7 +857,7 @@ class TestBundleGatedAtQ1:
         ctx = ModelContext(m, Tolerances(), ClassCheckConfig(grid_points=9), 1.0, 2.0)
         gc.disable()
         try:
-            rec = hv.sweep._record(ctx, "eq10", BOUND_TABLE["eq10"], 1.0, 1.0)
+            rec = ctx.record("eq10", 1.0, 1.0)
             assert rec.discrepancy == "hyp-error:ValueError"
             alive = weakref.ref(ctx)
             del ctx
@@ -885,20 +898,21 @@ class TestIntervalMajorSweep:
 
     def test_one_context_per_model_and_interval(self, monkeypatch):
         # A model's context lives for its visit to an interval, repeats of
-        # that (a, b) included: a spy on _record sees one context per
-        # (model, interval), and once the sweep is on the next one, no
-        # earlier context is alive.  With the garbage collector off, this
-        # holds for the raising model too: raising its cached error makes
-        # no cycle through its context.
+        # that (a, b) included: a spy on ModelContext.record sees one
+        # context per (model, interval), and once the sweep is on the next
+        # one, no earlier context is alive.  With the garbage collector off,
+        # this holds for the raising model too: raising its cached error,
+        # or keeping a copy of it on the record, makes no cycle through its
+        # context.
         raw = MIXED
-        visits, record = [], hv.sweep._record
+        visits, record = [], ModelContext.record
 
         def spy(ctx, *args):
             if not visits or visits[-1][0]() is not ctx:
                 assert all(ref() is None for ref, *_ in visits)
                 visits.append((weakref.ref(ctx), id(ctx.model), (ctx.a, ctx.b)))
             return record(ctx, *args)
-        monkeypatch.setattr(hv.sweep, "_record", spy)
+        monkeypatch.setattr(ModelContext, "record", spy)
         gc.disable()
         try:
             recs = run_sweep(parse_config(raw))
@@ -1083,13 +1097,80 @@ class TestOracleResidual:
             want = abs(gap - abs(hv.bounds.gap_integral_form(m, a, b, tol=1e-9)))
             assert res.oracle_residual == want < 1e-8 and not res.oracle_failed
 
+    def test_an_error_in_the_best_points_oracle_propagates(self, monkeypatch):
+        # The search computes no residual but its best point's, so an error
+        # there makes no point infeasible: it propagates, with its message.
+        def overflow(*args, **kwargs):
+            raise OverflowError("gap form overflowed")
+        monkeypatch.setattr(hv.bounds, "gap_integral_form", overflow)
+        with pytest.raises(OverflowError, match="gap form overflowed"):
+            optimize_tightness("eq10", hv.model_from_expr("1/x", 1.0, 2.0),
+                               {"a": (1.0, 1.3), "b": (1.7, 2.0)})
+
     @pytest.mark.parametrize("tol, fails", [(1e-15, True), (1e-13, False)])
     def test_identity_tol_is_relative_above_lhs_1(self, tol, fails):
         # lhs is about 2.26e140 and the residual about 2.2e126, 9.6e-15 of it.
         m = hv.models.model_from_expr("x^300/300", 1.0, 10.0)
-        ctx = ModelContext(m, Tolerances(), ClassCheckConfig(), 1.0, 3.0)
+        ctx = ModelContext(m, Tolerances(identity_tol=tol), ClassCheckConfig(), 1.0, 3.0)
         assert 1e125 < ctx.gap_residual < 1e127
-        assert hv.sweep.oracle_fails(ctx.gap_residual, ctx.lhs, tol) is fails
+        rec = ctx.record("eq9", 1.0, 2.0)
+        assert rec.oracle_residual == ctx.gap_residual
+        assert (rec.verdict, rec.discrepancy) == (
+            ("eval-error", "oracle-residual") if fails else ("pass", ""))
+
+
+class TestKeptError:
+    """An eval-error record that raised keeps, in ``error``, a copy of the
+    exception of the stage its tag names, with no traceback, cause or
+    context.  The wire formats and records_equal ignore it."""
+
+    # f' is 0 on the grid of (x-1)^2 and of the jump, so their bundle flags
+    # raise (hyp-error).  The rhs of x^300/300 raises past its flags
+    # (error:).  The jump's eq8 and eq9 records fail the oracle with
+    # nothing raised.
+    RAW = {"models": [{"expr": "(x-1)^2", "domain": [0.5, 1.5]},
+                      {"expr": "x^300/300", "domain": [1, 10]},
+                      {"expr": "((x-1.51)^2)^0.5/(x-1.51)", "domain": [1, 2]}],
+           "a_grid": [0.5, 1.0], "b_grid": [1.5, 2.0, 10.0], "s_grid": [1.0],
+           "q_grid": [1.0, 2.0], "class_grid_points": 9}
+
+    def test_error_is_the_stages_exception_without_frames(self, tmp_path):
+        cfg = parse_config(self.RAW)
+        check_cfg = ClassCheckConfig(grid_points=9, slack=cfg.tolerances.slack)
+        models = {spec["expr"]: hv.models.model_from_spec(spec) for spec in cfg.models}
+        records = run_sweep(cfg)
+        raised = {}
+        for r in records:
+            stage, _, name = r.discrepancy.rpartition(";")[2].partition(":")
+            if stage not in ("hyp-error", "error"):
+                assert r.error is None
+                continue
+            assert r.verdict == "eval-error" and type(r.error).__name__ == name
+            assert (r.error.__traceback__, r.error.__cause__,
+                    r.error.__context__) == (None, None, None)
+            # The exception the stage raises in a context of its own.
+            ctx = ModelContext(models[r.model], cfg.tolerances, check_cfg, r.a, r.b)
+            bound = BOUND_TABLE[r.theorem]
+            with pytest.raises(type(r.error)) as info:
+                ctx.flags(bound, r.s, r.q)
+                if stage == "error":
+                    ctx.sides(bound, r.s, r.q)
+                    ctx.gap_residual
+            assert (str(r.error), r.error.args) == (str(info.value), info.value.args)
+            raised[r.discrepancy] = raised.get(r.discrepancy, 0) + 1
+        assert raised == {"hyp-error:NonPositiveValueError": 16,
+                          "error:OutOfRangeError": 12, "error:OverflowError": 1}
+        assert [r.theorem for r in records
+                if r.discrepancy == "oracle-residual"] == ["eq8", "eq9"]
+        # error is no column and no part of a record's equality.
+        assert records == [dataclasses.replace(r, error=None) for r in records]
+        for fmt, write, read in (("csv", write_csv, read_csv),
+                                 ("json", write_json, read_json)):
+            path = str(tmp_path / f"records.{fmt}")
+            write(records, path)
+            back = read(path)
+            assert records_equal(records, back)
+            assert all(r.error is None for r in back)
 
 
 class TestRaisingQuadrature:

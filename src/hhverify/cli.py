@@ -131,6 +131,8 @@ def cmd_eval_bound(args) -> int:
           f"ratio={rec.ratio:.12g}")
     print(f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
           f"fprime_a_le_1={rec.hyp_fprime_a}")
+    if rec.discrepancy:
+        print(f"discrepancy: {rec.discrepancy}")
     # A proposition's rhs reads no f' and has no gap-identity residual.
     if not bound.is_prop:
         print("fprime: |f'(a)|={:.12g} |f'(b)|={:.12g}".format(*ctx.fprime_ends))

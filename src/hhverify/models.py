@@ -49,9 +49,10 @@ def evaluate_points(g: Callable, pts, point: Callable | None = None) -> np.ndarr
 
     If that call raises anything but DomainError, g is taken as
     scalar-only and called once per point in C order, through
-    ``point(x)`` (default ``float(g(x))``).  Returns a fresh float array
-    shaped like pts: g's result is copied only where it is not one
-    already, such as a scalar or a view of pts.
+    ``point(x)`` (default ``float(g(x))``): point sets stacked as rows
+    are visited one row after another, the first row first.  Returns a
+    fresh float array shaped like pts: g's result is copied only where it
+    is not one already, such as a scalar or a view of pts.
     """
     flat = np.ravel(pts)
     try:

@@ -11,15 +11,20 @@ for larger ones.  Error estimates are the conservative |K15 - G7| local
 differences, which in practice overestimate the true Kronrod error by
 several orders of magnitude.
 
-Integrand calls: each panel calls the integrand once, with the float
+Integrand calls: the first panel calls the integrand once, with the float
 array ``c + h*_NODES`` of its 15 nodes: the center c, then c - h*x_j and
-c + h*x_j for each abscissa x_j.  An integrand that raises on the array is
-scalar-only and gets the nodes one Python float at a time instead.  The
-sums are taken in Python floats in a fixed order, written out without a
-loop: the Kronrod sum adds the centre, then the pairs at -x_j and +x_j in
-turn, and the Gauss sum the centre, then pairs 1, 3 and 5.  So the result
-is the same bits either way as long as the array call gives each node the
-value a one-point call would.  The built-in and expression models do.
+c + h*x_j for each abscissa x_j.  After that, each bisection calls it once
+for both children: their 30 nodes, the left child's 15 first, each child's
+built as above.  An integrand that raises on the array is scalar-only and
+gets the nodes one Python float at a time, in that order, instead.  If
+anything raises on a bisection's call, the two children are evaluated
+again one at a time, so the left child's failure wins, as with one call
+per panel.  The sums are taken per panel in Python floats in a fixed order,
+written out without a loop: the Kronrod sum adds the centre, then the
+pairs at -x_j and +x_j in turn, and the Gauss sum the centre, then pairs 1,
+3 and 5.  So the result is the same bits either way as long as the array
+call gives each node the value a one-point call would.  The built-in and
+expression models do.
 Python's float ``**`` and NumPy's can differ in the last bit, and so can a
 NumPy power whose exponent is an array holding 2, 0.5 or -1: it skips the
 square, square root and reciprocal shortcuts a scalar exponent takes.
@@ -90,27 +95,41 @@ def _sample(g: Callable[[float], float], x: float) -> float:
     return v
 
 
-def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """One Kronrod panel; returns (K15 value, |K15 - G7| estimate)."""
-    c = 0.5 * lo + 0.5 * hi
-    h = 0.5 * (hi - lo)
-    nodes = c + h * _NODES
-    fx = evaluate_points(g, nodes, lambda x: _sample(g, x)).tolist()
-    # Python floats, summed in a fixed order: the same bits whether g took
-    # the array or fell back to scalar calls.  Pair j is the two samples
-    # at -x_j and +x_j; the Gauss nodes are pairs 1, 3 and 5.
-    mid, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fx
-    p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
-    resk = (_WGK_CENTER * mid + _WGK[0] * (l0 + r0) + _WGK[1] * p1
-            + _WGK[2] * (l2 + r2) + _WGK[3] * p3 + _WGK[4] * (l4 + r4)
-            + _WGK[5] * p5 + _WGK[6] * (l6 + r6))
-    resg = _WG_CENTER * mid + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
-    if not math.isfinite(resk):
-        for x, v in zip(nodes.tolist(), fx):
-            if not math.isfinite(v):
-                raise NonFiniteSample(x)
-        raise OverflowError(f"GK15 sum overflows on [{lo!r}, {hi!r}]")
-    return h * resk, abs(h * (resk - resg))
+def _gk15(g: Callable, *panels: tuple[float, float]) -> list[tuple[float, float]]:
+    """Kronrod panels (lo, hi) from one integrand call, or one call each if
+    that raises; a (K15 value, |K15 - G7| estimate) per panel, in order."""
+    hs = []
+    nodes = []
+    for lo, hi in panels:
+        h = 0.5 * (hi - lo)
+        hs.append(h)
+        nodes.append((0.5 * lo + 0.5 * hi) + h * _NODES)
+    try:
+        rows = evaluate_points(g, np.array(nodes),
+                               lambda x: _sample(g, x)).tolist()
+        out = []
+        for (lo, hi), h, x, fx in zip(panels, hs, nodes, rows):
+            # Python floats, summed in a fixed order: the same bits whether
+            # g took the array or fell back to scalar calls.  Pair j is the
+            # two samples at -x_j and +x_j; the Gauss nodes are pairs 1, 3
+            # and 5.
+            mid, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fx
+            p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+            resk = (_WGK_CENTER * mid + _WGK[0] * (l0 + r0) + _WGK[1] * p1
+                    + _WGK[2] * (l2 + r2) + _WGK[3] * p3 + _WGK[4] * (l4 + r4)
+                    + _WGK[5] * p5 + _WGK[6] * (l6 + r6))
+            resg = _WG_CENTER * mid + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
+            if not math.isfinite(resk):
+                for xi, v in zip(x.tolist(), fx):
+                    if not math.isfinite(v):
+                        raise NonFiniteSample(xi)
+                raise OverflowError(f"GK15 sum overflows on [{lo!r}, {hi!r}]")
+            out.append((h * resk, abs(h * (resk - resg))))
+        return out
+    except Exception:
+        if len(panels) == 1:
+            raise
+        return [_gk15(g, p)[0] for p in panels]
 
 
 def integrate(g: Callable[[float], float], lo: float, hi: float,
@@ -133,7 +152,7 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
         raise ValueError(f"need tol > 0, got {tol}")
 
     span = hi - lo
-    k0, e0 = _gk15(g, lo, hi)
+    (k0, e0), = _gk15(g, (lo, hi))
     target = tol * max(1.0, abs(k0))
     width_floor = span * 2.0 ** -48
 
@@ -166,8 +185,9 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
                 QuadResult(best_v, best_e, subdivisions))
         subdivisions += 1
         m = 0.5 * a + 0.5 * b
-        stack.append((a, m, *_gk15(g, a, m)))
-        stack.append((m, b, *_gk15(g, m, b)))
+        left, right = _gk15(g, (a, m), (m, b))
+        stack.append((a, m, *left))
+        stack.append((m, b, *right))
 
     if not (math.isfinite(value) and math.isfinite(err)):
         raise OverflowError(f"integral over [{lo!r}, {hi!r}] overflows")

@@ -118,11 +118,28 @@ class TestEvalBound:
         assert "class=False" in out
 
     def test_prop41(self, capsys):
+        # The record's plain-route dual check disagrees: its tag is printed
+        # on the line after the hypotheses.
         code, out, _ = run(["eval-bound", "--theorem", "prop41",
                             "--builtin", "power", "--s", "0.5",
                             "--a", "0.25", "--b", "0.75"], capsys)
         assert code == 0
         assert "prop41" in out
+        assert out.endswith("fprime_a_le_1=False\ndiscrepancy: bb-discrepant\n")
+
+    def test_untagged_point_prints_no_discrepancy(self, capsys):
+        code, out, err = run(["eval-bound", "--theorem", "eq8",
+                              "--builtin", "power", "--s", "0.5",
+                              "--a", "0.25", "--b", "0.75"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "model: power(s=0.5)\n"
+            "point: s=1 q=1\n"
+            "eq8: lhs=0.0326920704511 rhs=0.197168783649 gap=0.164476713198 "
+            "ratio=0.16580753731\n"
+            "hypotheses: class=True monotone=True fprime_a_le_1=True\n"
+            "fprime: |f'(a)|=2 |f'(b)|=1.15470053838\n"
+            "gap-identity residual: 2.498e-16\n")
 
     def test_expression_model(self, capsys):
         code, out, _ = run(["eval-bound", "--theorem", "eq8",
@@ -155,8 +172,14 @@ class TestEvalBound:
         assert f"point: s={rec.s:.12g} q={rec.q:.12g}\n" in out
         assert (f"{tag}: lhs={rec.lhs:.12g} rhs={rec.rhs:.12g} gap={rec.gap:.12g} "
                 f"ratio={rec.ratio:.12g}\n") in out
-        assert (f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
-                f"fprime_a_le_1={rec.hyp_fprime_a}\n") in out
+        hyp = (f"hypotheses: class={rec.hyp_class} monotone={rec.hyp_monotone} "
+               f"fprime_a_le_1={rec.hyp_fprime_a}\n")
+        assert hyp in out
+        # The record's tags, if any, on the line after the hypotheses.
+        if rec.discrepancy:
+            assert f"{hyp}discrepancy: {rec.discrepancy}\n" in out
+        else:
+            assert "discrepancy" not in out
         # The magnitudes the rhs read: |f'| = x^-0.5 at 0.25 and 0.75.
         if sweep.BOUND_TABLE[tag].is_prop:
             assert "fprime:" not in out
@@ -295,6 +318,7 @@ class TestEvalBound:
                               "--a", "1", "--b", "2"], capsys)
         assert code == 1
         assert "eq8: lhs=0.02 rhs=0 " in out
+        assert "discrepancy: oracle-residual\n" in out
         assert "gap-identity residual: 2.000e-02\n" in out
         assert "VIOLATION" not in out
         assert err.startswith("error: gap-identity residual 2.000e-02 exceeds "

@@ -1,5 +1,6 @@
-"""The GK15 oracle, which evaluates a panel's 15 nodes in one call, against
-the one-node-at-a-time oracle it replaced: same value, error estimate,
+"""The GK15 oracle, which evaluates the first panel's 15 nodes in one call
+and each bisection's two children's 30 nodes in one more, against the
+one-node-at-a-time oracle it replaced: same value, error estimate,
 subdivisions and failures, bit for bit."""
 
 import math
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from hhverify import bounds, exprparse
-from hhverify.errors import MaxSubdivisionsExceeded, NonFiniteSample
+from hhverify.errors import (DomainError, MaxSubdivisionsExceeded,
+                             NonFiniteSample)
 from hhverify.models import exp_model, model_from_spec, power_model
 from hhverify.quadrature import (_WG, _WG_CENTER, _WGK, _WGK_CENTER, _XGK,
                                  QuadResult, integrate, mean_integral)
@@ -231,6 +233,7 @@ def test_call_sites_match_scalar_oracle(spec):
 
 
 def test_one_call_per_panel():
+    # the first panel alone, then one call per bisection for both children
     calls = []
 
     def g(t):
@@ -238,7 +241,8 @@ def test_one_call_per_panel():
         return np.exp(-400.0 * (t - 0.3) * (t - 0.3))
 
     r = integrate(g, 0.0, 1.0, tol=1e-12)
-    assert calls == [(15,)] * (2 * r.subdivisions + 1)
+    assert r.subdivisions > 0
+    assert calls == [(15,)] + [(30,)] * r.subdivisions
 
 
 def test_call_sites_evaluate_whole_panels():
@@ -254,7 +258,7 @@ def test_call_sites_evaluate_whole_panels():
     spy = type(m)(m.name, m.lo, m.hi, record(m.f), record(m.fprime))
     mean_integral(spy, 0.25, 0.75)
     bounds.gap_integral_form(spy, 0.25, 0.75)
-    assert shapes and set(shapes) == {(15,)}
+    assert set(shapes) == {(15,), (30,)}
 
 
 def test_scalar_only_integrand_falls_back_per_node():
@@ -262,13 +266,16 @@ def test_scalar_only_integrand_falls_back_per_node():
 
     def g(t):
         seen.append(t)
-        return math.exp(t)
+        return math.exp(-400.0 * (t - 0.3) ** 2)
 
     r = integrate(g, 0.0, 1.0, tol=1e-12)
-    panels = 2 * r.subdivisions + 1
-    # one rejected array call, then the 15 nodes as Python floats
-    assert len(seen) == 16 * panels
-    assert sum(isinstance(t, float) for t in seen) == 15 * panels
+    assert r.subdivisions == 14
+    # the first panel: one rejected array call, then its 15 nodes as
+    # Python floats; each bisection: one rejected array call, then both
+    # children's 30 nodes
+    want = [(15,)] + [float] * 15 + ([(30,)] + [float] * 30) * r.subdivisions
+    assert [float if isinstance(t, float) else t.shape for t in seen] == want
+    assert len(seen) == 16 + 31 * r.subdivisions
 
 
 def _ref_nodes(lo, hi):
@@ -279,6 +286,27 @@ def _ref_nodes(lo, hi):
     for x in _XGK:
         nodes += (c - h * x, c + h * x)
     return nodes
+
+
+def test_a_failed_bisection_call_retries_the_children_one_at_a_time():
+    # NaN at a node of the first bisection's left child, and a DomainError
+    # from any call that holds a node of its right child: evaluated alone,
+    # the left child raises NonFiniteSample and the right one is never
+    # reached, as with one call per panel.
+    right = set(_ref_nodes(0.5, 1.0))
+    bad = _ref_nodes(0.0, 0.5)[3]
+    shapes = []
+
+    def g(t):
+        shapes.append(np.shape(t))
+        if right.intersection(np.ravel(t).tolist()):
+            raise DomainError(min(right), "right child")
+        return np.where(t == bad, np.nan, np.exp(-400.0 * (t - 0.3) ** 2))
+
+    got = outcome(integrate, g, 0.0, 1.0)
+    assert got == ("non-finite", bad.hex())
+    assert shapes == [(15,), (30,), (15,)]
+    assert got == outcome(ref_integrate, g, 0.0, 1.0)
 
 
 def test_non_finite_sample_names_a_python_float():

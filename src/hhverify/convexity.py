@@ -67,8 +67,11 @@ __all__ = [
     "ClassCheckConfig", "Witness", "CheckResult", "HypothesisReport", "AbsPower",
     "is_convex", "is_s_convex", "is_geometrically_convex",
     "is_s_geometrically_convex", "is_monotone_decreasing",
-    "theorem_hypotheses",
+    "theorem_hypotheses", "MAX_WITNESSES",
 ]
+
+# Witnesses a failed check keeps: the first ones in grid order.
+MAX_WITNESSES = 64
 
 # Points per slab of the comparison.  Slabs this small stay in cache, and
 # their temporaries come from the heap instead of fresh page-faulted maps.
@@ -79,19 +82,15 @@ _SLAB_POINTS = 1 << 14
 class ClassCheckConfig:
     grid_points: int = 33
     slack: float = 1e-9
-    max_witnesses: int = 64
 
     def __post_init__(self):
-        for name in ("grid_points", "max_witnesses"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an int, got {v!r}")
-        if self.grid_points < 3:
+        n = self.grid_points
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"grid_points must be an int, got {n!r}")
+        if n < 3:
             raise ValueError("grid_points must be >= 3")
         if not (math.isfinite(self.slack) and self.slack >= 0.0):
             raise ValueError(f"slack must be finite and >= 0, got {self.slack!r}")
-        if self.max_witnesses < 0:
-            raise ValueError(f"max_witnesses must be >= 0, got {self.max_witnesses!r}")
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def _compare(vals: np.ndarray, ln: np.ndarray | None, rhs_rows: Callable,
     relative above.  Geometric: vals is g on the half cube, ln its log,
     rhs_rows gives ln rhs, and the test is ln lhs > ln rhs + slack, a
     relative slack at every scale.  Witnesses carry values, not logs, and
-    are the first max_witnesses violations in the full cube's C order.
+    are the first MAX_WITNESSES violations in the full cube's C order.
 
     rhs_rows(rows) gives rhs on the pair rows ``rows`` (a slice or an index
     array); the half cube is compared a slab of rows at a time, so the
@@ -298,7 +297,7 @@ def _compare(vals: np.ndarray, ln: np.ndarray | None, rhs_rows: Callable,
         v = np.greater(left, right + cfg.slack, out=viol[rows])
         if not geometric and v.any():
             v &= left > right * (1.0 + cfg.slack)
-        if found < cfg.max_witnesses:
+        if found < MAX_WITNESSES:
             r = int(iu[rows][-1])
         found += int(np.count_nonzero(v))
     if not found:
@@ -307,16 +306,16 @@ def _compare(vals: np.ndarray, ln: np.ndarray | None, rhs_rows: Callable,
     count = 2 * found - int(np.count_nonzero(viol[diag]))
     # Witnesses in the full cube's order; a mirrored one reads its two
     # sides at its pair's row, where they are the same bits.  The slabs
-    # up to the one that reached max_witnesses violations (or all slabs)
+    # up to the one that reached MAX_WITNESSES violations (or all slabs)
     # hold pairs with x index at most r, so the full cube's x rows up to r
-    # hold the first max_witnesses: only those rows are built and scanned.
+    # hold the first MAX_WITNESSES: only those rows are built and scanned.
     last = _pair_row(r, n - 1, n) + 1
     iu, ju, half = iu[:last], ju[:last], viol[:last]
     full = np.empty((r + 1, n, n), dtype=bool)
     mirrored = ju <= r
     full[ju[mirrored], iu[mirrored]] = half[mirrored, ::-1]
     full[iu, ju] = half
-    i, j, k = np.unravel_index(np.flatnonzero(full)[:cfg.max_witnesses], full.shape)
+    i, j, k = np.unravel_index(np.flatnonzero(full)[:MAX_WITNESSES], full.shape)
     p = _pair_row(np.minimum(i, j), np.maximum(i, j), n)
     kc = np.where(i > j, n - 1 - k, k)
     rhs = rhs_rows(p)[np.arange(len(p)), kc]
@@ -420,7 +419,7 @@ def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
     wit = tuple(
         Witness(float(xs[i]), float(xs[i + 1]), math.nan,
                 float(gx[i + 1]), float(gx[i]))
-        for i in idx[:cfg.max_witnesses]
+        for i in idx[:MAX_WITNESSES]
     )
     return CheckResult(len(idx) == 0, wit, int(len(idx)))
 

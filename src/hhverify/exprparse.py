@@ -16,20 +16,18 @@ differentiation rule stays individually testable.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import ParseError
 
 __all__ = [
     "Expr",
     "parse",
     "differentiate",
-    "evaluate",
     "eval_array",
     "contains_var",
     "MAX_DEPTH",
@@ -41,7 +39,7 @@ _ARITY = {"const": 0, "var": 0, "neg": 1, "exp": 1, "ln": 1,
 
 # parse rejects text nested more than this many levels, counting each '(',
 # unary '-' and '^', and trees more than this many levels deep: the parser,
-# the differentiator and the evaluators all recurse over the tree.
+# the differentiator and the evaluator all recurse over the tree.
 MAX_DEPTH = 100
 
 
@@ -290,21 +288,6 @@ def differentiate(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-def evaluate(e: Expr, x: float) -> float:
-    """The one-point form of eval_array; never returns a silent NaN.
-
-    Raises DomainError when x <= 0 or when the result is not finite: a
-    sub-expression that leaves its domain gives NaN, as in eval_array.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(x, "evaluation point must be positive")
-    v = float(eval_array(e, x))
-    if not math.isfinite(v):
-        raise DomainError(x, f"non-finite result {v!r}")
-    return v
-
 
 def _rec_array(n: Expr, xs: np.ndarray):
     # Module-level, not a closure: a self-referencing nested function would

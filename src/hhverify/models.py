@@ -9,7 +9,7 @@ the test suite.  Construction probes f and f' on a Chebyshev-spaced grid
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,7 +31,6 @@ class FunctionModel:
     hi: float
     f: Callable
     fprime: Callable
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def contains(self, a: float, b: float) -> bool:
         return self.lo <= a < b <= self.hi
@@ -88,14 +87,14 @@ def _probe(name: str, lo: float, hi: float, f: Callable, fprime: Callable) -> No
             raise DomainError(x, f"{label} of model {name!r} is not finite")
 
 
-def make_model(name: str, lo: float, hi: float, f: Callable, fprime: Callable,
-               params: Mapping[str, float] | None = None) -> FunctionModel:
+def make_model(name: str, lo: float, hi: float, f: Callable,
+               fprime: Callable) -> FunctionModel:
     lo = float(lo)
     hi = float(hi)
     if not (0.0 < lo < hi):
         raise ValueError(f"domain must satisfy 0 < lo < hi, got ({lo}, {hi})")
     _probe(name, lo, hi, f, fprime)
-    return FunctionModel(name, lo, hi, f, fprime, dict(params or {}))
+    return FunctionModel(name, lo, hi, f, fprime)
 
 
 def power_model(s: float, lo: float = 0.01, hi: float = 1.0) -> FunctionModel:
@@ -114,7 +113,6 @@ def power_model(s: float, lo: float = 0.01, hi: float = 1.0) -> FunctionModel:
         f"power(s={s:g})", lo, hi,
         f=lambda x: np.power(x, s) / s,
         fprime=lambda x: np.power(x, s - 1.0),
-        params={"s": s},
     )
 
 
@@ -127,7 +125,6 @@ def exp_model(rate: float, lo: float = 1.0, hi: float = 2.0) -> FunctionModel:
         f"exp(rate={rate:g})", lo, hi,
         f=lambda x: np.exp(-rate * x),
         fprime=lambda x: -rate * np.exp(-rate * x),
-        params={"rate": rate},
     )
 
 
@@ -147,7 +144,7 @@ def model_from_expr(src: str, lo: float, hi: float,
     def fprime(x):
         return exprparse.eval_array(dtree, x)
 
-    return make_model(name or src, lo, hi, f, fprime, params={})
+    return make_model(name or src, lo, hi, f, fprime)
 
 
 # builtin name -> (constructor, the parameter it is built from)
@@ -198,5 +195,5 @@ def model_from_spec(spec: Mapping) -> FunctionModel:
     else:
         raise ValueError("model spec needs 'builtin' or 'expr'")
     if name and m.name != name:
-        m = FunctionModel(name, m.lo, m.hi, m.f, m.fprime, m.params)
+        m = replace(m, name=name)
     return m

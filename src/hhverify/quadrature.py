@@ -48,7 +48,11 @@ import numpy as np
 from .errors import MaxSubdivisionsExceeded, NonFiniteSample
 from .models import evaluate_points
 
-__all__ = ["QuadResult", "integrate", "mean_integral"]
+__all__ = ["QuadResult", "integrate", "mean_integral", "MAX_SUBDIVISIONS"]
+
+# integrate's budget of bisections: far above what a smooth integrand needs,
+# and a non-integrable pole spends it in a fraction of a second.
+MAX_SUBDIVISIONS = 10_000
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric).
 _XGK = (
@@ -133,16 +137,14 @@ def _gk15(g: Callable, *panels: tuple[float, float]) -> list[tuple[float, float]
 
 
 def integrate(g: Callable[[float], float], lo: float, hi: float,
-              tol: float = 1e-10, max_subdivisions: int = 10_000) -> QuadResult:
+              tol: float = 1e-10) -> QuadResult:
     """Integrate g over [lo, hi] by adaptive bisection of GK15 panels.
 
     Deterministic given its inputs.  Raises ValueError unless lo < hi
     and hi - lo is finite; NonFiniteSample and OverflowError as in the
     module docstring; MaxSubdivisionsExceeded (with the best estimate) if
-    the budget or the width floor stops refinement short of the target.
-    The default budget of 10,000 bisections is far above what a smooth
-    integrand needs, and a non-integrable pole spends it in a fraction of
-    a second.
+    the budget of ``MAX_SUBDIVISIONS`` bisections or the width floor stops
+    refinement short of the target.
     """
     lo = float(lo)
     hi = float(hi)
@@ -174,7 +176,7 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
             err += e
             floored = True
             continue
-        if subdivisions >= max_subdivisions:
+        if subdivisions >= MAX_SUBDIVISIONS:
             # Flush remaining panels into the best estimate before failing.
             best_v = value + k
             best_e = err + e

@@ -412,7 +412,8 @@ class ModelContext:
 
 
 def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
-    """One record per (model, parameters, bound) tuple, deterministic order.
+    """One record per (model, parameters, bound) tuple, deterministic order;
+    each grid is read as a set, so a repeated value gives each record once.
 
     The classical baselines eq8/eq9 are s-independent; their records carry
     s = 1 and (for eq8) q = 1 as placeholders.  The special-means
@@ -428,16 +429,14 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
     records: list[BoundRecord] = []
     # (a, b) outermost and the models inside: the class checks build an
     # interval's points once for every model and keep only that interval,
-    # and a model's context lives for its visit there.  The records are
-    # sorted, and a repeated (a, b) repeats each model's records together,
-    # in one context, so two models of one name come out as model by model.
-    intervals = Counter((a, b) for a in cfg.a_grid for b in cfg.b_grid if a < b)
-    for (a, b), repeats in intervals.items():
+    # and a model's context lives for its visit there.
+    intervals = dict.fromkeys((a, b) for a in cfg.a_grid for b in cfg.b_grid if a < b)
+    for a, b in intervals:
         for m, is_power in models:
             if not m.contains(a, b):
                 continue
             ctx = ModelContext(m, cfg.tolerances, check_cfg, a, b)
-            for theorem, bound in [*BOUND_TABLE.items()] * repeats:
+            for theorem, bound in BOUND_TABLE.items():
                 for s, q in points[theorem]:
                     if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):
                         continue

@@ -1,9 +1,9 @@
 """Tightness search: how close does a bound get to its left-hand side?
 
-Maximizes lhs/rhs over a box of (a, b, s, q) by coarse grid seeding plus
-compass (pattern) search.  Derivative-free on purpose: the objective goes
-through quadrature and hypothesis gates, so gradients are unavailable and
-the landscape may have feasibility cliffs.
+Maximizes lhs/rhs over a box of (a, b, s, q) by grid seeding plus compass
+(pattern) search (``COARSE_POINTS``, ``MAX_ITERS``).  Derivative-free on
+purpose: the objective goes through quadrature and hypothesis gates, so
+gradients are unavailable and the landscape may have feasibility cliffs.
 
 With ``require_hypotheses=True`` (the default) only parameter points whose
 hypothesis report fully passes are feasible; EmptyFeasibleSetError if the
@@ -40,17 +40,21 @@ from .errors import EmptyFeasibleSetError
 from .models import FunctionModel
 from .sweep import BOUND_TABLE, ModelContext, Tolerances
 
-__all__ = ["TightnessResult", "optimize_tightness", "SEARCH_TAGS"]
+__all__ = ["TightnessResult", "optimize_tightness", "SEARCH_TAGS",
+           "COARSE_POINTS", "MAX_ITERS"]
 
 # The propositions bound special means, not the model's f, so a search takes
 # the other bounds.
 SEARCH_TAGS = tuple(tag for tag, bound in BOUND_TABLE.items()
                     if not bound.is_prop)
 
-# Every search evaluates lhs at this quadrature tolerance and checks the
-# hypotheses on the default grid.
+# Every search evaluates lhs at this quadrature tolerance, checks the
+# hypotheses on the default grid, seeds each ranged axis with COARSE_POINTS
+# points and makes at most MAX_ITERS compass rounds.
 _TOLERANCES = Tolerances(quad_tol=1e-9)
 _CHECK_CFG = ClassCheckConfig()
+COARSE_POINTS = 5
+MAX_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -85,27 +89,24 @@ def _range(box: Mapping, key: str, default: float) -> tuple[float, float]:
 
 
 def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
-                       require_hypotheses: bool = True,
-                       coarse_points: int = 5, max_iters: int = 60) -> TightnessResult:
+                       require_hypotheses: bool = True) -> TightnessResult:
     """Maximize lhs/rhs for one bound over a parameter box.
 
     ``box`` maps "a"/"b"/"s"/"q" to finite (lo, hi) ranges or fixed
     scalars; an s or q axis the bound does not use is fixed where
-    ``bound.point`` puts it.  ``coarse_points`` (at least 2) seeds each
-    ranged axis.  Deterministic for fixed arguments.
+    ``bound.point`` puts it.  ``COARSE_POINTS`` seed each ranged axis and
+    ``MAX_ITERS`` bound the compass rounds.  Deterministic for fixed arguments.
 
     Each evaluated point reads its flags at most once, and only where its
     ratio can become the best (see the module docstring).  So once a
     feasible point is known, a point the flags would reject still pays for
-    its lhs: a quadrature that straddles a pole spends its whole budget of
-    10,000 subdivisions, a fraction of a second, before it raises.  Only
+    its lhs: a quadrature that straddles a pole spends its whole budget,
+    ``quadrature.MAX_SUBDIVISIONS`` bisections, before it raises.  Only
     the best point is judged, at the end, which computes its gap-identity
     residual; an error there propagates.
     """
     if theorem not in SEARCH_TAGS:
         raise ValueError(f"unknown bound {theorem!r} (expected one of {sorted(SEARCH_TAGS)})")
-    if coarse_points < 2:
-        raise ValueError(f"coarse_points: need at least 2, got {coarse_points}")
     bound = BOUND_TABLE[theorem]
     # q = 2 stands for any q > 1. A q <= 1 stays in a q > 1 bound's box, infeasible.
     ranges = [_range(box, "a", 0.0), _range(box, "b", 0.0),
@@ -163,7 +164,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     def axis(lo: float, hi: float) -> list[float]:
         if hi <= lo:
             return [lo]
-        n = coarse_points
+        n = COARSE_POINTS
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
     best = (-math.inf, None)
@@ -180,7 +181,7 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     spans = [hi - lo for lo, hi in ranges]
     steps = [sp / 4.0 if sp > 0.0 else 0.0 for sp in spans]
     pt = list(best_pt)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         if all(st <= 1e-6 for st in steps):
             break
         improved = False

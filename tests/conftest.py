@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hhverify import exprparse as ep
+from hhverify.errors import DomainError
 
 
 def random_expr(rng: np.random.Generator, depth: int) -> ep.Expr:
@@ -38,6 +39,21 @@ def random_expr(rng: np.random.Generator, depth: int) -> ep.Expr:
     if r < 0.97:
         return ep.Expr("ln", (random_expr(rng, depth - 1),))
     return ep.Expr("neg", (random_expr(rng, depth - 1),))
+
+
+def evaluate(e: ep.Expr, x: float) -> float:
+    """The one-point form of eval_array; never returns a silent NaN.
+
+    Raises DomainError when x <= 0 or when the result is not finite: a
+    sub-expression that leaves its domain gives NaN, as in eval_array.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise DomainError(x, "evaluation point must be positive")
+    v = float(ep.eval_array(e, x))
+    if not math.isfinite(v):
+        raise DomainError(x, f"non-finite result {v!r}")
+    return v
 
 
 # Printer for Expr trees, round-trip stable: parse(pretty(t)) == t.  Binding

@@ -91,7 +91,7 @@ def _ref_collect(viol, xs, ts, lhs, rhs, cfg):
     wit = tuple(
         Witness(float(xs[i]), float(xs[j]), float(ts[k]),
                 float(lhs[i, j, k]), float(rhs[i, j, k]))
-        for i, j, k in idx[:cfg.max_witnesses]
+        for i, j, k in idx[:convexity.MAX_WITNESSES]
     )
     return CheckResult(count == 0, wit, count)
 
@@ -112,7 +112,7 @@ def reference_check(kind, g, interval, s, cfg):
         idx = np.flatnonzero(viol)
         wit = tuple(Witness(float(xs[i]), float(xs[i + 1]), math.nan,
                             float(gx[i + 1]), float(gx[i]))
-                    for i in idx[:cfg.max_witnesses])
+                    for i in idx[:convexity.MAX_WITNESSES])
         return CheckResult(len(idx) == 0, wit, int(len(idx))), 0
     if kind in ("convex", "s_convex"):
         if kind == "s_convex":
@@ -202,24 +202,26 @@ _CHECKS = [("convex", 1.0), ("s_convex", 0.3), ("s_convex", 1.0),
            ("geometric", 0.5), ("geometric", 1.0), ("monotone", 1.0)]
 
 
-def test_kernel_matches_full_cube_reference():
-    cfgs = [ClassCheckConfig(grid_points=9),
-            # witnesses gathered across several slabs
-            ClassCheckConfig(grid_points=33, max_witnesses=5000),
-            # a t axis that moves off linspace to mirror exactly
-            ClassCheckConfig(grid_points=21)]
+def test_kernel_matches_full_cube_reference(monkeypatch):
+    # (config, witnesses kept)
+    cases = [(ClassCheckConfig(grid_points=9), convexity.MAX_WITNESSES),
+             # witnesses gathered across several slabs
+             (ClassCheckConfig(grid_points=33), 5000),
+             # a t axis that moves off linspace to mirror exactly
+             (ClassCheckConfig(grid_points=21), convexity.MAX_WITNESSES)]
     many = logged_cases = errors = 0
     for label, g, interval in _functions():
-        for cfg, (kind, s) in itertools.product(cfgs, _CHECKS):
+        for (cfg, witnesses), (kind, s) in itertools.product(cases, _CHECKS):
+            monkeypatch.setattr(convexity, "MAX_WITNESSES", witnesses)
             ref = _outcome(lambda: reference_check(kind, g, interval, s, cfg))
             got = _outcome(lambda: public_check(kind, g, interval, s, cfg))
             if isinstance(ref, tuple) and isinstance(ref[0], CheckResult):
                 ref, logged = ref
                 logged_cases += logged
-                many += ref.violation_count > cfg.max_witnesses
+                many += ref.violation_count > witnesses
             else:
                 errors += 1
-            assert got == ref, (label, kind, s, cfg)
+            assert got == ref, (label, kind, s, cfg, witnesses)
             if isinstance(got, CheckResult):
                 assert type(got.violation_count) is int
     # the set reaches truncated witness lists, points the slack rule decides
@@ -227,12 +229,13 @@ def test_kernel_matches_full_cube_reference():
     assert many > 0 and logged_cases > 0 and errors > 0
 
 
-def test_kernel_matches_reference_across_many_slabs():
-    cfgs = (ClassCheckConfig(grid_points=65, max_witnesses=300),
-            ClassCheckConfig(grid_points=65, max_witnesses=0))
+def test_kernel_matches_reference_across_many_slabs(monkeypatch):
+    cfg = ClassCheckConfig(grid_points=65)
     for g, interval in ((AbsPower(exp_model(1.0).fprime, 2.0), (1.0, 2.0)),
                         (_const(0.5), (0.2, 0.8))):
-        for cfg, (kind, s) in itertools.product(cfgs, (("convex", 1.0), ("geometric", 0.5))):
+        for witnesses, (kind, s) in itertools.product(
+                (300, 0), (("convex", 1.0), ("geometric", 0.5))):
+            monkeypatch.setattr(convexity, "MAX_WITNESSES", witnesses)
             ref, _ = reference_check(kind, g, interval, s, cfg)
             assert public_check(kind, g, interval, s, cfg) == ref
 

@@ -210,11 +210,8 @@ def test_grid_config_validation():
         ClassCheckConfig(grid_points=2)
     with pytest.raises(ValueError):
         ClassCheckConfig(slack=-1.0)
-    with pytest.raises(ValueError):
-        ClassCheckConfig(max_witnesses=-1)
     # a non-int (bool included) fails here, not inside the first check
-    for bad in ({"grid_points": 33.5}, {"grid_points": 33.0}, {"grid_points": True},
-                {"max_witnesses": 2.5}, {"max_witnesses": True}):
+    for bad in ({"grid_points": 33.5}, {"grid_points": 33.0}, {"grid_points": True}):
         with pytest.raises(ValueError):
             ClassCheckConfig(**bad)
     assert ClassCheckConfig(grid_points=np.int64(9)).grid_points == 9

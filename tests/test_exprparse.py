@@ -7,15 +7,15 @@ import pytest
 from hhverify import exprparse as ep
 from hhverify.errors import DomainError, ParseError
 
-from conftest import pretty, random_expr
+from conftest import evaluate, pretty, random_expr
 
 
 def ev(src, x):
-    return ep.evaluate(ep.parse(src), x)
+    return evaluate(ep.parse(src), x)
 
 
 def dev(src, x):
-    return ep.evaluate(ep.differentiate(ep.parse(src)), x)
+    return evaluate(ep.differentiate(ep.parse(src)), x)
 
 
 class TestParseEvaluate:
@@ -106,10 +106,10 @@ def test_derivative_matches_finite_differences():
         h = 1e-5 * max(1.0, abs(x))
         try:
             d = ep.differentiate(tree)
-            v0 = ep.evaluate(tree, x)
-            vm = ep.evaluate(tree, x - h)
-            vp = ep.evaluate(tree, x + h)
-            dv = ep.evaluate(d, x)
+            v0 = evaluate(tree, x)
+            vm = evaluate(tree, x - h)
+            vp = evaluate(tree, x + h)
+            dv = evaluate(d, x)
         except DomainError:
             continue
         if max(abs(v0), abs(vm), abs(vp), abs(dv)) > 1e6:
@@ -216,9 +216,9 @@ def test_guards_agree_with_one_point_evaluate(src, trips, xs):
         if trips(x):
             assert math.isnan(v), x
             with pytest.raises(DomainError):
-                ep.evaluate(tree, x)
+                evaluate(tree, x)
         else:
-            assert v.hex() == ep.evaluate(tree, x).hex(), x
+            assert v.hex() == evaluate(tree, x).hex(), x
 
 
 def test_eval_array_leaves_no_reference_cycle():
@@ -244,11 +244,11 @@ def test_evaluate_is_the_one_point_eval_array():
         for tree in (t, ep.differentiate(t)):
             want = float(ep.eval_array(tree, x))
             if math.isfinite(want):
-                assert ep.evaluate(tree, x).hex() == want.hex(), pretty(tree)
+                assert evaluate(tree, x).hex() == want.hex(), pretty(tree)
                 finite += 1
             else:
                 with pytest.raises(DomainError):
-                    ep.evaluate(tree, x)
+                    evaluate(tree, x)
                 errors += 1
     assert finite > 1000 and errors > 10
 

@@ -611,11 +611,10 @@ class TestTightness:
         assert (res.params["a"], res.ratio.hex(), res.trace_len) == (
             1.0, "0x1.04a076732c396p+0", 72)
 
-    @pytest.mark.parametrize("kwargs", [{"coarse_points": 1}, {"coarse_points": 0},
-                                        {"box": {"a": (1.0, math.inf), "b": (1.6, 2.0)}},
+    @pytest.mark.parametrize("kwargs", [{"box": {"a": (1.0, math.inf), "b": (1.6, 2.0)}},
                                         {"box": {"a": (math.nan, 1.3), "b": (1.6, 2.0)}},
                                         {"box": {**AB, "s": math.nan}}],
-                             ids=["coarse1", "coarse0", "a-inf", "a-nan", "s-nan"])
+                             ids=["a-inf", "a-nan", "s-nan"])
     def test_bad_arguments_rejected(self, kwargs):
         kwargs = {"box": self.AB, **kwargs}
         with pytest.raises(ValueError):
@@ -725,8 +724,7 @@ class TestBoundTable:
         accepted = []
         for tag in BOUND_TABLE:
             try:
-                optimize_tightness(tag, m, {"a": 1.0, "b": 2.0, "q": 2.0},
-                                   coarse_points=2, max_iters=0)
+                optimize_tightness(tag, m, {"a": 1.0, "b": 2.0, "q": 2.0})
             except ValueError:
                 continue
             accepted.append(tag)
@@ -896,14 +894,23 @@ class TestIntervalMajorSweep:
         assert records_equal(together, apart)
         assert records_text(together, "csv") == records_text(apart, "csv")
 
+    def test_each_grid_is_read_as_a_set(self):
+        # MIXED repeats an a and a b value; without the repeats the report
+        # is the same, as it is for a repeated s or q.
+        once = {key: list(dict.fromkeys(MIXED[key])) for key in ("a_grid", "b_grid")}
+        assert all(len(once[key]) < len(MIXED[key]) for key in once)
+        repeated = run_sweep(parse_config(MIXED))
+        deduped = run_sweep(parse_config({**MIXED, **once}))
+        for fmt in ("csv", "json"):
+            assert records_text(repeated, fmt) == records_text(deduped, fmt)
+
     def test_one_context_per_model_and_interval(self, monkeypatch):
-        # A model's context lives for its visit to an interval, repeats of
-        # that (a, b) included: a spy on ModelContext.record sees one
-        # context per (model, interval), and once the sweep is on the next
-        # one, no earlier context is alive.  With the garbage collector off,
-        # this holds for the raising model too: raising its cached error,
-        # or keeping a copy of it on the record, makes no cycle through its
-        # context.
+        # A model's context lives for its one visit to an interval: a spy
+        # on ModelContext.record sees one context per (model, interval),
+        # and once the sweep is on the next one, no earlier context is
+        # alive.  With the garbage collector off, this holds for the raising
+        # model too: raising its cached error, or keeping a copy of it on
+        # the record, makes no cycle through its context.
         raw = MIXED
         visits, record = [], ModelContext.record
 

@@ -111,7 +111,7 @@ class TestExprModels:
 
 def test_model_from_spec_variants():
     m1 = model_from_spec({"builtin": "power", "s": 0.5})
-    assert m1.params["s"] == 0.5
+    assert (m1.name, m1.fprime(0.25)) == ("power(s=0.5)", 2.0)
     m2 = model_from_spec({"builtin": "exp", "rate": 1.0, "domain": [1.0, 2.0]})
     assert (m2.lo, m2.hi) == (1.0, 2.0)
     m3 = model_from_spec({"name": "recip", "expr": "1/x", "domain": [1.0, 2.0]})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hhverify import quadrature
 from hhverify.errors import MaxSubdivisionsExceeded, NonFiniteSample
 from hhverify.models import power_model
 from hhverify.quadrature import integrate, mean_integral
@@ -105,10 +106,11 @@ def test_non_finite_sample_reports_point():
     assert exc.value.x == pytest.approx(0.5)
 
 
-def test_subdivision_budget_reports_best_estimate():
+def test_subdivision_budget_reports_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
     g = lambda t: math.exp(-400.0 * (t - 0.3) ** 2)
     with pytest.raises(MaxSubdivisionsExceeded) as exc:
-        integrate(g, 0.0, 1.0, tol=1e-12, max_subdivisions=3)
+        integrate(g, 0.0, 1.0, tol=1e-12)
     best = exc.value.best
     assert best.subdivisions == 3
     assert math.isfinite(best.value)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from hhverify import bounds, exprparse
+from hhverify import bounds, exprparse, quadrature
 from hhverify.errors import (DomainError, MaxSubdivisionsExceeded,
                              NonFiniteSample)
 from hhverify.models import exp_model, model_from_spec, power_model
@@ -195,17 +195,20 @@ def _intervals(rng, lo, hi, n):
     return out
 
 
-def test_panel_matches_scalar_oracle():
+def test_panel_matches_scalar_oracle(monkeypatch):
     rng = np.random.default_rng(20261018)
     kinds = set()
     compared = 0
+    budget = quadrature.MAX_SUBDIVISIONS
     for name, g, (lo, hi), n_sub in corpus():
         for a, b in _intervals(rng, lo, hi, n_sub):
-            for kw in ({"tol": 1e-6}, {"tol": 1e-10}, {"tol": 1e-12},
-                       {"tol": 1e-12, "max_subdivisions": 3}):
-                want = outcome(ref_integrate, g, a, b, **kw)
-                got = outcome(integrate, g, a, b, **kw)
-                assert got == want, (name, a, b, kw)
+            for tol, subdivisions in ((1e-6, budget), (1e-10, budget),
+                                      (1e-12, budget), (1e-12, 3)):
+                monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", subdivisions)
+                want = outcome(ref_integrate, g, a, b, tol=tol,
+                               max_subdivisions=subdivisions)
+                got = outcome(integrate, g, a, b, tol=tol)
+                assert got == want, (name, a, b, tol, subdivisions)
                 kinds.add(want[0])
                 compared += 1
     # every way an integration can end was compared

@@ -43,8 +43,7 @@ def test_tracer_bindings_resolve_and_count():
         m = model_from_expr("1/x", 1.0, 2.0)
         for theorem in ("eq8", "eq10"):
             hhverify.tightness.optimize_tightness(
-                theorem, m, {"a": (1.0, 1.3), "b": (1.7, 2.0)},
-                coarse_points=2, max_iters=2)
+                theorem, m, {"a": (1.0, 1.3), "b": (1.7, 2.0)})
         metrics = t.op_metrics()
     finally:
         t.uninstall()

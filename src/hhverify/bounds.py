@@ -48,8 +48,8 @@ __all__ = [
 def trapezoid_mean_gap(m, a: float, b: float, tol: float = 1e-10) -> float:
     """|average of endpoint values - mean integral| for the model's f.
 
-    f(a) and f(b) come from one call on the array [a, b] (one call per
-    point for a scalar-only f), the same bits as two one-point calls.
+    f(a) and f(b) come from one call on the array [a, b], the same bits
+    as two one-point calls.
     """
     f_a, f_b = evaluate_points(m.f, np.array([a, b], dtype=float)).tolist()
     return abs(0.5 * (f_a + f_b) - mean_integral(m, a, b, tol=tol))

@@ -43,45 +43,27 @@ def _chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * lo + 0.5 * hi - 0.5 * (hi - lo) * np.cos(np.pi * k / (n - 1))
 
 
-def evaluate_points(g: Callable, pts, point: Callable | None = None) -> np.ndarray:
-    """g on an array of points, in one call where g accepts arrays.
+def evaluate_points(g: Callable, pts) -> np.ndarray:
+    """g on an array of points, in one call of g on them flattened in C
+    order (point sets stacked as rows come one row after another).
 
-    If that call raises anything but DomainError, g is taken as
-    scalar-only and called once per point in C order, through
-    ``point(x)`` (default ``float(g(x))``): point sets stacked as rows
-    are visited one row after another, the first row first.  Returns a
-    fresh float array shaped like pts: g's result is copied only where it
-    is not one already, such as a scalar or a view of pts.
+    g must take a float ndarray and return values of its shape, or a
+    scalar; whatever g raises propagates.  Returns a fresh float array
+    shaped like pts: g's result is copied only where it is not one
+    already, such as a scalar or a view of pts.
     """
     flat = np.ravel(pts)
-    try:
-        vals = np.asarray(g(flat), dtype=float)
-        if not (vals.shape == flat.shape and vals.base is None
-                and vals.flags.writeable and not np.may_share_memory(vals, pts)):
-            vals = np.broadcast_to(vals, flat.shape).copy()
-    except DomainError:
-        raise
-    except Exception:
-        vals = np.empty_like(flat)
-        for i, x in enumerate(flat):
-            x = float(x)
-            vals[i] = float(g(x)) if point is None else point(x)
+    vals = np.asarray(g(flat), dtype=float)
+    if not (vals.shape == flat.shape and vals.base is None
+            and vals.flags.writeable and not np.may_share_memory(vals, pts)):
+        vals = np.broadcast_to(vals, flat.shape).copy()
     return vals.reshape(np.shape(pts))
 
 
 def _probe(name: str, lo: float, hi: float, f: Callable, fprime: Callable) -> None:
     grid = _chebyshev_grid(lo, hi, PROBE_POINTS)
     for label, fn in (("f", f), ("f'", fprime)):
-        def point(x: float, fn=fn, label=label) -> float:
-            try:
-                return float(fn(x))
-            except DomainError:
-                raise
-            except Exception as e:
-                raise DomainError(x, f"{label} of model {name!r} failed "
-                                  f"({type(e).__name__})") from None
-        vals = evaluate_points(fn, grid, point)
-        bad = ~np.isfinite(vals)
+        bad = ~np.isfinite(evaluate_points(fn, grid))
         if bad.any():
             x = float(grid[np.argmax(bad)])
             raise DomainError(x, f"{label} of model {name!r} is not finite")
@@ -89,6 +71,13 @@ def _probe(name: str, lo: float, hi: float, f: Callable, fprime: Callable) -> No
 
 def make_model(name: str, lo: float, hi: float, f: Callable,
                fprime: Callable) -> FunctionModel:
+    """A model on [lo, hi], 0 < lo < hi.
+
+    f and f' must take a float ndarray and return values of its shape,
+    or a scalar.  Each is called once on the probe grid: a non-finite
+    value raises DomainError at the first such point, and an exception
+    from the call (a ``math`` function's TypeError, say) propagates.
+    """
     lo = float(lo)
     hi = float(hi)
     if not (0.0 < lo < hi):

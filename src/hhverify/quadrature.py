@@ -11,20 +11,18 @@ for larger ones.  Error estimates are the conservative |K15 - G7| local
 differences, which in practice overestimate the true Kronrod error by
 several orders of magnitude.
 
-Integrand calls: the first panel calls the integrand once, with the float
-array ``c + h*_NODES`` of its 15 nodes: the center c, then c - h*x_j and
+Integrand calls: the integrand takes a float array and returns values of
+its shape, or a scalar.  The first panel calls it once, with the array
+``c + h*_NODES`` of its 15 nodes: the center c, then c - h*x_j and
 c + h*x_j for each abscissa x_j.  After that, each bisection calls it once
 for both children: their 30 nodes, the left child's 15 first, each child's
-built as above.  An integrand that raises on the array is scalar-only and
-gets the nodes one Python float at a time, in that order, instead.  If
-anything raises on a bisection's call, the two children are evaluated
-again one at a time, so the left child's failure wins, as with one call
-per panel.  The sums are taken per panel in Python floats in a fixed order,
-written out without a loop: the Kronrod sum adds the centre, then the
-pairs at -x_j and +x_j in turn, and the Gauss sum the centre, then pairs 1,
-3 and 5.  So the result is the same bits either way as long as the array
-call gives each node the value a one-point call would.  The built-in and
-expression models do.
+built as above.  Whatever the integrand raises propagates.  The sums are
+taken per panel in Python floats in a fixed order, written out without a
+loop: the Kronrod sum adds the centre, then the pairs at -x_j and +x_j in
+turn, and the Gauss sum the centre, then pairs 1, 3 and 5.  So the result
+is the bits of a one-node-at-a-time oracle as long as the array call gives
+each node the value a one-point call would.  The built-in and expression
+models do.
 Python's float ``**`` and NumPy's can differ in the last bit, and so can a
 NumPy power whose exponent is an array holding 2, 0.5 or -1: it skips the
 square, square root and reciprocal shortcuts a scalar exponent takes.
@@ -92,59 +90,47 @@ class QuadResult:
     subdivisions: int
 
 
-def _sample(g: Callable[[float], float], x: float) -> float:
-    v = float(g(x))
-    if not math.isfinite(v):
-        raise NonFiniteSample(x)
-    return v
-
-
 def _gk15(g: Callable, *panels: tuple[float, float]) -> list[tuple[float, float]]:
-    """Kronrod panels (lo, hi) from one integrand call, or one call each if
-    that raises; a (K15 value, |K15 - G7| estimate) per panel, in order."""
+    """Kronrod panels (lo, hi) from one integrand call: a (K15 value,
+    |K15 - G7| estimate) per panel, in order."""
     hs = []
     nodes = []
     for lo, hi in panels:
         h = 0.5 * (hi - lo)
         hs.append(h)
         nodes.append((0.5 * lo + 0.5 * hi) + h * _NODES)
-    try:
-        rows = evaluate_points(g, np.array(nodes),
-                               lambda x: _sample(g, x)).tolist()
-        out = []
-        for (lo, hi), h, x, fx in zip(panels, hs, nodes, rows):
-            # Python floats, summed in a fixed order: the same bits whether
-            # g took the array or fell back to scalar calls.  Pair j is the
-            # two samples at -x_j and +x_j; the Gauss nodes are pairs 1, 3
-            # and 5.
-            mid, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fx
-            p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
-            resk = (_WGK_CENTER * mid + _WGK[0] * (l0 + r0) + _WGK[1] * p1
-                    + _WGK[2] * (l2 + r2) + _WGK[3] * p3 + _WGK[4] * (l4 + r4)
-                    + _WGK[5] * p5 + _WGK[6] * (l6 + r6))
-            resg = _WG_CENTER * mid + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
-            if not math.isfinite(resk):
-                for xi, v in zip(x.tolist(), fx):
-                    if not math.isfinite(v):
-                        raise NonFiniteSample(xi)
-                raise OverflowError(f"GK15 sum overflows on [{lo!r}, {hi!r}]")
-            out.append((h * resk, abs(h * (resk - resg))))
-        return out
-    except Exception:
-        if len(panels) == 1:
-            raise
-        return [_gk15(g, p)[0] for p in panels]
+    rows = evaluate_points(g, np.array(nodes)).tolist()
+    out = []
+    for (lo, hi), h, x, fx in zip(panels, hs, nodes, rows):
+        # Python floats, summed in a fixed order: the same bits however
+        # many panels share the call.  Pair j is the two samples at -x_j
+        # and +x_j; the Gauss nodes are pairs 1, 3 and 5.
+        mid, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fx
+        p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+        resk = (_WGK_CENTER * mid + _WGK[0] * (l0 + r0) + _WGK[1] * p1
+                + _WGK[2] * (l2 + r2) + _WGK[3] * p3 + _WGK[4] * (l4 + r4)
+                + _WGK[5] * p5 + _WGK[6] * (l6 + r6))
+        resg = _WG_CENTER * mid + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
+        if not math.isfinite(resk):
+            for xi, v in zip(x.tolist(), fx):
+                if not math.isfinite(v):
+                    raise NonFiniteSample(xi)
+            raise OverflowError(f"GK15 sum overflows on [{lo!r}, {hi!r}]")
+        out.append((h * resk, abs(h * (resk - resg))))
+    return out
 
 
-def integrate(g: Callable[[float], float], lo: float, hi: float,
+def integrate(g: Callable, lo: float, hi: float,
               tol: float = 1e-10) -> QuadResult:
     """Integrate g over [lo, hi] by adaptive bisection of GK15 panels.
 
-    Deterministic given its inputs.  Raises ValueError unless lo < hi
-    and hi - lo is finite; NonFiniteSample and OverflowError as in the
-    module docstring; MaxSubdivisionsExceeded (with the best estimate) if
-    the budget of ``MAX_SUBDIVISIONS`` bisections or the width floor stops
-    refinement short of the target.
+    g takes a float ndarray of nodes and returns values of its shape, or
+    a scalar; an exception from g propagates.  Deterministic given its
+    inputs.  Raises ValueError unless lo < hi and hi - lo is finite;
+    NonFiniteSample and OverflowError as in the module docstring;
+    MaxSubdivisionsExceeded (with the best estimate) if the budget of
+    ``MAX_SUBDIVISIONS`` bisections or the width floor stops refinement
+    short of the target.
     """
     lo = float(lo)
     hi = float(hi)

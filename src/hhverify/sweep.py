@@ -321,8 +321,8 @@ class ModelContext:
     @property
     def fprime_ends(self) -> tuple[float, float]:
         """(|f'(a)|, |f'(b)|), the only view of f any right-hand side takes:
-        f' on the array [a, b] in one call, or one call per point where f'
-        is scalar-only, the same bits as two one-point calls."""
+        f' on the array [a, b] in one call, the same bits as two one-point
+        calls."""
         return self._once("fprime_ends", lambda: tuple(np.abs(evaluate_points(
             self.model.fprime, np.array([self.a, self.b], dtype=float))).tolist()))
 

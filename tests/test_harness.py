@@ -845,13 +845,17 @@ class TestBundleGatedAtQ1:
         assert rec.discrepancy == "hyp-error:DomainError"
 
     def test_a_chained_error_keeps_no_context_alive(self):
-        # f' is scalar-only (math.sqrt fails on the array call) and raises on
-        # its first scalar, x = 1 < 1.2, while the array call's TypeError is
-        # handled: its __context__ holds the sampling frames, and through
-        # them the context.  The kept copy has no chain, so with the
-        # garbage collector off the context dies with its last reference.
-        m = FunctionModel("chained", 1.0, 2.0, lambda x: x,
-                          lambda x: math.sqrt(x - 1.2))
+        # f' raises below x = 1.2 while it handles NumPy's FloatingPointError:
+        # the raise's __context__ holds f''s frame, and through the frames
+        # that called it, the context.  The kept copy has no chain, so with
+        # the garbage collector off the context dies with its last reference.
+        def fprime(x):
+            with np.errstate(invalid="raise"):
+                try:
+                    return np.sqrt(x - 1.2)
+                except FloatingPointError:
+                    raise ValueError("f' is not real below 1.2")
+        m = FunctionModel("chained", 1.0, 2.0, lambda x: x, fprime)
         ctx = ModelContext(m, Tolerances(), ClassCheckConfig(grid_points=9), 1.0, 2.0)
         gc.disable()
         try:
@@ -956,9 +960,9 @@ class TestFprimeEnds:
     @staticmethod
     def spy_models(monkeypatch, raise_at=None):
         """Count the points of each swept model's endpoint calls of f' by
-        (name, x), and the calls on arrays.  Endpoint calls are the scalar
-        ones and those on the array [a, b]; the class checks' grids have at
-        least 3 points.  An endpoint call that holds ``raise_at`` raises."""
+        (name, x), and the calls on arrays.  Endpoint calls are those on
+        the array [a, b]; the class checks' grids have at least 3 points.
+        An endpoint call that holds ``raise_at`` raises."""
         points, arrays = Counter(), Counter()
         build = hv.sweep.model_from_spec
 
@@ -1001,12 +1005,11 @@ class TestFprimeEnds:
         raised = run_sweep(parse_config(raw))
         assert len(raised) == len(plain) == 28
         # The raise is kept: f' at 0.75 runs once for the 10 rhs that read
-        # it, in the call on [0.25, 0.75] and in its one-point fallback.
-        # One call on [a, b] per interval; the bundle reads |f'(a)| from its
-        # checks' x grid.
-        assert points["power(s=0.5)", 0.75] == 2
+        # it, in the call on [0.25, 0.75].  One call on [a, b] per interval;
+        # the bundle reads |f'(a)| from its checks' x grid.
+        assert points["power(s=0.5)", 0.75] == 1
         assert sum(arrays.values()) == 2
-        assert sum(points.values()) == 2 * 2 + 2
+        assert sum(points.values()) == 2 * 2
         failed = 0
         for old, new in zip(plain, raised):
             if BOUND_TABLE[old.theorem].is_prop or old.b != 0.75:
@@ -1021,39 +1024,46 @@ class TestFprimeEnds:
             assert all(math.isnan(v) for v in (new.lhs, new.rhs, new.gap, new.ratio))
         assert failed == 10
 
-    def test_scalar_only_model_reads_the_ends_point_by_point(self):
-        # math-based f and f' raise on arrays, so the call on [a, b] falls
-        # back to one call per point: lhs and fprime_ends keep the bits of
-        # two one-point calls.
-        seen = []
 
-        def f(x):
-            seen.append(("f", x))
-            return x * math.log(x)
+class TestArrayContract:
+    """Every call of a model's f and f' is on a float ndarray of at least
+    one dimension: the sweep, a record and a search give the same output
+    from models whose functions refuse anything else."""
 
-        def fprime(x):
-            seen.append(("f'", x))
-            return math.log(x) + 1.0
-        m = hv.models.make_model("scalar-only", 1.0, 2.0, f, fprime)
-        a, b = 1.25, 1.7
-        ctx = ModelContext(m, Tolerances(), ClassCheckConfig(), a, b)
+    @staticmethod
+    def strict(m, refused):
+        """m, rebuilt (and so probed) with f and f' that note and refuse any
+        input that is not a >= 1-d ndarray."""
+        def guard(fn, label):
+            def g(x):
+                if not (isinstance(x, np.ndarray) and x.ndim >= 1):
+                    refused.append((m.name, label, type(x).__name__))
+                    raise TypeError(f"{label} called on {type(x).__name__}")
+                return fn(x)
+            return g
+        return hv.models.make_model(m.name, m.lo, m.hi, guard(m.f, "f"),
+                                    guard(m.fprime, "f'"))
 
-        def read(value):
-            """value(), and its calls of f and f' that were not on a grid
-            of the class checks, by points."""
-            seen.clear()
-            got = value()
-            return got, [(name, np.ravel(x).tolist()) for name, x in seen
-                         if np.size(x) < 3]
-        ends, calls = read(lambda: ctx.fprime_ends)
-        assert ends == (abs(fprime(a)), abs(fprime(b)))
-        assert calls == [("f'", [a, b]), ("f'", [a]), ("f'", [b])]
-        lhs, calls = read(lambda: ctx.lhs)
-        want = abs(0.5 * (float(f(a)) + float(f(b)))
-                   - hv.quadrature.mean_integral(m, a, b, tol=1e-10))
-        assert lhs.hex() == want.hex()
-        # The ends first, then the quadrature's nodes one at a time.
-        assert calls[:3] == [("f", [a, b]), ("f", [a]), ("f", [b])]
+    def test_default_sweep_record_and_search(self, monkeypatch):
+        cfg = hv.sweep.default_config()
+        box = {"a": (1.0, 1.3), "b": (1.7, 2.0), "q": 2.0}
+
+        def outputs(wrap):
+            records = run_sweep(cfg)
+            m = wrap(hv.models.model_from_spec({"builtin": "power", "s": 0.5}))
+            ctx = ModelContext(m, Tolerances(), ClassCheckConfig(), 0.25, 0.75)
+            rec = ctx.record("eq10", 0.5, 2.0)
+            res = optimize_tightness("eq111", wrap(hv.model_from_expr("1/x", 1.0, 2.0)),
+                                     box)
+            return records_text(records, "csv"), records_text([rec], "csv"), repr(res)
+
+        plain = outputs(lambda m: m)
+        refused = []
+        build = hv.sweep.model_from_spec
+        monkeypatch.setattr(hv.sweep, "model_from_spec",
+                            lambda spec: self.strict(build(spec), refused))
+        assert outputs(lambda m: self.strict(m, refused)) == plain
+        assert refused == []
 
 
 class TestOracleResidual:

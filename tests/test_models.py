@@ -134,6 +134,12 @@ def test_make_model_probes_fprime_too():
                        fprime=lambda x: np.log(np.asarray(x, dtype=float) - 1.0))
 
 
+def test_make_model_rejects_a_scalar_only_function():
+    # one probe call on the grid array, whose error propagates as it is
+    with pytest.raises(TypeError):
+        make_model("m", 1.0, 2.0, math.exp, math.exp)
+
+
 def test_chebyshev_grid_includes_endpoints():
     g = _chebyshev_grid(1.0, 2.0, 64)
     assert g[0] == pytest.approx(1.0, abs=1e-12)

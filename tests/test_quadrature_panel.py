@@ -133,19 +133,21 @@ def _raise_where(bad, g):
     return h
 
 
-SCALAR_ONLY = [
-    ("math.exp", math.exp, (0.0, 1.0)),
-    ("math.atan", math.atan, (-3.0, 5.0)),
-    ("branchy", lambda t: math.sqrt(t) if t > 0.2 else 0.0, (0.0, 1.0)),
-    # the first bad node wins: a non-finite value at node 1 before an
-    # exception at node 2, and the other way round
-    ("inf-then-raise", _raise_where(lambda t: t > 0.99,
-                                    lambda t: math.inf if t < 0.01 else t),
-     (0.0, 1.0)),
-    ("raise-then-inf", _raise_where(lambda t: t < 0.01,
-                                    lambda t: math.inf if t > 0.99 else t),
+ARRAY_CASES = [
+    ("np.exp", np.exp, (0.0, 1.0)),
+    ("np.arctan", np.arctan, (-3.0, 5.0)),
+    ("branchy", lambda t: np.where(t > 0.2, np.sqrt(t), 0.0), (0.0, 1.0)),
+    # the integrand's own error, on the first panel and after 4 to 11
+    # bisections, by tolerance
+    ("raise-first", _raise_where(lambda t: np.any(t > 0.99), np.exp), (0.0, 1.0)),
+    ("raise-deep", _raise_where(lambda t: np.any(t < 1e-3), NUMPY_LAMBDAS[0][1]),
      (0.0, 1.0)),
 ]
+
+
+def _log_kink(t):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(t - 0.5))
 
 
 def _ln(src):
@@ -160,8 +162,7 @@ NON_FINITE = [
     ("ln-left", _ln("ln(x)"), (-0.5, 1.0)),          # node 1 first
     ("ln-right", _ln("ln(-x)"), (-1.0, 0.5)),        # node 2 first
     ("ln-deep", _ln("ln((x - 0.25)^2)"), (0.0, 1.0)),  # after a subdivision
-    ("log-kink", lambda t: math.log(abs(t - 0.5)) if t != 0.5 else -math.inf,
-     (0.0, 1.0)),
+    ("log-kink", _log_kink, (0.0, 1.0)),
 ]
 
 
@@ -175,7 +176,7 @@ def _model_cases():
 
 def corpus():
     """(name, integrand, domain, number of seeded sub-intervals)."""
-    for case in (*NUMPY_LAMBDAS, *_model_cases(), *SCALAR_ONLY):
+    for case in (*NUMPY_LAMBDAS, *_model_cases(), *ARRAY_CASES):
         yield (*case, 3)
     for case in NON_FINITE:
         yield (*case, 0)
@@ -264,21 +265,16 @@ def test_call_sites_evaluate_whole_panels():
     assert set(shapes) == {(15,), (30,)}
 
 
-def test_scalar_only_integrand_falls_back_per_node():
-    seen = []
+def test_a_scalar_only_integrand_raises_its_own_error_at_once():
+    calls = []
 
     def g(t):
-        seen.append(t)
-        return math.exp(-400.0 * (t - 0.3) ** 2)
+        calls.append(np.shape(t))
+        return math.exp(t)
 
-    r = integrate(g, 0.0, 1.0, tol=1e-12)
-    assert r.subdivisions == 14
-    # the first panel: one rejected array call, then its 15 nodes as
-    # Python floats; each bisection: one rejected array call, then both
-    # children's 30 nodes
-    want = [(15,)] + [float] * 15 + ([(30,)] + [float] * 30) * r.subdivisions
-    assert [float if isinstance(t, float) else t.shape for t in seen] == want
-    assert len(seen) == 16 + 31 * r.subdivisions
+    with pytest.raises(TypeError):
+        integrate(g, 0.0, 1.0)
+    assert calls == [(15,)]
 
 
 def _ref_nodes(lo, hi):
@@ -291,11 +287,11 @@ def _ref_nodes(lo, hi):
     return nodes
 
 
-def test_a_failed_bisection_call_retries_the_children_one_at_a_time():
+def test_a_raise_in_a_bisection_call_fails_the_integration():
     # NaN at a node of the first bisection's left child, and a DomainError
-    # from any call that holds a node of its right child: evaluated alone,
-    # the left child raises NonFiniteSample and the right one is never
-    # reached, as with one call per panel.
+    # from any call that holds a node of its right child: the call holds
+    # both children, so the integrand's own error wins, although the
+    # one-panel-at-a-time oracle reaches the NaN first.
     right = set(_ref_nodes(0.5, 1.0))
     bad = _ref_nodes(0.0, 0.5)[3]
     shapes = []
@@ -306,10 +302,9 @@ def test_a_failed_bisection_call_retries_the_children_one_at_a_time():
             raise DomainError(min(right), "right child")
         return np.where(t == bad, np.nan, np.exp(-400.0 * (t - 0.3) ** 2))
 
-    got = outcome(integrate, g, 0.0, 1.0)
-    assert got == ("non-finite", bad.hex())
-    assert shapes == [(15,), (30,), (15,)]
-    assert got == outcome(ref_integrate, g, 0.0, 1.0)
+    assert outcome(integrate, g, 0.0, 1.0) == ("raised", "DomainError")
+    assert shapes == [(15,), (30,)]
+    assert outcome(ref_integrate, g, 0.0, 1.0) == ("non-finite", bad.hex())
 
 
 def test_non_finite_sample_names_a_python_float():

@@ -26,7 +26,10 @@ n^2(n+1)/2 points instead of n^3.  The count, the witnesses and the point
 an error names are still those of the full cube.
 
 Cost, with n = grid_points rounded up to odd: every class check compares
-the half cube in one kernel, ``_compare``, a slab of pair rows at a time.
+the half cube a slab of pair rows at a time (``_slabs``) and stops at the
+first slab that holds a violation (``_compare``).  A failed check's count
+and witnesses take a full second pass (``_tally``), run only when one of
+them is read, which the sweep and the search never do.
 Two one-slot caches hold what the checks share, each keyed by what it
 depends on: the t axis, the pair rows and lin are built once per grid
 size (``_by_size``), and the points once per (a, b, n), for every
@@ -37,7 +40,7 @@ about, |fprime| is sampled on those points once per fprime and interval:
 n, (n-1)^2 + 1 and n^2(n+1)/2 points (65, 4,097 and 139,425 at n = 65).
 Each (points, q) is then powered (q != 1), checked finite, and on the
 geometric cube checked positive and logged, once; a further check on
-that interval costs a few O(n^3 / 2) compare passes.  The monotone check
+that interval costs one O(n^3 / 2) compare pass, or part of one.  The monotone check
 and |f'(a)| read the x-grid sample.  The sweep checks the bundle at q = 1
 whatever the bound's q, so the bundle costs one class check per (a, b,
 s), and the convexity gate of eq9 reuses eq8's check of |fprime| and
@@ -55,7 +58,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -106,14 +109,39 @@ class Witness:
     rhs: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
+    """A verdict, the violation count over the full cube and the first
+    ``MAX_WITNESSES`` witnesses.  A failed class check tallies the last two
+    when either is first read, from what it saw.  Until then it keeps alive
+    g's sample, its log, the two n x n rhs tables and the x grid, not the
+    interval cache: 2.3 MB at n = 65 on the geometric cube, and the
+    ``_by_size`` axes (0.6 MB), which every check of that size shares."""
     ok: bool
     witnesses: tuple[Witness, ...]
     violation_count: int = 0
+    _tally: Callable | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __getattr__(self, name):
+        # Only a deferred result lacks these two, until one is read.
+        if name not in ("witnesses", "violation_count"):
+            raise AttributeError(name)
+        wit, count = self._tally()
+        object.__setattr__(self, "witnesses", wit)
+        object.__setattr__(self, "violation_count", count)
+        object.__setattr__(self, "_tally", None)
+        return getattr(self, name)
+
+    @classmethod
+    def _deferred(cls, tally: Callable) -> "CheckResult":
+        res = object.__new__(cls)
+        object.__setattr__(res, "ok", False)
+        object.__setattr__(res, "_tally", tally)
+        return res
 
 
 @dataclass(frozen=True)
@@ -267,62 +295,71 @@ def _sampled(g: Callable, grid: _Interval, cube: Callable | None = None
     return grid.checked[key]
 
 
-def _compare(vals: np.ndarray, ln: np.ndarray | None, rhs_rows: Callable,
-             grid: _Interval, cfg: ClassCheckConfig) -> CheckResult:
-    """Violations of lhs <= rhs by more than slack over the full (x, y, t)
-    cube, from its half.  Linear (ln None): vals is g on the fine grid, and
-    lhs at [p, k] is vals[lin[p, k]]; the test is lhs > rhs + slack and
-    lhs > rhs*(1 + slack), so the slack is absolute up to rhs = 1 and
-    relative above.  Geometric: vals is g on the half cube, ln its log,
-    rhs_rows gives ln rhs, and the test is ln lhs > ln rhs + slack, a
-    relative slack at every scale.  Witnesses carry values, not logs, and
-    are the first MAX_WITNESSES violations in the full cube's C order.
-
-    rhs_rows(rows) gives rhs on the pair rows ``rows`` (a slice or an index
-    array); the half cube is compared a slab of rows at a time, so the
-    temporaries stay small.  (x_j, x_i, ts[n-1-k]) violates exactly when
-    (x_i, x_j, ts[k]) does, with the same two sides, so each off-diagonal
-    violation counts twice and a diagonal row holds every t once.
-    """
-    xs, ts, iu, ju, lin = grid.xs, grid.ts, grid.iu, grid.ju, grid.lin
-    geometric = ln is not None
-    n = len(xs)
-    viol = np.empty(lin.shape, dtype=bool)
-    step = max(1, _SLAB_POINTS // n)
-    found = r = 0
+def _slabs(xs, axes, vals, ln, ax, ay, slack):
+    """(rows, mask of the violations of lhs <= rhs by more than slack) per
+    slab of pair rows, in order; axes is ``_by_size(n)``.  Linear (ln None):
+    lhs at [p, k] is vals[lin[p, k]], g on the fine grid, and a violation is
+    lhs > rhs + slack and lhs > rhs*(1 + slack): the slack is absolute up to
+    rhs = 1 and relative above.  Geometric: vals is g on the half cube, ln
+    its log, ax and ay give ln rhs, and a violation is ln[p, k] > ln rhs +
+    slack, a relative slack at every scale.  rhs (or ln rhs) at [p, k] is
+    ax[iu[p], k] + ay[ju[p], k]."""
+    _, iu, ju, lin = axes
+    step = max(1, _SLAB_POINTS // len(xs))
     for p0 in range(0, len(lin), step):
         rows = slice(p0, p0 + step)
-        left = ln[rows] if geometric else np.take(vals, lin[rows])
-        right = rhs_rows(rows)
-        v = np.greater(left, right + cfg.slack, out=viol[rows])
-        if not geometric and v.any():
-            v &= left > right * (1.0 + cfg.slack)
-        if found < MAX_WITNESSES:
+        left = np.take(vals, lin[rows]) if ln is None else ln[rows]
+        right = np.take(ax, iu[rows], axis=0) + np.take(ay, ju[rows], axis=0)
+        v = left > right + slack
+        if ln is None and v.any():
+            v &= left > right * (1.0 + slack)
+        yield rows, v
+
+
+def _compare(*args) -> CheckResult:
+    """The verdict of ``_slabs(*args)`` over the full cube, which stops at
+    the first slab that holds a violation: (x_j, x_i, ts[n-1-k]) violates
+    exactly when (x_i, x_j, ts[k]) does, with the same two sides.  A failed
+    result runs ``_tally`` when its count or witnesses are first read."""
+    if not any(v.any() for _, v in _slabs(*args)):
+        return CheckResult(True, (), 0)
+    return CheckResult._deferred(partial(_tally, MAX_WITNESSES, *args))
+
+
+def _tally(limit: int, xs, axes, vals, ln, ax, ay, slack):
+    """(witnesses, violation count) of a failed check over the full cube,
+    where each off-diagonal violation of the half counts twice.  Witnesses
+    carry values, not logs: the first ``limit`` in the full cube's order."""
+    ts, iu, ju, lin = axes
+    n = len(xs)
+    viol = np.empty(lin.shape, dtype=bool)
+    found = r = 0
+    for rows, v in _slabs(xs, axes, vals, ln, ax, ay, slack):
+        viol[rows] = v
+        if found < limit:
             r = int(iu[rows][-1])
         found += int(np.count_nonzero(v))
-    if not found:
-        return CheckResult(True, (), 0)
     diag = _pair_row(np.arange(n), np.arange(n), n)
     count = 2 * found - int(np.count_nonzero(viol[diag]))
     # Witnesses in the full cube's order; a mirrored one reads its two
     # sides at its pair's row, where they are the same bits.  The slabs
-    # up to the one that reached MAX_WITNESSES violations (or all slabs)
-    # hold pairs with x index at most r, so the full cube's x rows up to r
-    # hold the first MAX_WITNESSES: only those rows are built and scanned.
+    # up to the one that reached ``limit`` violations (or all slabs) hold
+    # pairs with x index at most r, so the full cube's x rows up to r hold
+    # the first ``limit``: only those rows are built and scanned.
     last = _pair_row(r, n - 1, n) + 1
     iu, ju, half = iu[:last], ju[:last], viol[:last]
     full = np.empty((r + 1, n, n), dtype=bool)
     mirrored = ju <= r
     full[ju[mirrored], iu[mirrored]] = half[mirrored, ::-1]
     full[iu, ju] = half
-    i, j, k = np.unravel_index(np.flatnonzero(full)[:MAX_WITNESSES], full.shape)
+    i, j, k = np.unravel_index(np.flatnonzero(full)[:limit], full.shape)
     p = _pair_row(np.minimum(i, j), np.maximum(i, j), n)
     kc = np.where(i > j, n - 1 - k, k)
-    rhs = rhs_rows(p)[np.arange(len(p)), kc]
-    lhs = vals[p, kc] if geometric else vals[lin[p, kc]]
+    rhs = ax[iu[p], kc] + ay[ju[p], kc]   # p < last
+    lhs = vals[lin[p, kc]] if ln is None else vals[p, kc]
     wit = map(Witness, xs[i].tolist(), xs[j].tolist(), ts[k].tolist(),
-              lhs.tolist(), (np.exp(rhs) if geometric else rhs).tolist())
-    return CheckResult(False, tuple(wit), count)
+              lhs.tolist(), (rhs if ln is None else np.exp(rhs)).tolist())
+    return tuple(wit), count
 
 
 def _axes(interval: tuple[float, float], cfg: ClassCheckConfig) -> _Interval:
@@ -360,10 +397,8 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
     # t^s*g(x_i) + (1-t)^s*g(x_j), so a row gathers them instead of
     # multiplying.
     ax, ay = gx[:, None] * t ** s, gx[:, None] * (1.0 - t) ** s
-
-    def rhs_rows(rows):
-        return np.take(ax, grid.iu[rows], axis=0) + np.take(ay, grid.ju[rows], axis=0)
-    return _compare(vals, ln, rhs_rows, grid, cfg)
+    axes = ts, grid.iu, grid.ju, grid.lin
+    return _compare(xs, axes, vals, ln, ax, ay, cfg.slack)
 
 
 def is_convex(g: Callable, interval: tuple[float, float],
@@ -426,12 +461,18 @@ def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Pass/fail record for one bound's preconditions on [a, b]."""
-    class_ok: bool
-    monotone_decreasing_ok: bool
+    """Pass/fail record for one bound's preconditions on [a, b].  It keeps
+    the two checks' results, so a failed check's witnesses are tallied
+    only when ``witnesses`` is read."""
+    class_check: CheckResult
+    monotone_check: CheckResult
     fprime_a_le_1: bool
-    witnesses: Mapping[str, tuple[Witness, ...]] = field(default_factory=dict)
     params: Mapping[str, float] = field(default_factory=dict)
+
+    class_ok = property(lambda self: self.class_check.ok)
+    monotone_decreasing_ok = property(lambda self: self.monotone_check.ok)
+    witnesses = property(lambda self: {"class": self.class_check.witnesses,
+                                       "monotone": self.monotone_check.witnesses})
 
 
 def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
@@ -453,10 +494,7 @@ def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
     # |f'(a)| is the monotone check's x-grid sample at xs[0] == a.
     fpa = float(_sampled(AbsPower(fprime), _axes((a, b), cfg))[0][0])
     return HypothesisReport(
-        class_ok=class_res.ok,
-        monotone_decreasing_ok=mono_res.ok,
-        fprime_a_le_1=fpa <= 1.0 + cfg.slack,
-        witnesses={"class": class_res.witnesses, "monotone": mono_res.witnesses},
+        class_res, mono_res, fprime_a_le_1=fpa <= 1.0 + cfg.slack,
         params={"a": a, "b": b, "s": float(s), "q": float(q),
                 "fprime_a_abs": fpa, "grid_points": cfg.grid_points,
                 "slack": cfg.slack},

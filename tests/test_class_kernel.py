@@ -4,8 +4,10 @@ rule, the per-interval |f'| sample, and the cube points."""
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import math
+import os
 import warnings
 import weakref
 
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import random_expr
 from hhverify import convexity, exprparse
+from hhverify.cli import main
 from hhverify.convexity import (AbsPower, ClassCheckConfig, CheckResult,
                                 Witness, is_convex, is_geometrically_convex,
                                 is_monotone_decreasing, is_s_convex,
@@ -24,6 +27,7 @@ from hhverify.models import (exp_model, make_model, model_from_expr,
                              model_from_spec, power_model)
 from hhverify.records import records_text
 from hhverify.sweep import default_config, parse_config, run_sweep
+from hhverify.tightness import optimize_tightness
 
 # ---------------------------------------------------------------------------
 # Reference: every check evaluates g on the whole n^3 cube, compares every
@@ -716,3 +720,123 @@ def test_default_check_results_pinned(monkeypatch, n):
         digest.update(repr((res.ok, res.violation_count, res.witnesses)).encode())
     assert len(seen) == 215
     assert digest.hexdigest() == DEFAULT_CHECK_DIGESTS[n]
+
+
+# ---------------------------------------------------------------------------
+# The deferred tally: a failed class check reads its count and witnesses
+# only when they are read, from the arrays it saw
+# ---------------------------------------------------------------------------
+
+WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                              "workloads.py")
+
+# `hhverify check-class --kind geo-convex --f "exp(-(x))" --domain 1,2`
+CHECK_CLASS_OUT = """\
+geo-convex on [1.0, 2.0] for 'exp(-(x))': VIOLATED
+  violations: 32736
+  witness x=1 y=1.03125 t=0.03125 lhs=0.356914575 rhs=0.356909355
+  witness x=1 y=1.03125 t=0.0625 lhs=0.357268179 rhs=0.357258069
+  witness x=1 y=1.03125 t=0.09375 lhs=0.357621794 rhs=0.357607125
+  witness x=1 y=1.03125 t=0.125 lhs=0.357975418 rhs=0.357956521
+  witness x=1 y=1.03125 t=0.15625 lhs=0.358329051 rhs=0.358306259
+"""
+
+
+def _search_batch(seed):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_input("tightness-search", seed)
+
+
+def test_hot_paths_never_tally(monkeypatch, capsys):
+    tallies, verdicts = [], []
+    tally, compare = convexity._tally, convexity._compare
+
+    def spy_tally(*args):
+        tallies.append(args)
+        return tally(*args)
+
+    def spy_compare(*args):
+        res = compare(*args)
+        verdicts.append(res.ok)
+        return res
+    monkeypatch.setattr(convexity, "_tally", spy_tally)
+    monkeypatch.setattr(convexity, "_compare", spy_compare)
+    run_sweep(default_config())
+    assert verdicts.count(False) == 32 and not tallies
+    del verdicts[:]
+    for search in _search_batch(1):
+        optimize_tightness(search["theorem"], model_from_spec(search["model"]),
+                           search["box"], search["require_hypotheses"])
+    assert False in verdicts and not tallies
+    assert main(["check-class", "--kind", "geo-convex", "--f", "exp(-(x))",
+                 "--domain", "1,2"]) == 2
+    assert capsys.readouterr().out == CHECK_CLASS_OUT and len(tallies) == 1
+
+
+def test_deferred_tally_reads_only_its_own_inputs(monkeypatch):
+    cfg = ClassCheckConfig(grid_points=65)
+    g = AbsPower(exp_model(1.0).fprime)
+    res = is_s_geometrically_convex(g, (1.0, 2.0), 0.5, cfg)
+    interval = weakref.ref(convexity._axes((1.0, 2.0), cfg))
+    assert not res.ok and interval() is not None
+    # Another f' on another interval replaces every cached sample, and a
+    # smaller witness limit is what a tally would read now.
+    other = is_s_geometrically_convex(AbsPower(power_model(0.5).fprime),
+                                      (0.25, 0.75), 0.5, cfg)
+    monkeypatch.setattr(convexity, "MAX_WITNESSES", 1)
+    assert interval() is None
+    count, witnesses = res.violation_count, res.witnesses
+    monkeypatch.setattr(convexity, "MAX_WITNESSES", 64)
+    ref, _ = reference_check("geometric", g, (1.0, 2.0), 0.5, cfg)
+    assert (count, witnesses) == (ref.violation_count, ref.witnesses)
+    assert len(witnesses) == 64 < count and res == ref
+    assert other.ok
+
+
+# Built by the eager kernel this replaced.
+_EXP_GEO_N3 = (
+    "CheckResult(ok=False, witnesses=("
+    "Witness(x=1.0, y=1.5, t=0.5, lhs=0.29383265587807295, rhs=0.2865047968601901), "
+    "Witness(x=1.0, y=2.0, t=0.5, lhs=0.24311673443421425, rhs=0.22313016014842982), "
+    "Witness(x=1.5, y=1.0, t=0.5, lhs=0.29383265587807295, rhs=0.2865047968601901), "
+    "Witness(x=1.5, y=2.0, t=0.5, lhs=0.17692120631776423, rhs=0.17377394345044514), "
+    "Witness(x=2.0, y=1.0, t=0.5, lhs=0.24311673443421425, rhs=0.22313016014842982), "
+    "Witness(x=2.0, y=1.5, t=0.5, lhs=0.17692120631776423, rhs=0.17377394345044514)"
+    "), violation_count=6)")
+
+
+def test_eager_and_deferred_results_behave_alike():
+    cfg = ClassCheckConfig(grid_points=3)
+
+    def check():
+        return is_geometrically_convex(lambda x: np.exp(-x), (1.0, 2.0), cfg)
+    eager = eval(_EXP_GEO_N3, {"CheckResult": CheckResult, "Witness": Witness})
+    assert not eager and eager.violation_count == 6 and eager._tally is None
+    assert not check() and repr(check()) == _EXP_GEO_N3
+    assert check() == eager and eager == check() and check() != CheckResult(False, (), 6)
+    assert hash(check()) == hash(eager)
+    assert check().witnesses == eager.witnesses and check().violation_count == 6
+    passed = is_geometrically_convex(np.exp, (1.0, 2.0), cfg)
+    assert passed and passed == CheckResult(True, (), 0) == CheckResult(True, ())
+    assert repr(passed) == "CheckResult(ok=True, witnesses=(), violation_count=0)"
+    assert hash(passed) == hash(CheckResult(True, (), 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check().violation_count = 0
+    # The bundle keeps its two results; its witnesses read them.
+    rep = theorem_hypotheses(exp_model(1.0), 1.0, 2.0, 0.5, 1.0, cfg)
+    assert not rep.class_ok and rep.monotone_decreasing_ok
+    assert rep.class_check.violation_count == 9 and rep.monotone_check.ok
+    assert rep.witnesses == {
+        "class": tuple(Witness(x, y, 0.5, lhs, rhs) for x, y, lhs, rhs in (
+            (1.0, 1.0, 0.36787944117144233, 0.2431167344342142),
+            (1.0, 1.5, 0.29383265587807295, 0.17071377539976806),
+            (1.0, 2.0, 0.24311673443421425, 0.119873250103762),
+            (1.5, 1.0, 0.29383265587807295, 0.17071377539976806),
+            (1.5, 1.5, 0.22313016014842982, 0.119873250103762),
+            (1.5, 2.0, 0.17692120631776423, 0.08417361783950447),
+            (2.0, 1.0, 0.24311673443421425, 0.119873250103762),
+            (2.0, 1.5, 0.17692120631776423, 0.08417361783950447),
+            (2.0, 2.0, 0.1353352832366127, 0.059105746561956225))),
+        "monotone": ()}

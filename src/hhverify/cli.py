@@ -26,7 +26,16 @@ from .models import FunctionModel, model_from_expr, model_from_spec
 from .records import records_text, write_csv, write_json
 from .tightness import SEARCH_TAGS, optimize_tightness
 
-_CLASS_KINDS = ("convex", "s-convex", "geo-convex", "s-geo-convex", "decreasing")
+# check-class --kind -> (check, whether it takes --s).  Each lambda looks
+# its check up on this module at call time, as BOUND_TABLE's rhs lambdas do,
+# so a patched check is the one called.
+_CLASS_CHECKS = {
+    "convex": (lambda *args: is_convex(*args), False),
+    "s-convex": (lambda *args: is_s_convex(*args), True),
+    "geo-convex": (lambda *args: is_geometrically_convex(*args), False),
+    "s-geo-convex": (lambda *args: is_s_geometrically_convex(*args), True),
+    "decreasing": (lambda *args: is_monotone_decreasing(*args), False),
+}
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -81,16 +90,10 @@ def cmd_check_class(args) -> int:
             return exprparse.eval_array(tree, x)
 
     kind = args.kind
-    if kind == "convex":
-        res = is_convex(g, (lo, hi), cfg)
-    elif kind == "s-convex":
-        res = is_s_convex(g, (lo, hi), _require_s(args), cfg)
-    elif kind == "geo-convex":
-        res = is_geometrically_convex(g, (lo, hi), cfg)
-    elif kind == "s-geo-convex":
-        res = is_s_geometrically_convex(g, (lo, hi), _require_s(args), cfg)
-    else:
-        res = is_monotone_decreasing(g, (lo, hi), cfg)
+    check, takes_s = _CLASS_CHECKS[kind]
+    if takes_s and args.s is None:
+        raise ValueError(f"--kind {kind} needs --s")
+    res = check(g, (lo, hi), *([args.s] if takes_s else []), cfg)
 
     target = "|f'|^q of " + repr(args.f) if args.on_derivative else repr(args.f)
     print(f"{kind} on [{lo}, {hi}] for {target}: "
@@ -103,17 +106,14 @@ def cmd_check_class(args) -> int:
     return 0 if res.ok else 2
 
 
-def _require_s(args) -> float:
-    if args.s is None:
-        raise ValueError(f"--kind {args.kind} needs --s")
-    return args.s
-
-
 def cmd_eval_bound(args) -> int:
-    m = _model(args)
-    a, b = args.a, args.b
     tag = args.theorem
     bound = sweep.BOUND_TABLE[tag]
+    # Only on the power model is the model's s the proposition's s.
+    if bound.is_prop and args.builtin != "power":
+        raise ValueError(f"{tag} is about f = x^s/s: it needs --builtin power")
+    m = _model(args)
+    a, b = args.a, args.b
     point = bound.point(1.0 if args.s is None else args.s, args.q)
     if point is None:
         raise ValueError(f"{tag} needs q > 1, got q={args.q:g}")
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-class", help="grid-check a convexity class")
-    p.add_argument("--kind", choices=_CLASS_KINDS, required=True)
+    p.add_argument("--kind", choices=tuple(_CLASS_CHECKS), required=True)
     p.add_argument("--f", required=True, help="expression in x")
     p.add_argument("--domain", required=True, help="'lo,hi'")
     p.add_argument("--s", type=float, help="class parameter s in (0,1]")

@@ -28,8 +28,8 @@ an error names are still those of the full cube.
 Cost, with n = grid_points rounded up to odd: every class check compares
 the half cube a slab of pair rows at a time (``_slabs``) and stops at the
 first slab that holds a violation (``_compare``).  A failed check's count
-and witnesses take a full second pass (``_tally``), run only when one of
-them is read, which the sweep and the search never do.
+and witnesses take a second, full pass and its n^3 mask (``_tally``), run
+only when one of them is read, which the sweep and the search never do.
 Two one-slot caches hold what the checks share, each keyed by what it
 depends on: the t axis, the pair rows and lin are built once per grid
 size (``_by_size``), and the points once per (a, b, n), for every
@@ -327,39 +327,24 @@ def _compare(*args) -> CheckResult:
 
 
 def _tally(limit: int, xs, axes, vals, ln, ax, ay, slack):
-    """(witnesses, violation count) of a failed check over the full cube,
-    where each off-diagonal violation of the half counts twice.  Witnesses
-    carry values, not logs: the first ``limit`` in the full cube's order."""
-    ts, iu, ju, lin = axes
+    """(witnesses, violation count) of a failed check, read off the full
+    cube's violation mask, the half's and its mirror's.  Witnesses, the
+    first ``limit`` in C order, carry values, not logs, at their own
+    (i, j, k): rhs adds the mirror's two products in the other order, and
+    the linear lhs's fine index is the mirror's."""
+    ts, iu, ju, _ = axes
     n = len(xs)
-    viol = np.empty(lin.shape, dtype=bool)
-    found = r = 0
-    for rows, v in _slabs(xs, axes, vals, ln, ax, ay, slack):
-        viol[rows] = v
-        if found < limit:
-            r = int(iu[rows][-1])
-        found += int(np.count_nonzero(v))
-    diag = _pair_row(np.arange(n), np.arange(n), n)
-    count = 2 * found - int(np.count_nonzero(viol[diag]))
-    # Witnesses in the full cube's order; a mirrored one reads its two
-    # sides at its pair's row, where they are the same bits.  The slabs
-    # up to the one that reached ``limit`` violations (or all slabs) hold
-    # pairs with x index at most r, so the full cube's x rows up to r hold
-    # the first ``limit``: only those rows are built and scanned.
-    last = _pair_row(r, n - 1, n) + 1
-    iu, ju, half = iu[:last], ju[:last], viol[:last]
-    full = np.empty((r + 1, n, n), dtype=bool)
-    mirrored = ju <= r
-    full[ju[mirrored], iu[mirrored]] = half[mirrored, ::-1]
+    half = np.concatenate([v for _, v in _slabs(xs, axes, vals, ln, ax, ay, slack)])
+    full = np.empty((n, n, n), dtype=bool)
     full[iu, ju] = half
+    full[ju, iu] = half[:, ::-1]
     i, j, k = np.unravel_index(np.flatnonzero(full)[:limit], full.shape)
-    p = _pair_row(np.minimum(i, j), np.maximum(i, j), n)
-    kc = np.where(i > j, n - 1 - k, k)
-    rhs = ax[iu[p], kc] + ay[ju[p], kc]   # p < last
-    lhs = vals[lin[p, kc]] if ln is None else vals[p, kc]
+    rhs = ax[i, k] + ay[j, k]
+    lhs = (vals[j * (n - 1) + k * (i - j)] if ln is None else
+           vals[_pair_row(np.minimum(i, j), np.maximum(i, j), n), np.where(i > j, n - 1 - k, k)])
     wit = map(Witness, xs[i].tolist(), xs[j].tolist(), ts[k].tolist(),
               lhs.tolist(), (rhs if ln is None else np.exp(rhs)).tolist())
-    return tuple(wit), count
+    return tuple(wit), int(np.count_nonzero(full))
 
 
 def _axes(interval: tuple[float, float], cfg: ClassCheckConfig) -> _Interval:

@@ -222,6 +222,11 @@ def dual_route_bb(a: float, b: float, s: float, tol: float = 1e-8) -> DualRoute:
     return _classify(means_value, kernel_value, tol)
 
 
+def _alpha_sq(a: float, b: float, s: float, q: float) -> float:
+    """alpha(sq, sq) of the power family's |f'| = x^(s-1) at a and b."""
+    return bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s * q, s * q)
+
+
 def residual_cc(a: float, b: float, s: float, q: float) -> float:
     """|g_full(alpha(sq, sq)) - L(a'', b'') / b''|; exact algebra."""
     _check_prop_range(a, b, s)
@@ -230,18 +235,18 @@ def residual_cc(a: float, b: float, s: float, q: float) -> float:
     e = s * q * (s - 1.0)
     ap, bp = _pow(a, e), _pow(b, e)
     means_value = log_mean(ap, bp) / bp
-    al = bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s * q, s * q)
+    al = _alpha_sq(a, b, s, q)
     return abs(gfuncs.g_full(al).value - means_value)
 
 
 def deviation_dd(a: float, b: float, s: float, q: float) -> float:
     """Relative deviation of printed U from g_lower(alpha(sq, sq)); exact."""
-    al = bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s * q, s * q)
+    al = _alpha_sq(a, b, s, q)
     g = gfuncs.g_lower(al).value
     return abs(printed_u(a, b, s, q) - g) / max(1.0, abs(g))
 
 
 def deviation_ee(a: float, b: float, s: float, q: float, tol: float = 1e-8) -> DualRoute:
     """Printed V vs g_upper(alpha(sq, sq)); expected discrepant."""
-    al = bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s * q, s * q)
+    al = _alpha_sq(a, b, s, q)
     return _classify(printed_v(a, b, s, q), gfuncs.g_upper(al).value, tol)

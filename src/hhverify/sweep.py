@@ -417,14 +417,18 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
 
     The classical baselines eq8/eq9 are s-independent; their records carry
     s = 1 and (for eq8) q = 1 as placeholders.  The special-means
-    propositions are swept for the power family at s < 1 and b <= 1.
+    propositions are about f = x^s/s, so they are swept only on a power
+    model at its own s (which ``power_model`` holds in (0, 1), on a domain
+    in (0, 1]), and their flags are those of its |f'| = x^(s-1).
     """
     check_cfg = ClassCheckConfig(grid_points=cfg.class_grid_points,
                                  slack=cfg.tolerances.slack)
     points = {theorem: dict.fromkeys(p for s in cfg.s_grid for q in cfg.q_grid
                                      if (p := bound.point(s, q)))
               for theorem, bound in BOUND_TABLE.items()}
-    models = [(model_from_spec(spec), spec.get("builtin") == "power")
+    # A power model's own s, the only s its propositions are swept at.
+    models = [(model_from_spec(spec),
+               spec["s"] if spec.get("builtin") == "power" else None)
               for spec in cfg.models]
     records: list[BoundRecord] = []
     # (a, b) outermost and the models inside: the class checks build an
@@ -432,13 +436,13 @@ def run_sweep(cfg: SweepConfig) -> list[BoundRecord]:
     # and a model's context lives for its visit there.
     intervals = dict.fromkeys((a, b) for a in cfg.a_grid for b in cfg.b_grid if a < b)
     for a, b in intervals:
-        for m, is_power in models:
+        for m, own_s in models:
             if not m.contains(a, b):
                 continue
             ctx = ModelContext(m, cfg.tolerances, check_cfg, a, b)
             for theorem, bound in BOUND_TABLE.items():
                 for s, q in points[theorem]:
-                    if bound.is_prop and not (is_power and s < 1.0 and b <= 1.0):
+                    if bound.is_prop and s != own_s:
                         continue
                     records.append(ctx.record(theorem, s, q))
     return sort_records(records)

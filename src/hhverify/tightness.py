@@ -32,7 +32,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 # theorem_hypotheses is not called here; perfbench/tracer.py patches it by name.
 from .convexity import ClassCheckConfig, theorem_hypotheses  # noqa: F401
@@ -68,7 +68,7 @@ class TightnessResult:
     trace_len: int
     hypotheses_pass: bool
     violation: bool = False
-    # Exceptions the objective turned into "infeasible", counted by type:
+    # Exceptions the search turned into "infeasible", counted by type:
     # those of the flags and sides it read, so not a flags error at a point
     # whose ratio could not beat the best.
     errors: Mapping[str, int] = field(default_factory=dict)
@@ -115,21 +115,27 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
     cache: dict[tuple, tuple] = {}
     evals = 0
     errors: Counter[str] = Counter()
+    best: tuple = (-math.inf, None, None)   # (ratio, context, point)
 
-    def objective(a: float, b: float, s: float, q: float,
-                  floor: float) -> tuple[float, ModelContext | None]:
-        """(ratio, context); ratio -inf when infeasible, and no context when
-        infeasible or the ratio did not beat ``floor``.  Points equal to 12
-        decimals are evaluated once."""
+    def visit(pt: Sequence[float]) -> bool:
+        """Evaluate pt once (points equal to 12 decimals are one) and keep
+        it if its ratio beats the best; True if it did."""
+        nonlocal best
+        a, b, s, q = pt
         key = (round(a, 12), round(b, 12), round(s, 12), round(q, 12))
         if key not in cache:
-            cache[key] = evaluate(a, b, s, q, floor)
-        return cache[key]
+            cache[key] = evaluate(a, b, s, q, best[0])
+        ratio, ctx = cache[key]
+        if not ratio > best[0]:
+            return False
+        best = (ratio, ctx, pt)
+        return True
 
     def evaluate(a: float, b: float, s: float, q: float,
                  floor: float) -> tuple[float, ModelContext | None]:
-        """The point's value, with flags read only where they can matter:
-        ``floor`` is the best ratio so far, and the best only rises."""
+        """(ratio, context), -inf if infeasible, with flags read only where
+        they can matter: no context unless the ratio beats ``floor``, the
+        best ratio so far, which only rises."""
         nonlocal evals
         infeasible = (-math.inf, None)
         if not all(lo <= v <= hi for v, (lo, hi) in zip((a, b, s, q), ranges)):
@@ -161,43 +167,31 @@ def optimize_tightness(theorem: str, model: FunctionModel, box: Mapping,
             return infeasible
         return (ratio, ctx)
 
-    def axis(lo: float, hi: float) -> list[float]:
-        if hi <= lo:
-            return [lo]
-        n = COARSE_POINTS
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-    best = (-math.inf, None)
-    best_pt = None
-    for pt in itertools.product(*(axis(lo, hi) for lo, hi in ranges)):
-        val = objective(*pt, best[0])
-        if val[0] > best[0]:
-            best, best_pt = val, pt
-    if best_pt is None or best[0] == -math.inf:
+    n = COARSE_POINTS
+    for pt in itertools.product(*([lo + (hi - lo) * i / (n - 1) for i in range(n)]
+                                   if hi > lo else [lo] for lo, hi in ranges)):
+        visit(pt)
+    if best[1] is None:
         raise EmptyFeasibleSetError(
             f"no feasible point for {theorem} in the given box")
 
-    # Compass search on the active axes.
-    spans = [hi - lo for lo, hi in ranges]
-    steps = [sp / 4.0 if sp > 0.0 else 0.0 for sp in spans]
-    pt = list(best_pt)
+    # Compass search on the active axes, from the best point.
+    steps = [(hi - lo) / 4.0 for lo, hi in ranges]
     for _ in range(MAX_ITERS):
         if all(st <= 1e-6 for st in steps):
             break
         improved = False
-        for i in range(4):
-            if steps[i] <= 0.0:
+        for i, st in enumerate(steps):
+            if st <= 0.0:
                 continue
             for sign in (1.0, -1.0):
-                cand = list(pt)
-                cand[i] += sign * steps[i]
-                val = objective(*cand, best[0])
-                if val[0] > best[0]:
-                    best, pt, improved = val, cand, True
+                cand = list(best[2])
+                cand[i] += sign * st
+                improved |= visit(cand)
         if not improved:
             steps = [st / 2.0 for st in steps]
 
-    ratio, ctx = best
+    ratio, ctx, pt = best
     rec = ctx.record(theorem, pt[2], pt[3])
     if rec.error is not None:
         raise rec.error

@@ -127,6 +127,17 @@ class TestEvalBound:
         assert "prop41" in out
         assert out.endswith("fprime_a_le_1=False\ndiscrepancy: bb-discrepant\n")
 
+    @pytest.mark.parametrize("model", [["--f", "x^0.5/0.5", "--domain", "0.01,1"],
+                                       ["--builtin", "exp", "--rate", "1",
+                                        "--domain", "0.1,1"]])
+    def test_proposition_needs_the_power_model(self, capsys, model):
+        # A proposition is about x^s/s; on another model its flags would be
+        # that model's.
+        code, out, err = run(["eval-bound", "--theorem", "prop41", *model,
+                              "--s", "0.5", "--a", "0.25", "--b", "0.75"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: prop41 is about f = x^s/s: it needs --builtin power\n"
+
     def test_untagged_point_prints_no_discrepancy(self, capsys):
         code, out, err = run(["eval-bound", "--theorem", "eq8",
                               "--builtin", "power", "--s", "0.5",

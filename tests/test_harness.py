@@ -150,6 +150,22 @@ class TestRunSweep:
         p41 = next(r for r in props if r.theorem == "prop41")
         assert "bb-discrepant" in p41.discrepancy
 
+    def test_propositions_run_at_the_power_models_own_s(self):
+        # They are about x^s/s, so their flags are those of x^(s-1): only a
+        # power model at its own s has them, an equal expression none.
+        cfg = mini_config(models=[{"name": "pow09", "builtin": "power", "s": 0.9},
+                                  {"name": "root", "expr": "x^0.9/0.9",
+                                   "domain": [0.01, 1.0]}],
+                          a_grid=[0.25], b_grid=[0.75], s_grid=[0.5, 0.9])
+        records = run_sweep(cfg)
+        props = [r for r in records if r.theorem.startswith("prop")]
+        assert {(r.model, r.s) for r in props} == {("pow09", 0.9)}
+        eq10 = {(r.model, r.s): r for r in records if r.theorem == "eq10"}
+        for r in props:
+            want = eq10[r.model, r.s]
+            assert (r.hyp_class, r.hyp_monotone, r.hyp_fprime_a) == \
+                (want.hyp_class, want.hyp_monotone, want.hyp_fprime_a)
+
     def test_eval_errors_do_not_abort(self):
         # |f'| = 2|x-1| vanishes at the grid midpoint: the positivity
         # precondition of the class check fails; those records become
@@ -703,6 +719,42 @@ class TestOneEvaluator:
         assert res.hypotheses_pass == (rec.hyp_class and rec.hyp_monotone
                                        and rec.hyp_fprime_a)
         assert res.violation == (rec.verdict == "violation")
+
+
+class TestLoadBearingHypotheses:
+    """Each of eq10's three hypothesis flags is load-bearing: an ungated
+    search finds a ratio above 1 where exactly that flag fails.  At s = 1
+    the side condition |f'(a)| <= 1 is not: scaling f by c > 0 scales both
+    sides by c and keeps the other two flags."""
+
+    FLAGS = ("hyp_class", "hyp_monotone", "hyp_fprime_a")
+    CASES = [("ln(x)", (0.1, 1.0), 0.3, 1.310, "hyp_fprime_a"),
+             ("x^6/6", (0.2, 1.0), 1.0, 1.418, "hyp_monotone"),
+             ("x - x^3/3", (0.05, 0.99), 1.0, 1.060, "hyp_class")]
+
+    @pytest.mark.parametrize("expr, domain, s, ratio, failing", CASES,
+                             ids=[case[4] for case in CASES])
+    def test_one_failing_flag_admits_a_violation(self, expr, domain, s, ratio,
+                                                 failing):
+        m = hv.model_from_expr(expr, *domain)
+        res = optimize_tightness("eq10", m, {"a": domain, "b": domain, "s": s},
+                                 require_hypotheses=False)
+        p = res.params
+        rec = ModelContext(m, Tolerances(quad_tol=1e-9), ClassCheckConfig(),
+                           p["a"], p["b"]).record("eq10", p["s"], p["q"])
+        assert res.ratio > 1.0 and round(res.ratio, 3) == ratio
+        assert rec.ratio == res.ratio and rec.verdict == "outside-hypotheses"
+        assert [flag for flag in self.FLAGS if not getattr(rec, flag)] == [failing]
+        assert not res.hypotheses_pass and not res.violation
+
+    def test_side_condition_is_scale_invariant_at_s1(self):
+        big, small = (ModelContext(hv.model_from_expr(expr, 0.2, 1.7294), Tolerances(),
+                                   ClassCheckConfig(), 0.2, 1.7294).record("eq10", 1.0, 1.0)
+                      for expr in ("ln(x)", "0.1*ln(x)"))
+        assert [getattr(big, flag) for flag in self.FLAGS] == [True, True, False]
+        assert (big.verdict, small.verdict) == ("outside-hypotheses", "pass")
+        assert big.ratio == pytest.approx(0.42346350185314924, rel=1e-12)
+        assert small.ratio == pytest.approx(big.ratio, rel=1e-14, abs=0.0)
 
 
 def _theorem_choices(command: str) -> tuple:

@@ -84,6 +84,8 @@ def cmd_check_class(args) -> int:
         m = model_from_expr(args.f, lo, hi)
         g = AbsPower(m.fprime, args.q if args.q is not None else 1.0)
     else:
+        if args.q is not None:
+            raise ValueError("--q needs --on-derivative")
         tree = exprparse.parse(args.f)
 
         def g(x):
@@ -93,6 +95,8 @@ def cmd_check_class(args) -> int:
     check, takes_s = _CLASS_CHECKS[kind]
     if takes_s and args.s is None:
         raise ValueError(f"--kind {kind} needs --s")
+    if not takes_s and args.s is not None:
+        raise ValueError(f"--kind {kind} takes no --s")
     res = check(g, (lo, hi), *([args.s] if takes_s else []), cfg)
 
     target = "|f'|^q of " + repr(args.f) if args.on_derivative else repr(args.f)
@@ -203,6 +207,11 @@ def cmd_tightness(args) -> int:
 def cmd_means(args) -> int:
     a, b, s = args.a, args.b, args.s
     q = args.q if args.q is not None else 2.0
+    # Every line below needs this point: prop32 and the kernel identity
+    # need q > 1.
+    if not (0.0 < a < b <= 1.0 and 0.0 < s < 1.0 and q > 1.0):
+        raise ValueError("means needs 0 < a < b <= 1, 0 < s < 1 and q > 1, "
+                         f"got a={a:g}, b={b:g}, s={s:g}, q={q:g}")
     print(f"A(a,b)   = {means.arith_mean(a, b):.12g}")
     print(f"L(a,b)   = {means.log_mean(a, b):.12g}")
     print(f"L_s(a,b) = {means.gen_log_mean(a, b, s):.12g}")

@@ -35,22 +35,23 @@ depends on: the t axis, the pair rows and lin are built once per grid
 size (``_by_size``), and the points once per (a, b, n), for every
 function checked there (``_Interval``): the x grid, the linear cube's
 fine grid and the geometric half cube x^t * y^(1-t), each on first use.
-For ``AbsPower(fprime, q)``, the |f'|^q that the bounds' hypotheses are
-about, |fprime| is sampled on those points once per fprime and interval:
-n, (n-1)^2 + 1 and n^2(n+1)/2 points (65, 4,097 and 139,425 at n = 65).
-Each (points, q) is then powered (q != 1), checked finite, and on the
-geometric cube checked positive and logged, once; a further check on
-that interval costs one O(n^3 / 2) compare pass, or part of one.  The monotone check
-and |f'(a)| read the x-grid sample.  The sweep checks the bundle at q = 1
-whatever the bound's q, so the bundle costs one class check per (a, b,
-s), and the convexity gate of eq9 reuses eq8's check of |fprime| and
-pays the power only where that fails; ``sweep.ModelContext.flags`` says
-why.
-Only the latest interval is kept, and in it the latest fprime's samples,
-read-only: at q = 1, three n^2(n+1)/2 float64 arrays (the geometric half
-cube, |fprime| on it and its log; about 3.3 MB at n = 65), the int32 lin
-of n^2(n+1)/2 entries (0.56 MB), and the x and fine grids with their
-samples (about 66 KB).
+The latest g checked on the interval is sampled there once per cube:
+n, (n-1)^2 + 1 and n^2(n+1)/2 points (65, 4,097 and 139,425 at n = 65),
+checked finite, and on the geometric cube checked positive and logged,
+once.  A further check of an equal g on that interval (the same object,
+or ``AbsPower`` of the same fprime and q, which the sweep builds afresh
+for each check) costs one O(n^3 / 2) compare pass, or part of one.  The
+monotone check and |f'(a)| read the x-grid sample.  The sweep checks the
+bundle at q = 1 whatever the bound's q, so the bundle costs one class
+check per (a, b, s), and the convexity gate of eq9 reuses eq8's check of
+|fprime| and samples |fprime|^q only where that fails;
+``sweep.ModelContext.flags`` says why.  A check at another q is of
+another g: it evaluates fprime again, and ``theorem_hypotheses`` at
+q != 1 samples the x grid for |f'|^q and again for the monotone check.
+Only the latest interval is kept, and in it the latest g's samples,
+read-only: three n^2(n+1)/2 float64 arrays (the geometric half cube, g on
+it and its log; about 3.3 MB at n = 65), the int32 lin of n^2(n+1)/2
+entries (0.56 MB), and the x and fine grids with g on them (about 66 KB).
 """
 
 from __future__ import annotations
@@ -146,18 +147,26 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AbsPower:
-    """x -> |fprime(x)|^q, the map the bounds' class hypotheses are about.
+    """x -> |fprime(x)|^q for a finite q > 0, the map the bounds' class
+    hypotheses are about.
 
-    The checks recognise it and sample |fprime| once per grid, so another q
-    or s on the same interval costs a power and a comparison, not a
-    re-evaluation.  fprime must be a pure function: an equal fprime on the
-    same interval reads the sample taken for the last one.
+    Equal AbsPowers (an equal fprime and q) are one function to the checks:
+    on the same interval, one reads the samples taken for the last, so
+    fprime must be a pure function.
     """
     fprime: Callable
     q: float = 1.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.q) and self.q > 0.0):
+            raise ValueError(f"q must be finite and > 0, got {self.q!r}")
+
     def __call__(self, x):
-        return np.abs(self.fprime(x)) ** self.q
+        vals = np.abs(self.fprime(x))
+        if self.q == 1.0:
+            return vals
+        with np.errstate(over="ignore"):  # an overflow raises in _checked
+            return vals ** self.q
 
 
 def _clip(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -221,18 +230,18 @@ def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 class _Interval:
     """The grid of one (lo, hi, n) and what every check there shares,
-    read-only whatever it samples: the x grid and the cubes' points, keyed
-    by cube (None for the x grid) and built on first use, and for the
-    latest fprime only, |fprime| on them (``samples``, by cube) and the
-    checked values and logs the checks compare (``checked``, by (cube,
-    q)).  ts, iu, ju and lin are ``_by_size(n)``'s."""
+    read-only: the x grid and the cubes' points, keyed by cube (None for
+    the x grid) and built on first use, and for the latest g only, the
+    checked values and logs the checks compare (``checked``, by cube).  An
+    equal g reads them, so g must be pure.  ts, iu, ju and lin are
+    ``_by_size(n)``'s."""
 
     def __init__(self, lo: float, hi: float, n: int):
         self.ts, self.iu, self.ju, self.lin = _by_size(n)
         self.xs = np.linspace(lo, hi, n)
         self.xs.flags.writeable = False
         self.points = {None: self.xs}
-        self.fprime, self.samples, self.checked = None, {}, {}
+        self.g, self.checked = None, {}
 
 
 # One slot: a sweep runs every check on one interval, for every model,
@@ -269,30 +278,21 @@ def _checked(vals: np.ndarray, pts: np.ndarray, grid: _Interval,
 def _sampled(g: Callable, grid: _Interval, cube: Callable | None = None
              ) -> tuple[np.ndarray, np.ndarray | None]:
     """(g, ln g or None) on the x grid, or on the points of cube(xs, ts),
-    through ``_checked``.  For an AbsPower, |fprime| is sampled once per
-    cube, and each (cube, q) is powered, checked and logged once."""
-    if cube not in grid.points:
-        grid.points[cube] = pts = cube(grid.xs, grid.ts)
-        pts.flags.writeable = False
-    pts = grid.points[cube]
-    if not isinstance(g, AbsPower):
-        return _checked(evaluate_points(g, pts), pts, grid, cube)
-    if g.fprime != grid.fprime:     # release the last fprime's samples
-        grid.fprime, grid.samples, grid.checked = g.fprime, {}, {}
-    if cube not in grid.samples:
-        grid.samples[cube] = vals = np.abs(evaluate_points(g.fprime, pts))
-        vals.flags.writeable = False
-    key = (cube, g.q)
-    if key not in grid.checked:
-        vals = grid.samples[cube]
-        if g.q != 1.0:
-            with np.errstate(over="ignore"):  # an overflow raises in _checked
-                vals = vals ** g.q
-        grid.checked[key] = _checked(vals, pts, grid, cube)
-        for arr in grid.checked[key]:
+    through ``_checked``, once per cube for the latest g: a g equal to the
+    last one reads the samples taken for it, so g must be pure, and
+    another g releases them."""
+    if g != grid.g:
+        grid.g, grid.checked = g, {}
+    if cube not in grid.checked:
+        if cube not in grid.points:
+            grid.points[cube] = pts = cube(grid.xs, grid.ts)
+            pts.flags.writeable = False
+        pts = grid.points[cube]
+        grid.checked[cube] = _checked(evaluate_points(g, pts), pts, grid, cube)
+        for arr in grid.checked[cube]:
             if arr is not None:
                 arr.flags.writeable = False
-    return grid.checked[key]
+    return grid.checked[cube]
 
 
 def _slabs(xs, axes, vals, ln, ax, ay, slack):

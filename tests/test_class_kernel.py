@@ -1,6 +1,6 @@
 """The class-check kernel against the full-cube reference it replaced, the
 half cube and its mirror, the fine grid of the linear cube, the slack
-rule, the per-interval |f'| sample, and the cube points."""
+rule, the per-interval sample, and the cube points."""
 
 import dataclasses
 import hashlib
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import random_expr
-from hhverify import convexity, exprparse
+from hhverify import convexity, exprparse, sweep
 from hhverify.cli import main
 from hhverify.convexity import (AbsPower, ClassCheckConfig, CheckResult,
                                 Witness, is_convex, is_geometrically_convex,
@@ -261,7 +261,8 @@ def test_t_axis_mirrors_exactly():
 def test_each_cube_samples_the_half(n):
     # The geometric cube samples its half, the linear one its (n-1)^2 + 1
     # distinct points, and |f'(a)| is the x grid's first point.  Another
-    # check on the same (f', interval, q) evaluates nothing.
+    # check of an equal AbsPower on the interval evaluates nothing; one at
+    # another q is another function, sampled afresh.
     sizes = []
 
     def fprime(x):
@@ -270,16 +271,18 @@ def test_each_cube_samples_the_half(n):
     cfg = ClassCheckConfig(grid_points=n)
     m = make_model("exp", 1.0, 2.0, f=np.exp, fprime=fprime)
     sizes.clear()                                   # the model's own probe
-    theorem_hypotheses(m, 1.0, 2.0, 0.5, 2.0, cfg)  # x grid, geometric cube
-    is_convex(AbsPower(fprime, 2.0), (1.0, 2.0), cfg)   # linear cube
+    theorem_hypotheses(m, 1.0, 2.0, 0.5, 1.0, cfg)  # x grid, geometric cube
+    is_convex(AbsPower(fprime), (1.0, 2.0), cfg)    # linear cube
     assert sizes == [n, n * n * (n + 1) // 2, (n - 1) ** 2 + 1]
     grid = convexity._axes((1.0, 2.0), cfg)
-    logs = grid.checked[convexity._geometric_cube, 2.0][1]
-    theorem_hypotheses(m, 1.0, 2.0, 0.3, 2.0, cfg)
-    is_s_geometrically_convex(AbsPower(fprime, 2.0), (1.0, 2.0), 1.0, cfg)
-    is_s_convex(AbsPower(fprime, 2.0), (1.0, 2.0), 0.5, cfg)
+    logs = grid.checked[convexity._geometric_cube][1]
+    theorem_hypotheses(m, 1.0, 2.0, 0.3, 1.0, cfg)
+    is_s_geometrically_convex(AbsPower(fprime), (1.0, 2.0), 1.0, cfg)
+    is_s_convex(AbsPower(fprime), (1.0, 2.0), 0.5, cfg)
     assert len(sizes) == 3
-    assert grid.checked[convexity._geometric_cube, 2.0][1] is logs
+    assert grid.checked[convexity._geometric_cube][1] is logs
+    is_convex(AbsPower(fprime, 2.0), (1.0, 2.0), cfg)
+    assert sizes[3:] == [n, (n - 1) ** 2 + 1]
 
 
 @pytest.mark.parametrize("n", [9, 21, 33, 65])
@@ -477,7 +480,8 @@ CFG = ClassCheckConfig()
 
 
 def fresh(m, a, b, s, q, cfg=CFG):
-    """The hypothesis checks through plain callables, which bypass the sample."""
+    """The hypothesis checks through new plain callables, which read no
+    earlier sample."""
     cls = is_s_geometrically_convex(lambda x: np.abs(m.fprime(x)) ** q, (a, b), s, cfg)
     mono = is_monotone_decreasing(lambda x: np.abs(m.fprime(x)), (a, b), cfg)
     return (cls.ok, cls.witnesses, mono.ok, mono.witnesses,
@@ -533,16 +537,14 @@ def test_overflow_at_large_q_raises_for_that_q_only():
 
 def test_sample_is_read_only():
     m = model_from_expr("1/x", 1.0, 2.0)
-    theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
-    is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
+    theorem_hypotheses(m, 1.0, 2.0, 1.0, 1.0, CFG)
+    is_convex(AbsPower(m.fprime), (1.0, 2.0), CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
     cubes = {None, convexity._linear_cube, convexity._geometric_cube}
-    assert grid.fprime == m.fprime and set(grid.samples) == set(grid.points) == cubes
-    assert set(grid.checked) == {(None, 1.0), (None, 2.0), (convexity._linear_cube, 2.0),
-                                 (convexity._geometric_cube, 2.0)}
+    assert grid.g == AbsPower(m.fprime) and set(grid.checked) == set(grid.points) == cubes
     assert [ln is None for _, ln in grid.checked.values()].count(False) == 1
     checked = [arr for pair in grid.checked.values() for arr in pair if arr is not None]
-    for arr in (*grid.samples.values(), *grid.points.values(), *checked,
+    for arr in (*grid.points.values(), *checked,
                 grid.ts, grid.iu, grid.ju, grid.lin):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -551,30 +553,31 @@ def test_sample_is_read_only():
 
 def test_only_the_latest_interval_is_kept():
     m = exp_model(1.0)
-    theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
-    is_convex(AbsPower(m.fprime, 2.0), (1.0, 2.0), CFG)
+    theorem_hypotheses(m, 1.0, 2.0, 1.0, 1.0, CFG)
+    is_convex(AbsPower(m.fprime), (1.0, 2.0), CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
-    first = [weakref.ref(arr) for arr in (*grid.samples.values(), *grid.points.values())]
+    first = [weakref.ref(arr) for arr in grid.points.values()]
     checked = [weakref.ref(arr) for pair in grid.checked.values() for arr in pair
                if arr is not None]
     del grid
-    assert len(first) == 6 and all(ref() is not None for ref in first + checked)
-    theorem_hypotheses(m, 1.0, 1.5, 1.0, 2.0, CFG)
-    is_convex(AbsPower(m.fprime, 2.0), (1.0, 1.5), CFG)
+    assert len(first) == 3 and len(checked) == 4
+    assert all(ref() is not None for ref in first + checked)
+    theorem_hypotheses(m, 1.0, 1.5, 1.0, 1.0, CFG)
+    is_convex(AbsPower(m.fprime), (1.0, 1.5), CFG)
     assert all(ref() is None for ref in first + checked)
 
 
 def test_only_the_latest_fprime_is_kept():
     ms = [exp_model(1.0), model_from_expr("1/x", 1.0, 2.0)]
-    theorem_hypotheses(ms[0], 1.0, 2.0, 1.0, 2.0, CFG)
+    theorem_hypotheses(ms[0], 1.0, 2.0, 1.0, 1.0, CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
-    first = [weakref.ref(arr) for arr in grid.samples.values()]
-    logs = weakref.ref(grid.checked[convexity._geometric_cube, 2.0][1])
+    first = [weakref.ref(arr) for pair in grid.checked.values() for arr in pair
+             if arr is not None]
     cube = weakref.ref(grid.points[convexity._geometric_cube])
-    assert len(first) == 2 and all(ref() is not None for ref in first + [logs])
-    theorem_hypotheses(ms[1], 1.0, 2.0, 1.0, 2.0, CFG)
-    assert grid.fprime == ms[1].fprime and len(grid.samples) == 2
-    assert all(ref() is None for ref in first + [logs]) and cube() is not None
+    assert len(first) == 3 and all(ref() is not None for ref in first)
+    theorem_hypotheses(ms[1], 1.0, 2.0, 1.0, 1.0, CFG)
+    assert grid.g == AbsPower(ms[1].fprime) and len(grid.checked) == 2
+    assert all(ref() is None for ref in first) and cube() is not None
     assert report(ms[0], 1.0, 2.0, 1.0, 2.0) == fresh(ms[0], 1.0, 2.0, 1.0, 2.0)
 
 
@@ -586,8 +589,9 @@ def test_checks_on_one_interval_share_read_only_axes():
         return np.exp(x)
     grid = convexity._axes((1.0, 2.0), CFG)
     is_convex(g, (1.0, 2.0), CFG)                   # the x grid, then the cube
-    is_monotone_decreasing(g, (1.0, 2.0), CFG)      # the x grid
-    assert np.shares_memory(seen[0], grid.xs) and np.shares_memory(seen[2], grid.xs)
+    is_monotone_decreasing(g, (1.0, 2.0), CFG)      # reads the x-grid sample
+    assert len(seen) == 2 and grid.g is g
+    assert np.shares_memory(seen[0], grid.xs)
     assert convexity._axes((1.0, 2.0), CFG) is grid
     assert not grid.xs.flags.writeable and not grid.ts.flags.writeable
 
@@ -682,15 +686,18 @@ def test_class_flag_does_not_depend_on_q():
     assert len(flags) == 268 and True in flags and False in flags
 
 
+def _steep_config():
+    names = ("power-s01", "root5", "log-shift", "root-log")
+    return parse_config({"models": [{"name": n, **spec} for n, spec in zip(names, _STEEP)],
+                         "a_grid": [1e-4, 1e-3, 0.02], "b_grid": [0.3, 1.0],
+                         "s_grid": [0.5, 1], "q_grid": [1, 2], "class_grid_points": 9})
+
+
 def test_steep_report_pinned():
     # Near-singular |f'| on [1e-4, 1]: |f'|^q spans many decades, so both
     # slack rules meet values far above 1.
-    names = ("power-s01", "root5", "log-shift", "root-log")
-    cfg = parse_config({"models": [{"name": n, **spec} for n, spec in zip(names, _STEEP)],
-                        "a_grid": [1e-4, 1e-3, 0.02], "b_grid": [0.3, 1.0],
-                        "s_grid": [0.5, 1], "q_grid": [1, 2], "class_grid_points": 9})
     # power-s01 is x^0.1/0.1 and no s of the grid is 0.1: no propositions.
-    records = run_sweep(cfg)
+    records = run_sweep(_steep_config())
     assert len(records) == 240
     assert hashlib.sha256(records_text(records, "csv").encode()).hexdigest() == \
         "ae23ea19ec753456f227d2418800d960df19a2883de25bbc79a521947e433d27"
@@ -774,6 +781,44 @@ def test_hot_paths_never_tally(monkeypatch, capsys):
     assert main(["check-class", "--kind", "geo-convex", "--f", "exp(-(x))",
                  "--domain", "1,2"]) == 2
     assert capsys.readouterr().out == CHECK_CLASS_OUT and len(tallies) == 1
+
+
+def test_hot_paths_sample_only_abs_fprime(monkeypatch):
+    # The sweep and the search check only |f'| at q = 1: the bundle is
+    # gated at q = 1, and eq9's |f'|^q fallback runs only where eq8's gate
+    # fails, which it never does here.  So the one sample slot per
+    # interval serves every check of a (model, a, b).
+    sampled, gates = [], []
+    sample, convex = convexity._sampled, sweep.is_convex
+
+    def spy_sampled(g, *args):
+        sampled.append(g)
+        return sample(g, *args)
+
+    def spy_convex(g, *args):
+        res = convex(g, *args)
+        gates.append((g, res.ok))
+        return res
+    monkeypatch.setattr(convexity, "_sampled", spy_sampled)
+    monkeypatch.setattr(sweep, "is_convex", spy_convex)
+    run_sweep(default_config())
+    run_sweep(_steep_config())
+    for search in _search_batch(1):
+        optimize_tightness(search["theorem"], model_from_spec(search["model"]),
+                           search["box"], search["require_hypotheses"])
+    assert {(type(g), g.q) for g in sampled} == {(AbsPower, 1.0)}
+    assert {(g.q, ok) for g, ok in gates} == {(1.0, True)}
+    assert len(sampled) == 826 and len(gates) == 77
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+def test_abs_power_needs_a_finite_positive_q(q):
+    # |f'|^0 is 1 and |f'|^-1 is 1/|f'|: neither is the hypothesis.
+    with pytest.raises(ValueError, match="q must be finite and > 0"):
+        AbsPower(np.exp, q)
+    with pytest.raises(ValueError, match="q must be finite and > 0"):
+        theorem_hypotheses(exp_model(1.0), 1.0, 2.0, 1.0, q)
+    assert AbsPower(np.exp, 0.5).q == 0.5
 
 
 def test_deferred_tally_reads_only_its_own_inputs(monkeypatch):

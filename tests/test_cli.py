@@ -101,6 +101,24 @@ class TestCheckClass:
         assert code == 1
         assert "parse error" in err
 
+    @pytest.mark.parametrize("q", ["0", "-1", "nan"])
+    def test_bad_q_exit_1(self, capsys, q):
+        code, out, err = run(["check-class", "--kind", "convex", "--f", "x^2",
+                              "--domain", "1,2", "--on-derivative", "--q", q], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: q must be finite and > 0, got {float(q)!r}\n"
+
+    def test_q_needs_on_derivative_exit_1(self, capsys):
+        code, out, err = run(["check-class", "--kind", "convex", "--f", "x^2",
+                              "--domain", "1,2", "--q", "3"], capsys)
+        assert (code, out, err) == (1, "", "error: --q needs --on-derivative\n")
+
+    @pytest.mark.parametrize("kind", ["convex", "geo-convex", "decreasing"])
+    def test_s_on_a_kind_without_s_exit_1(self, capsys, kind):
+        code, out, err = run(["check-class", "--kind", kind, "--f", "x^2",
+                              "--domain", "1,2", "--s", "0.5"], capsys)
+        assert (code, out, err) == (1, "", f"error: --kind {kind} takes no --s\n")
+
     def test_missing_s_exit_1(self, capsys):
         code, _, err = run(["check-class", "--kind", "s-geo-convex",
                             "--f", "x", "--domain", "0.5,2"], capsys)
@@ -557,3 +575,15 @@ class TestMeansCli:
         assert "L_s(a,b)" in out
         assert "discrepant" in out
         assert "undefined" in out  # prop33 at q=2 has negative printed V
+
+    @pytest.mark.parametrize("a,b,s,q", [("0.75", "0.25", "0.5", "2"),
+                                         ("0.5", "0.5", "0.5", "2"),
+                                         ("0.25", "1.5", "0.5", "2"),
+                                         ("0.25", "0.75", "1", "2"),
+                                         ("0.25", "0.75", "0.5", "1"),
+                                         ("nan", "0.75", "0.5", "2")])
+    def test_bad_point_prints_only_the_error(self, capsys, a, b, s, q):
+        code, out, err = run(["means", "--a", a, "--b", b, "--s", s, "--q", q], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: means needs 0 < a < b <= 1, 0 < s < 1 and q > 1")
+        assert err.count("\n") == 1

@@ -888,11 +888,15 @@ class TestBundleGatedAtQ1:
             assert {len(tb) for tb in tbs} == {3}
             assert not any(f.filename.endswith(("convexity.py", "quadrature.py"))
                            for tb in tbs for f in tb)
+        # The failed cube sample is not kept; what is, the next interval
+        # releases.
         grid = convexity._axes((1.0, 2.0), check_cfg)
-        cube_sample = weakref.ref(grid.samples[convexity._geometric_cube])
+        assert set(grid.checked) == {None}
+        kept = [weakref.ref(grid.checked[None][0]),
+                weakref.ref(grid.points[convexity._geometric_cube])]
         del grid, info
         convexity.is_convex(AbsPower(np.exp), (3.0, 4.0), check_cfg)   # next interval
-        assert cube_sample() is None
+        assert all(ref() is None for ref in kept)
         rec = ctx.record("eq10", 1.0, 1.0)
         assert rec.discrepancy == "hyp-error:DomainError"
 

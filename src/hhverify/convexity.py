@@ -5,14 +5,20 @@ The classes are universally quantified over (x, y, t), so at desk scale the
 predicates are falsification-oriented semi-decisions: "no violation found on
 the grid within slack".  Failures are exact and come back as witnesses.
 
-Grid policy: x and y share one grid, xs = linspace(a, b, n) (so the x = y
-diagonal, where the s < 1 degeneracy bites, is always included); the t
-grid has odd size, so 0, 1/2 and 1 are grid points (the equality/extremal
-cases).  The linear cube t*x + (1-t)*y has only (n-1)^2 + 1 distinct
-points, and g is sampled on those, a fine grid (``_linear_cube``): on the
-default config's dyadic intervals they are bitwise the product form, and
-elsewhere within a few ulps of it.  Cube points are clipped to [a, b], so
-g is never sampled outside the interval.
+Grid policy: x and y share one grid (so the x = y diagonal, where the
+s < 1 degeneracy bites, is always included); the t grid has odd size, so
+0, 1/2 and 1 are grid points (the equality/extremal cases).  The linear
+cube t*x + (1-t)*y over xs = linspace(a, b, n) has only (n-1)^2 + 1
+distinct points, a fine grid (``_linear_cube``), where g is sampled: on
+the default config's dyadic intervals bitwise the product form, elsewhere
+within a few ulps of it.  A geometric check is a linear one in log-log
+coordinates: ln g(x^t * y^(1-t)) = phi(t*ln x + (1-t)*ln y) with
+phi = ln o g o exp, so g is s-geometrically convex on [a, b] exactly when
+phi is s-convex on [ln a, ln b].  Its x grid is uniform in ln x and its
+cube is exp of the linear cube of ln x (``_log_cube``), within 16 ulps of
+x^t * y^(1-t) where |ln x| < 8.  It first requires g finite and > 0 on
+xs, shared with the monotone check, so a zero of g there is never missed.
+Cube points are clipped to [a, b], a and b exact.
 
 Half cube: every class inequality is unchanged when (x, y, t) is swapped
 for (y, x, 1-t), and on the grid the swap is exact.  The t axis is built
@@ -20,8 +26,8 @@ so that ts[n-1-k] == 1 - ts[k] bitwise (``_by_size``), so the point, the
 weights t^s and (1-t)^s, and both sides of the inequality at
 (xs[j], xs[i], ts[n-1-k]) are bitwise those at (xs[i], xs[j], ts[k]): the
 same products added in the other order, and IEEE addition commutes, and
-on the linear cube the same m.  So the checks compare only the pairs
-i <= j, times every t, as rows of pairs in row-major order (``_by_size``):
+the same fine grid point m.  So the checks compare only the pairs i <= j,
+times every t, as rows of pairs in row-major order (``_by_size``):
 n^2(n+1)/2 points instead of n^3.  The count, the witnesses and the point
 an error names are still those of the full cube.
 
@@ -30,28 +36,24 @@ the half cube a slab of pair rows at a time (``_slabs``) and stops at the
 first slab that holds a violation (``_compare``).  A failed check's count
 and witnesses take a second, full pass and its n^3 mask (``_tally``), run
 only when one of them is read, which the sweep and the search never do.
-Two one-slot caches hold what the checks share, each keyed by what it
-depends on: the t axis, the pair rows and lin are built once per grid
-size (``_by_size``), and the points once per (a, b, n), for every
-function checked there (``_Interval``): the x grid, the linear cube's
-fine grid and the geometric half cube x^t * y^(1-t), each on first use.
-The latest g checked on the interval is sampled there once per cube:
-n, (n-1)^2 + 1 and n^2(n+1)/2 points (65, 4,097 and 139,425 at n = 65),
-checked finite, and on the geometric cube checked positive and logged,
-once.  A further check of an equal g on that interval (the same object,
-or ``AbsPower`` of the same fprime and q, which the sweep builds afresh
-for each check) costs one O(n^3 / 2) compare pass, or part of one.  The
-monotone check and |f'(a)| read the x-grid sample.  The sweep checks the
-bundle at q = 1 whatever the bound's q, so the bundle costs one class
-check per (a, b, s), and the convexity gate of eq9 reuses eq8's check of
-|fprime| and samples |fprime|^q only where that fails;
-``sweep.ModelContext.flags`` says why.  A check at another q is of
-another g: it evaluates fprime again, and ``theorem_hypotheses`` at
-q != 1 samples the x grid for |f'|^q and again for the monotone check.
-Only the latest interval is kept, and in it the latest g's samples,
-read-only: three n^2(n+1)/2 float64 arrays (the geometric half cube, g on
-it and its log; about 3.3 MB at n = 65), the int32 lin of n^2(n+1)/2
-entries (0.56 MB), and the x and fine grids with g on them (about 66 KB).
+Two one-slot caches hold what the checks share: the t axis, the pair rows
+and lin per grid size (``_by_size``), and per (a, b, n), for every
+function checked there (``_Interval``), the x grid and the two cubes' fine
+grids, each built on first use.  The latest g checked on the interval is
+sampled on each once (n or (n-1)^2 + 1 points: 4,097 at n = 65), checked
+finite, and on the log cube checked positive and logged.  A further check
+of an equal g there (the same object, or ``AbsPower`` of the same fprime
+and q, which the sweep builds afresh for each check) costs one O(n^3 / 2)
+compare pass, or part of one.  The monotone check and |f'(a)| read the
+x-grid sample.  The sweep checks the bundle at q = 1 whatever the bound's
+q, so the bundle costs one class check per (a, b, s), and the convexity
+gate of eq9 reuses eq8's check of |fprime| and samples |fprime|^q only
+where that fails; ``sweep.ModelContext.flags`` says why.  A check at
+another q is of another g: it evaluates fprime again, and
+``theorem_hypotheses`` at q != 1 samples the x grid for |f'|^q and again
+for the monotone check.  Only the latest interval is kept, with the latest
+g's samples, read-only: about 0.16 MB at n = 65, and lin, n^2(n+1)/2
+int32 entries (0.56 MB).
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ class CheckResult:
     """A verdict, the violation count over the full cube and the first
     ``MAX_WITNESSES`` witnesses.  A failed class check tallies the last two
     when either is first read, from what it saw.  Until then it keeps alive
-    g's sample, its log, the two n x n rhs tables and the x grid, not the
-    interval cache: 2.3 MB at n = 65 on the geometric cube, and the
-    ``_by_size`` axes (0.6 MB), which every check of that size shares."""
+    g's fine-grid sample, its log and that grid, and the two n x n rhs
+    tables, not the interval cache: 166 KB at n = 65 on the log cube, and
+    the ``_by_size`` axes (0.6 MB), which every check of that size shares."""
     ok: bool
     witnesses: tuple[Witness, ...]
     violation_count: int = 0
@@ -200,11 +202,6 @@ def _by_size(n: int) -> tuple[np.ndarray, ...]:
     return ts, iu, ju, lin
 
 
-def _pair_row(i, j, n: int):
-    """The half-cube row of the pair (i, j), i <= j."""
-    return i * n - i * (i - 1) // 2 + j - i
-
-
 def _linear_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The linear cube's distinct points, the fine grid: t*x_i + (1-t)*x_j
     at t = k/(n-1) is lo + (hi-lo)*m/(n-1)^2 with m = j*(n-1) + k*(i-j) in
@@ -217,15 +214,18 @@ def _linear_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return _clip(fine, xs)
 
 
-def _geometric_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """x^t * y^(1-t), computed in log space, at [p, k] = (xs[i], xs[j],
-    ts[k]) for the p-th pair: the rows of the n x n tables t*ln x and
-    (1-t)*ln x, gathered and added in place."""
-    _, iu, ju, _ = _by_size(len(xs))
-    lnx = np.log(xs)[:, None]
-    pts = (lnx * ts)[iu]
-    pts += (lnx * (1.0 - ts))[ju]
-    return _clip(np.exp(pts, out=pts), xs)
+def _log_cube(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The geometric cube's distinct points: x_i^t * x_j^(1-t) over the log
+    x grid exp(linspace(ln lo, ln hi, n)) is exp of the linear cube of that
+    linspace, read through lin.  Its every (n-1)-th point is the log x grid;
+    lo and hi are exact."""
+    n = len(xs)
+    vs = np.linspace(np.log(xs[0]), np.log(xs[-1]), n)
+    fine = np.linspace(vs[0], vs[-1], (n - 1) ** 2 + 1)
+    fine[::n - 1] = vs
+    np.exp(fine, out=fine)
+    fine[[0, -1]] = xs[[0, -1]]
+    return _clip(fine, xs)
 
 
 class _Interval:
@@ -257,22 +257,21 @@ def _require_positive(pts: np.ndarray, vals: np.ndarray) -> None:
 
 def _checked(vals: np.ndarray, pts: np.ndarray, grid: _Interval,
              cube: Callable | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """(vals, ln vals on the geometric cube, else None).  A non-finite value
-    raises DomainError naming its point, and a non-positive one on the
-    geometric cube NonPositiveValueError: the first bad point of the full
-    cube in C order, since a point (j, i, k') with j > i holds the same
-    value as its mirror (i, j, k), which comes first.  On the linear cube
-    that is the first in the order of lin, gathered here only."""
+    """(vals, ln vals on the log cube, else None).  A non-finite value
+    raises DomainError naming its point, and a non-positive one on the log
+    cube NonPositiveValueError.  On a cube that is the full cube's first bad
+    point in C order: the first in the order of lin, gathered here only,
+    since a point (j, i, k') with j > i holds the same value as its mirror
+    (i, j, k), which comes first."""
     finite = np.isfinite(vals)
+    if finite.all() and not (cube is _log_cube and vals.min() <= 0.0):
+        return vals, np.log(vals) if cube is _log_cube else None
+    if cube is not None:
+        pts, vals, finite = pts[grid.lin], vals[grid.lin], finite[grid.lin]
     if not finite.all():
-        if cube is _linear_cube:
-            pts, finite = pts[grid.lin], finite[grid.lin]
         i = int(np.argmin(finite))
         raise DomainError(float(pts.flat[i]), "function not finite at grid point")
-    if cube is not _geometric_cube:
-        return vals, None
-    _require_positive(pts, vals)
-    return vals, np.log(vals)
+    _require_positive(pts, vals)   # raises: some value is <= 0
 
 
 def _sampled(g: Callable, grid: _Interval, cube: Callable | None = None
@@ -297,18 +296,18 @@ def _sampled(g: Callable, grid: _Interval, cube: Callable | None = None
 
 def _slabs(xs, axes, vals, ln, ax, ay, slack):
     """(rows, mask of the violations of lhs <= rhs by more than slack) per
-    slab of pair rows, in order; axes is ``_by_size(n)``.  Linear (ln None):
-    lhs at [p, k] is vals[lin[p, k]], g on the fine grid, and a violation is
-    lhs > rhs + slack and lhs > rhs*(1 + slack): the slack is absolute up to
-    rhs = 1 and relative above.  Geometric: vals is g on the half cube, ln
-    its log, ax and ay give ln rhs, and a violation is ln[p, k] > ln rhs +
+    slab of pair rows, in order; axes is ``_by_size(n)``.  lhs at [p, k]
+    reads the fine grid at lin[p, k].  Linear (ln None): vals is g there,
+    and a violation is lhs > rhs + slack and lhs > rhs*(1 + slack): the
+    slack is absolute up to rhs = 1 and relative above.  Geometric: ln is
+    ln g there, ax and ay give ln rhs, and a violation is ln lhs > ln rhs +
     slack, a relative slack at every scale.  rhs (or ln rhs) at [p, k] is
     ax[iu[p], k] + ay[ju[p], k]."""
     _, iu, ju, lin = axes
     step = max(1, _SLAB_POINTS // len(xs))
     for p0 in range(0, len(lin), step):
         rows = slice(p0, p0 + step)
-        left = np.take(vals, lin[rows]) if ln is None else ln[rows]
+        left = np.take(vals if ln is None else ln, lin[rows])
         right = np.take(ax, iu[rows], axis=0) + np.take(ay, ju[rows], axis=0)
         v = left > right + slack
         if ln is None and v.any():
@@ -331,7 +330,7 @@ def _tally(limit: int, xs, axes, vals, ln, ax, ay, slack):
     cube's violation mask, the half's and its mirror's.  Witnesses, the
     first ``limit`` in C order, carry values, not logs, at their own
     (i, j, k): rhs adds the mirror's two products in the other order, and
-    the linear lhs's fine index is the mirror's."""
+    lhs's fine index is the mirror's."""
     ts, iu, ju, _ = axes
     n = len(xs)
     half = np.concatenate([v for _, v in _slabs(xs, axes, vals, ln, ax, ay, slack)])
@@ -340,8 +339,7 @@ def _tally(limit: int, xs, axes, vals, ln, ax, ay, slack):
     full[ju, iu] = half[:, ::-1]
     i, j, k = np.unravel_index(np.flatnonzero(full)[:limit], full.shape)
     rhs = ax[i, k] + ay[j, k]
-    lhs = (vals[j * (n - 1) + k * (i - j)] if ln is None else
-           vals[_pair_row(np.minimum(i, j), np.maximum(i, j), n), np.where(i > j, n - 1 - k, k)])
+    lhs = vals[j * (n - 1) + k * (i - j)]
     wit = map(Witness, xs[i].tolist(), xs[j].tolist(), ts[k].tolist(),
               lhs.tolist(), (rhs if ln is None else np.exp(rhs)).tolist())
     return tuple(wit), int(np.count_nonzero(full))
@@ -361,7 +359,7 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
     """The class inequality with weights t^s and (1-t)^s on the grid:
     g(t*x + (1-t)*y) <= t^s*g(x) + (1-t)^s*g(y), or, geometric,
     g(x^t * y^(1-t)) <= g(x)^(t^s) * g(y)^((1-t)^s) with g > 0 required,
-    compared in logs.
+    compared in logs on the log x grid.
     ``nonnegative`` rejects a linear g below -slack on the x grid."""
     if geometric and not interval[0] > 0.0:
         raise ValueError(f"interval must lie in (0, inf), got {interval}")
@@ -370,13 +368,15 @@ def _check(g: Callable, interval: tuple[float, float], s: float,
     gx, _ = _sampled(g, grid)
     if geometric:
         _require_positive(xs, gx)
-        gx = np.log(gx)
     elif nonnegative:
         neg = gx < -cfg.slack
         if neg.any():
             i = int(np.argmax(neg))
             raise NegativeValueError(float(xs[i]), float(gx[i]))
-    vals, ln = _sampled(g, grid, _geometric_cube if geometric else _linear_cube)
+    cube = _log_cube if geometric else _linear_cube
+    vals, ln = _sampled(g, grid, cube)
+    if geometric:   # the log x grid, every (n-1)-th fine point, and ln g there
+        xs, gx = grid.points[cube][::len(xs) - 1], ln[::len(xs) - 1]
     t = ts[None, :]
     # rhs at (i, j, k) is ax[i, k] + ay[j, k]: the products are those of
     # t^s*g(x_i) + (1-t)^s*g(x_j), so a row gathers them instead of

@@ -1,6 +1,6 @@
 """The class-check kernel against the full-cube reference it replaced, the
-half cube and its mirror, the fine grid of the linear cube, the slack
-rule, the per-interval sample, and the cube points."""
+half cube and its mirror, the fine grids of the linear and the log cube,
+the slack rule, the per-interval sample, and the cube points."""
 
 import dataclasses
 import hashlib
@@ -13,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_expr
 from hhverify import convexity, exprparse, sweep
@@ -32,8 +33,10 @@ from hhverify.tightness import optimize_tightness
 # ---------------------------------------------------------------------------
 # Reference: every check evaluates g on the whole n^3 cube, compares every
 # point by the slack rule of its kind, and lists violations with argwhere.
-# It builds its own full cubes, with the expressions and the clip the module
-# uses per point, so this pins the half cube, its mirror, evaluation,
+# It builds its own full cubes, with the clip the module uses per point:
+# the linear one by the fine grid's index arithmetic, the geometric one as
+# exp(t*v_i + (1-t)*v_j) at each point of the log x grid's v = ln x, with
+# no fine grid.  So this pins the half cube, its mirror, evaluation,
 # sampling and the kernel.
 # ---------------------------------------------------------------------------
 
@@ -53,11 +56,43 @@ def full_linear_cube(xs, ts):
     return fine_grid(xs)[j * (n - 1) + k * (i - j)]
 
 
-def full_geometric_cube(xs, ts):
+def log_x_grid(a, b, n):
+    """v = linspace(ln a, ln b, n) and the geometric checks' x grid exp(v),
+    with a and b exact."""
+    vs = np.linspace(np.log(a), np.log(b), n)
+    xs = np.exp(vs)
+    xs[[0, -1]] = a, b
+    return vs, np.clip(xs, a, b, out=xs)
+
+
+def product_log_cube(vs, ts, lo, hi):
+    """exp(t*v_i + (1-t)*v_j) at every (i, j, k), clipped to [lo, hi]."""
     t = ts[None, None, :]
-    lnx = np.log(xs)
-    pts = np.exp(t * lnx[:, None, None] + (1.0 - t) * lnx[None, :, None])
-    return np.clip(pts, xs[0], xs[-1], out=pts)
+    pts = np.exp(t * vs[:, None, None] + (1.0 - t) * vs[None, :, None])
+    return np.clip(pts, lo, hi, out=pts)
+
+
+def full_geometric_cube(xs, ts):
+    """The product cube x_i^t * x_j^(1-t) over the linear x grid: the
+    geometric checks' grid before the log cube replaced it."""
+    return product_log_cube(np.log(xs), ts, xs[0], xs[-1])
+
+
+def log_fine_grid(xs):
+    """The log cube's distinct points, built as the module documents it."""
+    n = len(xs)
+    vs = np.linspace(np.log(xs[0]), np.log(xs[-1]), n)
+    fine = np.linspace(vs[0], vs[-1], (n - 1) ** 2 + 1)
+    fine[::n - 1] = vs
+    fine = np.exp(fine)
+    fine[[0, -1]] = xs[0], xs[-1]
+    return np.clip(fine, xs[0], xs[-1], out=fine)
+
+
+def full_log_cube(xs, ts):
+    n = len(xs)
+    i, j, k = np.indices((n, n, n))
+    return log_fine_grid(xs)[j * (n - 1) + k * (i - j)]
 
 
 def _ref_values(g, pts):
@@ -107,7 +142,9 @@ def axes(interval, cfg):
 
 def reference_check(kind, g, interval, s, cfg):
     """(CheckResult, points where the slack rule differs from a plain
-    lhs > rhs + slack on values)."""
+    lhs > rhs + slack on values).  A geometric check first requires g
+    finite and > 0 on the linear x grid, then samples the product cube
+    over the log x grid."""
     xs, ts = axes(interval, cfg)
     gx = _ref_values(g, xs)
     t = ts[None, None, :]
@@ -136,13 +173,14 @@ def reference_check(kind, g, interval, s, cfg):
         if bad.any():
             i = int(np.argmax(bad))
             raise NonPositiveValueError(float(xs[i]), float(gx[i]))
-        pts = full_geometric_cube(xs, ts)
+        vs, xs = log_x_grid(xs[0], xs[-1], len(xs))
+        pts = product_log_cube(vs, ts, xs[0], xs[-1])
         lhs = _ref_values(g, pts)
         bad = lhs <= 0.0
         if bad.any():
             i, j, k = np.argwhere(bad)[0]
             raise NonPositiveValueError(float(pts[i, j, k]), float(lhs[i, j, k]))
-        lg = np.log(gx)
+        lg = np.log(_ref_values(g, xs))
         ln_rhs = t ** s * lg[:, None, None] + (1.0 - t) ** s * lg[None, :, None]
         with np.errstate(over="ignore"):
             rhs = np.exp(ln_rhs)
@@ -168,6 +206,33 @@ def _outcome(fn):
             return fn()
     except (ValueError, ArithmeticError) as e:
         return (type(e).__name__, str(e))
+
+
+# The log cube's points are within 16 ulps of the reference's products, so
+# g there, a witness's lhs, agrees to 16 ulps times g's elasticity
+# |x g'/g|, up to 300 here (x^299): 300 * 16 * 2^-52 is about 1e-12.  A
+# point an error names agrees to 16 ulps.
+LHS_RTOL = 1e-12
+
+
+def assert_agrees(got, ref, kind, context=None):
+    """got == ref, up to ``LHS_RTOL`` in the geometric lhs values and the
+    points their errors name; x, y, t, rhs and the count are exact."""
+    if kind != "geometric" or got == ref:
+        assert got == ref, context
+        return
+    if not isinstance(ref, CheckResult):
+        assert isinstance(got, tuple) and got[0] == ref[0], (got, ref, context)
+        assert got[0] in ("DomainError", "NonPositiveValueError"), context
+        x_got, x_ref = (float(msg.split("x=")[1].split(":")[0]) for msg in (got[1], ref[1]))
+        assert math.isclose(x_got, x_ref, rel_tol=LHS_RTOL), (got, ref, context)
+        return
+    assert isinstance(got, CheckResult), (got, context)
+    assert (got.ok, got.violation_count) == (ref.ok, ref.violation_count), context
+    assert len(got.witnesses) == len(ref.witnesses), context
+    for w, r in zip(got.witnesses, ref.witnesses):
+        assert (w.x, w.y, w.t, w.rhs) == (r.x, r.y, r.t, r.rhs), (w, r, context)
+        assert math.isclose(w.lhs, r.lhs, rel_tol=LHS_RTOL), (w, r, context)
 
 
 def _const(v):
@@ -225,7 +290,7 @@ def test_kernel_matches_full_cube_reference(monkeypatch):
                 many += ref.violation_count > witnesses
             else:
                 errors += 1
-            assert got == ref, (label, kind, s, cfg, witnesses)
+            assert_agrees(got, ref, kind, (label, kind, s, cfg, witnesses))
             if isinstance(got, CheckResult):
                 assert type(got.violation_count) is int
     # the set reaches truncated witness lists, points the slack rule decides
@@ -241,7 +306,29 @@ def test_kernel_matches_reference_across_many_slabs(monkeypatch):
                 (300, 0), (("convex", 1.0), ("geometric", 0.5))):
             monkeypatch.setattr(convexity, "MAX_WITNESSES", witnesses)
             ref, _ = reference_check(kind, g, interval, s, cfg)
-            assert public_check(kind, g, interval, s, cfg) == ref
+            assert_agrees(public_check(kind, g, interval, s, cfg), ref, kind)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), derivative=st.booleans(),
+       ends=st.tuples(st.floats(0.05, 2.0, exclude_min=True),
+                      st.floats(0.05, 2.0, exclude_min=True)).filter(lambda e: e[0] != e[1]),
+       s=st.floats(0.0, 1.0, exclude_min=True), n=st.integers(3, 15))
+def test_geometric_kernel_matches_the_product_reference(seed, derivative, ends, s, n):
+    # A random expression, or |its derivative|, on a random interval: the
+    # kernel's verdict, count and first witnesses are the reference's, or
+    # both raise the same error at the same point.
+    tree = random_expr(np.random.default_rng(seed), 3)
+    if derivative:
+        g = AbsPower(lambda x, e=exprparse.differentiate(tree): exprparse.eval_array(e, x))
+    else:
+        g = lambda x: exprparse.eval_array(tree, x)
+    interval, cfg = tuple(sorted(ends)), ClassCheckConfig(grid_points=n)
+    ref = _outcome(lambda: reference_check("geometric", g, interval, s, cfg))
+    got = _outcome(lambda: public_check("geometric", g, interval, s, cfg))
+    if isinstance(ref[0], CheckResult):
+        ref = ref[0]
+    assert_agrees(got, ref, "geometric", (tree, derivative, interval, s, n))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +346,10 @@ def test_t_axis_mirrors_exactly():
 
 @pytest.mark.parametrize("n", [9, 33, 65])
 def test_each_cube_samples_the_half(n):
-    # The geometric cube samples its half, the linear one its (n-1)^2 + 1
-    # distinct points, and |f'(a)| is the x grid's first point.  Another
-    # check of an equal AbsPower on the interval evaluates nothing; one at
-    # another q is another function, sampled afresh.
+    # The log and the linear cube each sample their (n-1)^2 + 1 distinct
+    # points, and |f'(a)| is the x grid's first point.  Another check of
+    # an equal AbsPower on the interval evaluates nothing; one at another
+    # q is another function, sampled afresh.
     sizes = []
 
     def fprime(x):
@@ -271,25 +358,25 @@ def test_each_cube_samples_the_half(n):
     cfg = ClassCheckConfig(grid_points=n)
     m = make_model("exp", 1.0, 2.0, f=np.exp, fprime=fprime)
     sizes.clear()                                   # the model's own probe
-    theorem_hypotheses(m, 1.0, 2.0, 0.5, 1.0, cfg)  # x grid, geometric cube
+    theorem_hypotheses(m, 1.0, 2.0, 0.5, 1.0, cfg)  # x grid, log cube
     is_convex(AbsPower(fprime), (1.0, 2.0), cfg)    # linear cube
-    assert sizes == [n, n * n * (n + 1) // 2, (n - 1) ** 2 + 1]
+    assert sizes == [n, (n - 1) ** 2 + 1, (n - 1) ** 2 + 1]
     grid = convexity._axes((1.0, 2.0), cfg)
-    logs = grid.checked[convexity._geometric_cube][1]
+    logs = grid.checked[convexity._log_cube][1]
     theorem_hypotheses(m, 1.0, 2.0, 0.3, 1.0, cfg)
     is_s_geometrically_convex(AbsPower(fprime), (1.0, 2.0), 1.0, cfg)
     is_s_convex(AbsPower(fprime), (1.0, 2.0), 0.5, cfg)
     assert len(sizes) == 3
-    assert grid.checked[convexity._geometric_cube][1] is logs
+    assert grid.checked[convexity._log_cube][1] is logs
     is_convex(AbsPower(fprime, 2.0), (1.0, 2.0), cfg)
     assert sizes[3:] == [n, (n - 1) ** 2 + 1]
 
 
 @pytest.mark.parametrize("n", [9, 21, 33, 65])
 def test_half_cubes_are_the_full_cubes_at_i_le_j(n):
-    # The geometric half cube is the full cube's rows i <= j; the linear
-    # cube's fine grid, read through lin, is the reference's, which finds
-    # each point by its own index arithmetic.
+    # Each cube's fine grid, read through lin, is the full cube's rows
+    # i <= j, built by the reference, which finds each point by its own
+    # index arithmetic.
     rng = np.random.default_rng(n)
     iu, ju = np.triu_indices(n)
     lin = convexity._by_size(n)[3]
@@ -300,7 +387,8 @@ def test_half_cubes_are_the_full_cubes_at_i_le_j(n):
         xs, ts = axes((a, b), ClassCheckConfig(grid_points=n))
         for half, full in ((lambda xs, ts: convexity._linear_cube(xs, ts)[lin],
                             full_linear_cube),
-                           (convexity._geometric_cube, full_geometric_cube)):
+                           (lambda xs, ts: convexity._log_cube(xs, ts)[lin],
+                            full_log_cube)):
             cube = full(xs, ts)
             assert (cube == cube.transpose(1, 0, 2)[:, :, ::-1]).all()
             assert (half(xs, ts) == cube[iu, ju]).all()
@@ -326,23 +414,26 @@ def test_linear_cube_error_names_the_full_cubes_first_bad_point():
 
 
 def test_geometric_cube_zero_names_the_full_cubes_first_bad_point():
-    # g is 0 at two geometric cube points off the x grid: the error names
-    # the one the full cube meets first, with g > 0 on the x grid.
+    # g is 0 at two log cube points off both x grids: fine[5] and fine[7].
+    # The full cube's C order meets fine[7] first, at (x_0, x_1, t_1), and
+    # fine[5] at (x_0, x_1, t_3): the error names fine[7], not the fine
+    # grid's first, with g > 0 on the x grids.  The reference's products
+    # miss these exact points.
     cfg = ClassCheckConfig(grid_points=9)
     xs, ts = axes((1.0, 2.0), cfg)
-    cube = full_geometric_cube(xs, ts)
-    first, second = cube[0, 1, 3], cube[0, 2, 1]
-    assert first not in xs and second not in xs
+    fine = log_fine_grid(xs)
+    first, second = full_log_cube(xs, ts)[0, 1, [1, 3]]
+    assert (first, second) == (fine[7], fine[5])
+    assert not np.isin([first, second], np.concatenate([xs, fine[::8]])).any()
 
     def g(x):
         x = np.asarray(x)
         return np.where((x == first) | (x == second), 0.0, x)
     for fn in (g, AbsPower(g)):
         for s in (1.0, 0.5):
-            ref = _outcome(lambda: reference_check("geometric", fn, (1.0, 2.0), s, cfg))
             got = _outcome(lambda: public_check("geometric", fn, (1.0, 2.0), s, cfg))
-            assert got == ref == ("NonPositiveValueError",
-                                  str(NonPositiveValueError(float(first), 0.0)))
+            assert got == ("NonPositiveValueError",
+                           str(NonPositiveValueError(float(first), 0.0)))
 
 
 POW2_SIZES = (3, 5, 9, 17, 33, 65, 129)
@@ -394,6 +485,28 @@ def test_linear_points_are_the_products_within_4_ulps():
     assert 0.0 < worst <= 4.0
 
 
+def test_log_points_are_the_products_within_24_ulps():
+    # The log cube's fine grid, read through lin, is exp(t*v_i + (1-t)*v_j)
+    # over v = linspace(ln a, ln b, n) up to the two ways' roundings of v,
+    # a few ulps of |v| < 8 here, which exp turns into as many ulps of x.
+    # a and b are exact, and the geometric checks' x grid, where their
+    # witnesses lie, is every (n-1)-th point of the fine grid, bit for bit.
+    worst = 0.0
+    for a, b in _random_intervals(5, 20):
+        for n in (9, 21, 33, 65):
+            cfg = ClassCheckConfig(grid_points=n)
+            grid = convexity._axes((a, b), cfg)
+            fine = convexity._log_cube(grid.xs, grid.ts)
+            vs, xs = log_x_grid(a, b, n)
+            assert fine[0] == a and fine[-1] == b
+            assert fine[::n - 1].tobytes() == xs.tobytes(), (a, b, n)
+            want = product_log_cube(vs, grid.ts, a, b)[grid.iu, grid.ju]
+            worst = max(worst, float(_ulps(fine[grid.lin], want).max()))
+            res = is_geometrically_convex(lambda x: np.exp(-x), (a, b), cfg)
+            assert {w.x for w in res.witnesses} <= set(xs.tolist())
+    assert 0.0 < worst <= 24.0
+
+
 def test_linear_points_are_the_products_on_the_default_intervals():
     cfg = default_config()
     pairs = [(a, b) for a in cfg.a_grid for b in cfg.b_grid if a < b]
@@ -408,23 +521,22 @@ def test_linear_points_are_the_products_on_the_default_intervals():
 @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.25, 0.75), (0.1, 0.7),
                                     (1e-3, 1.0), (1.3, 2.9)])
 def test_half_cubes_are_the_broadcast_products_bitwise(n, lo, hi):
-    # The geometric cube gathers rows of n x n tables of the products
-    # t*ln x and (1-t)*ln x and adds them in place: the bits of the
-    # broadcast formula over the pair rows, on dyadic and non-dyadic
-    # intervals alike.  The linear cube's fine grid, read through lin, has
-    # the broadcast formula's bits on the dyadic intervals, and is within
-    # a few ulps of it on the others.
+    # The linear cube's fine grid, read through lin, has the broadcast
+    # formula's bits on the dyadic intervals, and is within a few ulps of
+    # it on the others.  The log cube's, exp of a fine grid of ln x, is
+    # within a few ulps of the broadcast formula over the log x grid on
+    # every interval.
     grid = convexity._axes((lo, hi), ClassCheckConfig(grid_points=n))
     xs, ts = grid.xs, grid.ts
     iu, ju = np.triu_indices(n)
     t = ts[None, :]
-    lnx = np.log(xs)
+    vs, _ = log_x_grid(lo, hi, n)
     linear = np.clip(t * xs[iu, None] + (1.0 - t) * xs[ju, None], lo, hi)
-    geometric = np.clip(np.exp(t * lnx[iu, None] + (1.0 - t) * lnx[ju, None]),
+    geometric = np.clip(np.exp(t * vs[iu, None] + (1.0 - t) * vs[ju, None]),
                         lo, hi)
-    got = convexity._geometric_cube(xs, ts)
+    got = convexity._log_cube(xs, ts)[grid.lin]
     assert got.shape == geometric.shape == (n * (n + 1) // 2, n)
-    assert got.tobytes() == geometric.tobytes()
+    assert _ulps(got, geometric).max() <= 24.0
     got = convexity._linear_cube(xs, ts)[grid.lin]
     assert got.shape == linear.shape
     if (lo, hi) in ((1.0, 2.0), (0.25, 0.75)):
@@ -470,6 +582,9 @@ def test_geometric_flag_does_not_depend_on_scale(c):
     assert is_geometrically_convex(scaled(np.exp), (0.1, 2.0))
     assert is_geometrically_convex(scaled(lambda x: x ** -1.7), (0.5, 2.0))
     assert is_geometrically_convex(scaled(lambda x: x * x), (0.5, 2.0))
+    # ln g's defect is 2e-8*(AM - GM), up to 1.2e-8: above the slack, but
+    # below slack*|ln c| where c > 1e5, so a relative slack would pass it
+    assert not is_geometrically_convex(scaled(lambda x: np.exp(-2e-8 * x)), (0.1, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +655,7 @@ def test_sample_is_read_only():
     theorem_hypotheses(m, 1.0, 2.0, 1.0, 1.0, CFG)
     is_convex(AbsPower(m.fprime), (1.0, 2.0), CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
-    cubes = {None, convexity._linear_cube, convexity._geometric_cube}
+    cubes = {None, convexity._linear_cube, convexity._log_cube}
     assert grid.g == AbsPower(m.fprime) and set(grid.checked) == set(grid.points) == cubes
     assert [ln is None for _, ln in grid.checked.values()].count(False) == 1
     checked = [arr for pair in grid.checked.values() for arr in pair if arr is not None]
@@ -573,7 +688,7 @@ def test_only_the_latest_fprime_is_kept():
     grid = convexity._axes((1.0, 2.0), CFG)
     first = [weakref.ref(arr) for pair in grid.checked.values() for arr in pair
              if arr is not None]
-    cube = weakref.ref(grid.points[convexity._geometric_cube])
+    cube = weakref.ref(grid.points[convexity._log_cube])
     assert len(first) == 3 and all(ref() is not None for ref in first)
     theorem_hypotheses(ms[1], 1.0, 2.0, 1.0, 1.0, CFG)
     assert grid.g == AbsPower(ms[1].fprime) and len(grid.checked) == 2
@@ -667,23 +782,93 @@ _STEEP = [{"builtin": "power", "s": 0.1, "domain": [1e-4, 1.0]},
           {"expr": "x^0.5 - ln(x)", "domain": [1e-4, 1.0]}]
 
 
-def test_class_flag_does_not_depend_on_q():
-    # ln(|f'|^q) = q ln|f'|, so the class condition holds for every q > 0
-    # or for none: the premise of gating the sweep's bundle at q = 1.
+def _bundle_intervals():
+    """(model, a, b, s grid) of every bundle check of the default and the
+    steep config."""
     cfg = default_config()
     cases = ([(spec, cfg.a_grid, cfg.b_grid, cfg.s_grid) for spec in cfg.models]
              + [(spec, (1e-4, 1e-3, 0.02), (0.3, 1.0), (0.5, 1.0)) for spec in _STEEP])
-    flags = []
     for spec, a_grid, b_grid, s_grid in cases:
         m = model_from_spec(spec)
-        for a, b, s, n in itertools.product(a_grid, b_grid, s_grid, (9, 33)):
+        for a, b in itertools.product(a_grid, b_grid):
             if a < b and m.contains(a, b):
-                check_cfg = ClassCheckConfig(grid_points=n)
-                by_q = {theorem_hypotheses(m, a, b, s, q, check_cfg).class_ok
-                        for q in (1.0, 1.5, 2.0, 4.0)}
-                assert len(by_q) == 1, (spec, a, b, s, n)
-                flags.extend(by_q)
+                yield m, a, b, s_grid
+
+
+def test_class_flag_does_not_depend_on_q():
+    # ln(|f'|^q) = q ln|f'|, so the class condition holds for every q > 0
+    # or for none: the premise of gating the sweep's bundle at q = 1.
+    flags = []
+    for m, a, b, s_grid in _bundle_intervals():
+        for s, n in itertools.product(s_grid, (9, 33)):
+            check_cfg = ClassCheckConfig(grid_points=n)
+            by_q = {theorem_hypotheses(m, a, b, s, q, check_cfg).class_ok
+                    for q in (1.0, 1.5, 2.0, 4.0)}
+            assert len(by_q) == 1, (m.name, a, b, s, n)
+            flags.extend(by_q)
     assert len(flags) == 268 and True in flags and False in flags
+
+
+def old_grid_verdicts(g, interval, s_grid, cfg):
+    """{s: the geometric verdict, or the error's name} on the product cube
+    over the linear x grid, the grid before the log cube, at its rows
+    i <= j, with g sampled once for every s."""
+    xs, ts = axes(interval, cfg)
+    iu, ju = np.triu_indices(len(xs))
+    try:
+        gx = _ref_values(g, xs)
+        lhs = _ref_values(g, full_geometric_cube(xs, ts)[iu, ju])
+    except DomainError:
+        return dict.fromkeys(s_grid, "DomainError")
+    if min(gx.min(), lhs.min()) <= 0.0:
+        return dict.fromkeys(s_grid, "NonPositiveValueError")
+    ln, lg, t = np.log(lhs), np.log(gx), ts[None, :]
+    return {s: not (ln > t ** s * lg[iu, None] + (1.0 - t) ** s * lg[ju, None]
+                    + cfg.slack).any() for s in s_grid}
+
+
+def _verdict(check):
+    try:
+        return check().ok
+    except (ValueError, ArithmeticError) as e:
+        return type(e).__name__
+
+
+def test_log_grid_keeps_the_verdicts_of_the_old_grid():
+    # Every bundle class flag of the default and the steep config, and
+    # every geometric verdict on seeded random |f'|, is the same on the
+    # log cube as on the product cube over the linear x grid it replaced.
+    # The one disagreement known is not a fault but a different sample:
+    # |f'| of exp(-x)+1/x on [0.05, 1] at s = 1 and n = 9, where the old
+    # grid finds a violation and the log grid, at other points, none.
+    flags = []
+    for n in (9, 33, 65):
+        cfg = ClassCheckConfig(grid_points=n)
+        for m, a, b, s_grid in _bundle_intervals():
+            old = old_grid_verdicts(AbsPower(m.fprime), (a, b), s_grid, cfg)
+            for s in s_grid:
+                new = _verdict(lambda: theorem_hypotheses(m, a, b, s, 1.0, cfg).class_check)
+                assert new == old[s], (m.name, a, b, s, n)
+                flags.append(new)
+    assert len(flags) == 402 and True in flags and False in flags
+    rng = np.random.default_rng(20240611)
+    gs = [AbsPower(lambda x, e=exprparse.differentiate(random_expr(rng, 3)):
+                   exprparse.eval_array(e, x)) for _ in range(12)]
+    verdicts = []
+    for n, g, interval in itertools.product((33, 65), gs, ((0.05, 1.0), (0.5, 2.0),
+                                                           (0.1, 0.3), (1.0, 2.0))):
+        cfg = ClassCheckConfig(grid_points=n)
+        old = old_grid_verdicts(g, interval, (0.5, 1.0), cfg)
+        for s in (0.5, 1.0):
+            new = _verdict(lambda: is_s_geometrically_convex(g, interval, s, cfg))
+            assert new == old[s], (n, interval, s)
+            verdicts.append(new)
+    assert set(verdicts) == {True, False, "DomainError", "NonPositiveValueError"}
+    known = model_from_expr("exp(-x)+1/x", 0.05, 1.0)
+    for n in (9, 33, 65):
+        cfg = ClassCheckConfig(grid_points=n)
+        assert old_grid_verdicts(AbsPower(known.fprime), (0.05, 1.0), (1.0,), cfg) == {1.0: False}
+        assert theorem_hypotheses(known, 0.05, 1.0, 1.0, 1.0, cfg).class_ok == (n == 9)
 
 
 def _steep_config():
@@ -708,9 +893,9 @@ def test_steep_report_pinned():
 # The default report is the same at all three sizes, so only these see a
 # change of the kernel's own outputs.
 DEFAULT_CHECK_DIGESTS = {
-    9: "04732407ce38d9eb340c3173bf9c34022c3ac18ca1a5489837c8eb9ef8456b4d",
-    33: "6b91fcade1d5d9b7907cd76691634166eece0fde8ae7b413df8515f8156009f3",
-    65: "e0f4b586b8521a2eff23e945fb0f1da7e37a132dc64aaa88ff205acfe3c119ec",
+    9: "54aae0683f9ccea9c925267932fa0708f17b1a3bb4203c92fc9c5fe1c9e3ae7a",
+    33: "9ff49fe623e49df20116695329b6dc27e38c312244e7c3b65602068861bf32f9",
+    65: "de7a17b122a2c2bfbf3b20921109f00f830ee9e8142b01d53383159cff2bb5c2",
 }
 
 
@@ -742,11 +927,11 @@ WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 CHECK_CLASS_OUT = """\
 geo-convex on [1.0, 2.0] for 'exp(-(x))': VIOLATED
   violations: 32736
-  witness x=1 y=1.03125 t=0.03125 lhs=0.356914575 rhs=0.356909355
-  witness x=1 y=1.03125 t=0.0625 lhs=0.357268179 rhs=0.357258069
-  witness x=1 y=1.03125 t=0.09375 lhs=0.357621794 rhs=0.357607125
-  witness x=1 y=1.03125 t=0.125 lhs=0.357975418 rhs=0.357956521
-  witness x=1 y=1.03125 t=0.15625 lhs=0.358329051 rhs=0.358306259
+  witness x=1 y=1.0219 t=0.03125 lhs=0.360160448 rhs=0.360157853
+  witness x=1 y=1.0219 t=0.0625 lhs=0.360409412 rhs=0.360404388
+  witness x=1 y=1.0219 t=0.09375 lhs=0.360658381 rhs=0.360651092
+  witness x=1 y=1.0219 t=0.125 lhs=0.360907352 rhs=0.360897965
+  witness x=1 y=1.0219 t=0.15625 lhs=0.361156327 rhs=0.361145007
 """
 
 
@@ -841,15 +1026,42 @@ def test_deferred_tally_reads_only_its_own_inputs(monkeypatch):
     assert other.ok
 
 
-# Built by the eager kernel this replaced.
+def _root(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_held_geometric_result_keeps_little():
+    # Until its tally runs, a failed geometric result at n = 65 keeps the
+    # log cube's fine grid, g and ln g on it (4,097 points each) and the
+    # two n x n rhs tables: 166 KB of its own, beside the axes every check
+    # of its size shares.  The geometric half cube it replaced kept 2.3 MB.
+    cfg = ClassCheckConfig(grid_points=65)
+    res = is_s_geometrically_convex(AbsPower(exp_model(1.0).fprime), (1.0, 2.0), 0.5, cfg)
+    is_convex(np.exp, (3.0, 4.0), cfg)                  # releases the interval
+    assert not res.ok and res._tally is not None
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield _root(obj)
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from arrays(item)
+    shared = {id(_root(arr)) for arr in convexity._by_size(65)}
+    own = {id(arr): arr.nbytes for arr in arrays(res._tally.args) if id(arr) not in shared}
+    assert sum(own.values()) < 0.2e6 and len(own) == 5
+
+
+# A tallied result, eager: e^(-x) on the log x grid (1, 2^0.5, 2).
 _EXP_GEO_N3 = (
     "CheckResult(ok=False, witnesses=("
-    "Witness(x=1.0, y=1.5, t=0.5, lhs=0.29383265587807295, rhs=0.2865047968601901), "
+    "Witness(x=1.0, y=1.414213562373095, t=0.5, lhs=0.30446257219499123, rhs=0.2990612786755997), "
     "Witness(x=1.0, y=2.0, t=0.5, lhs=0.24311673443421425, rhs=0.22313016014842982), "
-    "Witness(x=1.5, y=1.0, t=0.5, lhs=0.29383265587807295, rhs=0.2865047968601901), "
-    "Witness(x=1.5, y=2.0, t=0.5, lhs=0.17692120631776423, rhs=0.17377394345044514), "
+    "Witness(x=1.414213562373095, y=1.0, t=0.5, lhs=0.30446257219499123, rhs=0.2990612786755997), "
+    "Witness(x=1.414213562373095, y=2.0, t=0.5, lhs=0.18604013843591524, rhs=0.18138983464961517), "
     "Witness(x=2.0, y=1.0, t=0.5, lhs=0.24311673443421425, rhs=0.22313016014842982), "
-    "Witness(x=2.0, y=1.5, t=0.5, lhs=0.17692120631776423, rhs=0.17377394345044514)"
+    "Witness(x=2.0, y=1.414213562373095, t=0.5, lhs=0.18604013843591524, rhs=0.18138983464961517)"
     "), violation_count=6)")
 
 
@@ -871,18 +1083,19 @@ def test_eager_and_deferred_results_behave_alike():
     with pytest.raises(dataclasses.FrozenInstanceError):
         check().violation_count = 0
     # The bundle keeps its two results; its witnesses read them.
+    R2 = 1.414213562373095
     rep = theorem_hypotheses(exp_model(1.0), 1.0, 2.0, 0.5, 1.0, cfg)
     assert not rep.class_ok and rep.monotone_decreasing_ok
     assert rep.class_check.violation_count == 9 and rep.monotone_check.ok
     assert rep.witnesses == {
         "class": tuple(Witness(x, y, 0.5, lhs, rhs) for x, y, lhs, rhs in (
             (1.0, 1.0, 0.36787944117144233, 0.2431167344342142),
-            (1.0, 1.5, 0.29383265587807295, 0.17071377539976806),
+            (1.0, R2, 0.30446257219499123, 0.18138983464961517),
             (1.0, 2.0, 0.24311673443421425, 0.119873250103762),
-            (1.5, 1.0, 0.29383265587807295, 0.17071377539976806),
-            (1.5, 1.5, 0.22313016014842982, 0.119873250103762),
-            (1.5, 2.0, 0.17692120631776423, 0.08417361783950447),
+            (R2, 1.0, 0.30446257219499123, 0.18138983464961517),
+            (R2, R2, 0.24311673443421425, 0.1353352832366127),
+            (R2, 2.0, 0.18604013843591524, 0.08943764840308469),
             (2.0, 1.0, 0.24311673443421425, 0.119873250103762),
-            (2.0, 1.5, 0.17692120631776423, 0.08417361783950447),
+            (2.0, R2, 0.18604013843591524, 0.08943764840308469),
             (2.0, 2.0, 0.1353352832366127, 0.059105746561956225))),
         "monotone": ()}

@@ -893,7 +893,7 @@ class TestBundleGatedAtQ1:
         grid = convexity._axes((1.0, 2.0), check_cfg)
         assert set(grid.checked) == {None}
         kept = [weakref.ref(grid.checked[None][0]),
-                weakref.ref(grid.points[convexity._geometric_cube])]
+                weakref.ref(grid.points[convexity._log_cube])]
         del grid, info
         convexity.is_convex(AbsPower(np.exp), (3.0, 4.0), check_cfg)   # next interval
         assert all(ref() is None for ref in kept)
@@ -994,7 +994,7 @@ class TestIntervalMajorSweep:
 
     def test_each_interval_builds_its_cubes_once(self, monkeypatch):
         builds = Counter()
-        for name in ("_linear_cube", "_geometric_cube"):
+        for name in ("_linear_cube", "_log_cube"):
             def spy(xs, ts, build=getattr(convexity, name), name=name):
                 builds[name] += 1
                 return build(xs, ts)
@@ -1005,7 +1005,7 @@ class TestIntervalMajorSweep:
                      if a < b and any(m.contains(a, b) for m in models)}
         run_sweep(cfg)
         assert len(intervals) == 13
-        assert builds == {"_linear_cube": 13, "_geometric_cube": 13}
+        assert builds == {"_linear_cube": 13, "_log_cube": 13}
 
 
 class TestFprimeEnds:

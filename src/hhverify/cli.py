@@ -58,12 +58,11 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _model(args) -> FunctionModel:
-    """The model named by the model flags; --s doubles as the power
-    family's s."""
-    spec = {key: value for key, value in (("builtin", args.builtin),
-                                          ("expr", args.f), ("s", args.s),
-                                          ("rate", args.rate))
-            if value is not None}
+    """The model named by the model flags; --s is a power model's s too.
+    A flag the model's kind does not read (--rate on --f) is refused."""
+    spec = {key: value for key, value in (
+        ("builtin", args.builtin), ("expr", args.f), ("rate", args.rate),
+        ("s", args.s if args.builtin == "power" else None)) if value is not None}
     if args.domain:
         spec["domain"] = _parse_domain(args.domain)
     return model_from_spec(spec)
@@ -160,9 +159,9 @@ def _oracle_error(residual: float, where: str = "") -> int:
 
 def cmd_verify(args) -> int:
     cfg = sweep.load_config(args.config) if args.config else sweep.default_config()
+    if bool(args.f) != bool(args.domain):
+        raise ValueError("the ad-hoc model needs both --f and --domain lo,hi")
     if args.f:
-        if not args.domain:
-            raise ValueError("ad-hoc --f model needs --domain lo,hi")
         lo, hi = _parse_domain(args.domain)
         extra = {"name": f"cli:{args.f}", "expr": args.f, "domain": [lo, hi]}
         model_from_spec(extra)  # fail before the sweep, not in it
@@ -185,6 +184,8 @@ def cmd_tightness(args) -> int:
     m = _model(args)
     box = {"a": _parse_range(args.a_range), "b": _parse_range(args.b_range)}
     for key, text, value in (("s", args.s_range, args.s), ("q", args.q_range, args.q)):
+        if text and value is not None:
+            raise ValueError(f"--{key} and --{key}-range exclude each other")
         if text or value is not None:
             box[key] = _parse_range(text) if text else value
     res = optimize_tightness(args.theorem, m, box,
@@ -234,8 +235,16 @@ def cmd_means(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every error does (2 is violations found)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hhverify",
         description="Numerical verification of trapezoid-gap bounds for "
                     "s-geometrically convex functions.")

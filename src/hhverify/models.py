@@ -9,16 +9,17 @@ the test suite.  Construction probes f and f' on a Chebyshev-spaced grid
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import exprparse
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = ["FunctionModel", "make_model", "power_model", "exp_model",
-           "model_from_expr", "model_from_spec", "missing_spec_key",
+           "model_from_expr", "model_from_spec", "SPEC_KINDS",
            "PROBE_POINTS"]
 
 PROBE_POINTS = 64
@@ -136,53 +137,53 @@ def model_from_expr(src: str, lo: float, hi: float,
     return make_model(name or src, lo, hi, f, fprime)
 
 
-# builtin name -> (constructor, the parameter it is built from)
-_BUILTINS = {"power": (power_model, "s"), "exp": (exp_model, "rate")}
+# Each kind of model spec: its builder and the keys it needs, the first
+# holding the value the builder takes first.  A builtin spec names its kind
+# under "builtin", and any spec may add "domain" and "name".
+SPEC_KINDS = {"power": (power_model, ("s",)), "exp": (exp_model, ("rate",)),
+              "expr": (model_from_expr, ("expr", "domain"))}
 
 
-def _builtin(kind) -> tuple[Callable, str] | None:
-    # Specs come from JSON, so kind may be any JSON value.
-    return _BUILTINS.get(kind) if isinstance(kind, str) else None
-
-
-def missing_spec_key(spec: Mapping) -> str | None:
-    """The key a builtin or expression model spec requires and lacks."""
-    if "builtin" in spec:
-        builtin = _builtin(spec["builtin"])
-        key = builtin[1] if builtin else None
-    elif "expr" in spec:
-        key = "domain"
-    else:
-        return None
-    return key if key is not None and key not in spec else None
+def _finite(v) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def model_from_spec(spec: Mapping) -> FunctionModel:
-    """Instantiate a model from a config-style mapping.
-
-    Either ``{"builtin": "power", "s": 0.5, ["domain": [lo, hi]]}`` /
-    ``{"builtin": "exp", "rate": 1.0, ...}`` or
-    ``{"expr": "1 - ln(x)", "domain": [lo, hi]}``; an optional ``name``
-    overrides the derived one.  A malformed spec raises ValueError.
-    """
-    missing = missing_spec_key(spec)
-    if missing is not None:
-        raise ValueError(f"model spec needs {missing!r}")
+    """Instantiate a model from a config-style mapping, the one check of
+    a model spec: ``{"builtin": "power", "s": 0.5}``, ``{"builtin": "exp",
+    "rate": 1.0}`` or ``{"expr": "1 - ln(x)", "domain": [lo, hi]}``, with
+    an optional domain (a builtin's has a default) and a ``name`` that
+    overrides the derived one.  A missing, stray or malformed key raises
+    ConfigError naming it; any other fault, a builder's own included, a
+    plain ValueError."""
+    if not isinstance(spec, Mapping):
+        raise ValueError("model spec must be an object")
+    if ("builtin" in spec) == ("expr" in spec):
+        raise ValueError("model spec needs exactly one of 'builtin' or 'expr'")
+    kind = spec.get("builtin", "expr")  # any JSON value: compared, not hashed
+    if "builtin" in spec and kind not in ("power", "exp"):
+        raise ValueError(f"unknown builtin {kind!r}")
+    build, required = SPEC_KINDS[kind]
+    for key in spec:
+        if key not in ("builtin", *required, "domain", "name"):
+            raise ConfigError(key, f"not a key of {kind} model specs")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(key, "required")
+    value = spec[required[0]]
+    if kind != "expr" and not _finite(value):
+        raise ConfigError(required[0], "must be a finite number")
+    dom = spec.get("domain", ())  # each builder takes (value, lo, hi)
+    if "domain" in spec:
+        if not (isinstance(dom, Sequence) and len(dom) == 2
+                and all(_finite(v) for v in dom)):
+            raise ConfigError("domain", "must be [lo, hi], two finite numbers")
+        if not 0.0 < dom[0] < dom[1]:
+            raise ConfigError("domain", f"need 0 < lo < hi, got {list(dom)}")
     name = spec.get("name")
-    if "builtin" in spec:
-        builtin = _builtin(spec["builtin"])
-        if builtin is None:
-            raise ValueError(f"unknown builtin {spec['builtin']!r}")
-        build, param = builtin
-        kwargs = {param: spec[param]}
-        if "domain" in spec:
-            kwargs["lo"], kwargs["hi"] = spec["domain"]
-        m = build(**kwargs)
-    elif "expr" in spec:
-        lo, hi = spec["domain"]
-        m = model_from_expr(spec["expr"], lo, hi, name=name)
-    else:
-        raise ValueError("model spec needs 'builtin' or 'expr'")
-    if name and m.name != name:
-        m = replace(m, name=name)
-    return m
+    if not (name is None or isinstance(name, str) and "," not in name):
+        raise ConfigError("name", "must be a string without commas")
+    m = build(value, *dom)
+    return replace(m, name=name) if name and m.name != name else m

@@ -112,8 +112,6 @@ def write_json(records: list[BoundRecord], path: str) -> None:
 
 
 def _write(records: list[BoundRecord], path: str, fmt: str) -> None:
-    if not records:
-        raise ValueError("no records to emit")
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(records_text(records, fmt))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,8 +25,7 @@ import numpy as np
 from . import bounds, means
 from .convexity import AbsPower, ClassCheckConfig, is_convex, theorem_hypotheses
 from .errors import ConfigError
-from .models import (FunctionModel, evaluate_points, missing_spec_key,
-                     model_from_spec)
+from .models import FunctionModel, _finite, evaluate_points, model_from_spec
 from .records import BoundRecord, make_ratio, sort_records
 
 __all__ = ["Tolerances", "SweepConfig", "load_config", "parse_config",
@@ -49,6 +48,11 @@ class Tolerances:
     slack: float = ClassCheckConfig.slack
     identity_tol: float = 1e-8
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not (_finite(v := getattr(self, f.name)) and v > 0.0):
+                raise ConfigError(f.name, "must be a finite number > 0")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -66,14 +70,20 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _finite(v) -> bool:
-    # JSON true and false load as bool, a subclass of int.
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+def _at(path: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), a ConfigError's key put under path and
+    any other ValueError at it."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{path}.{e.path}", e.message) from e
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from e
 
 
 def parse_config(raw: Mapping) -> SweepConfig:
-    """Validate a config mapping; errors carry the offending field path."""
+    """Validate a config mapping; errors carry the offending field path.
+    Model specs and tolerances are checked by their own constructors."""
     _expect(isinstance(raw, Mapping), "<root>", "config must be an object")
     version = raw.get("schema_version", SCHEMA_VERSION)
     _expect(version == SCHEMA_VERSION, "schema_version",
@@ -83,28 +93,8 @@ def parse_config(raw: Mapping) -> SweepConfig:
     _expect(isinstance(models, Sequence) and len(models) > 0,
             "models", "need a nonempty list of model specs")
     for i, spec in enumerate(models):
-        _expect(isinstance(spec, Mapping), f"models[{i}]", "must be an object")
-        _expect("builtin" in spec or "expr" in spec,
-                f"models[{i}]", "needs 'builtin' or 'expr'")
-        missing = missing_spec_key(spec)
-        _expect(missing is None, f"models[{i}].{missing}", "required")
-        name = spec.get("name", spec.get("expr", ""))
-        _expect("," not in str(name), f"models[{i}].name",
-                "model names may not contain commas")
-        for key in ("s", "rate"):
-            _expect(key not in spec or _finite(spec[key]), f"models[{i}].{key}",
-                    "must be a finite number")
-        if "domain" in spec:
-            dom = spec["domain"]
-            _expect(isinstance(dom, Sequence) and len(dom) == 2
-                    and all(_finite(v) for v in dom),
-                    f"models[{i}].domain", "must be [lo, hi], two finite numbers")
-            _expect(0.0 < dom[0] < dom[1], f"models[{i}].domain",
-                    f"need 0 < lo < hi, got {list(dom)}")
-        try:  # a spec that cannot be built fails here, not mid-sweep
-            model_from_spec(spec)
-        except ValueError as e:
-            raise ConfigError(f"models[{i}]", str(e)) from e
+        # A spec that cannot be built fails here, not mid-sweep.
+        _at(f"models[{i}]", model_from_spec, spec)
 
     def grid(key: str, predicate, what: str) -> tuple[float, ...]:
         g = raw.get(key, [])
@@ -125,12 +115,10 @@ def parse_config(raw: Mapping) -> SweepConfig:
 
     tol_raw = raw.get("tolerances", {})
     _expect(isinstance(tol_raw, Mapping), "tolerances", "must be an object")
-    tols = {}
-    for key in ("quad_tol", "slack", "identity_tol"):
-        v = tol_raw.get(key, getattr(Tolerances(), key))
-        _expect(_finite(v) and v > 0.0,
-                f"tolerances.{key}", "must be a finite number > 0")
-        tols[key] = float(v)
+    for key in tol_raw:
+        _expect(key in Tolerances.__dataclass_fields__, f"tolerances.{key}",
+                "unknown key")
+    tolerances = _at("tolerances", Tolerances, **tol_raw)
 
     # Accepted so that existing configs still load; nothing reads it.
     seed = raw.get("seed", 0)
@@ -142,7 +130,7 @@ def parse_config(raw: Mapping) -> SweepConfig:
     return SweepConfig(
         models=tuple(dict(m) for m in models),
         a_grid=a_grid, b_grid=b_grid, s_grid=s_grid, q_grid=q_grid,
-        tolerances=Tolerances(**tols), class_grid_points=gp,
+        tolerances=tolerances, class_grid_points=gp,
     )
 
 

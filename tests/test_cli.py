@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hhverify.cli import main
 from hhverify.convexity import (AbsPower, ClassCheckConfig,
                                 is_s_geometrically_convex)
 from hhverify.models import model_from_expr
-from hhverify.records import CSV_COLUMNS, read_csv
+from hhverify.records import CSV_COLUMNS, read_csv, read_json
 from hhverify.sweep import parse_config, run_sweep
 
 
@@ -38,6 +40,35 @@ def cfg_path(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(SMALL_CFG), encoding="utf-8")
     return str(p)
+
+
+def _readme_cli_lines() -> list[str]:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    return re.search(r"^## CLI\n\n```\n(.*?)```", text, re.S | re.M)[1].splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_block(capsys, line):
+    # Each line as documented, its [optional] flags left out; "# exit 2"
+    # marks a line that finds violations.
+    argv = shlex.split(re.sub(r"\[[^]]*\]", "", line), comments=True)
+    assert argv[0] == "hhverify"
+    assert main(argv[1:]) == (2 if "# exit 2" in line else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-class", "--kind", "nope", "--f", "x", "--domain", "1,2"],
+    ["eval-bound", "--theorem", "eq10", "--f", "1/x", "--domain", "1,2", "--a", "1"],
+])
+def test_usage_error_exit_1(capsys, argv):
+    # 2 means violations found; a bad or missing flag is an error like any other.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: hhverify ")
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 class TestCheckClass:
@@ -175,6 +206,20 @@ class TestEvalBound:
                             "--f", "1 - ln(x)", "--domain", "1,2",
                             "--a", "1", "--b", "2"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("model, message", [
+        (["--builtin", "exp", "--rate", "1", "--f", "1/x", "--domain", "1,2"],
+         "model spec needs exactly one of 'builtin' or 'expr'"),
+        (["--f", "1/x", "--domain", "1,2", "--rate", "3"],
+         "rate: not a key of expr model specs"),
+        (["--builtin", "power", "--domain", "0.5,1", "--rate", "3"],
+         "rate: not a key of power model specs"),
+    ])
+    def test_flag_the_model_does_not_read_exit_1(self, capsys, model, message):
+        code, out, err = run(["eval-bound", "--theorem", "eq10", *model,
+                              "--a", "0.5", "--b", "1", "--s", "0.5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_missing_model_exit_1(self, capsys):
         code, _, err = run(["eval-bound", "--theorem", "eq10",
@@ -431,6 +476,27 @@ class TestVerify:
         records = read_csv(out_path)
         assert any(r.model == "cli:1/x" for r in records)
 
+    def test_domain_without_f_exit_1(self, cfg_path, capsys):
+        code, out, err = run(["verify", "--config", cfg_path, "--domain", "1,2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: the ad-hoc model needs both --f and --domain lo,hi\n"
+
+    def test_empty_sweep_header_only(self, tmp_path, capsys):
+        # No model's domain holds an a < b pair of the grids.
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({**SMALL_CFG, "a_grid": [3.0], "b_grid": [4.0]}),
+                     encoding="utf-8")
+        code, out, err = run(["verify", "--config", str(p)], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(",".join(CSV_COLUMNS) + "\nrecords: 0\n")
+        for fmt, read in (("csv", read_csv), ("json", read_json)):
+            out_path = str(tmp_path / f"report.{fmt}")
+            code, out, err = run(["verify", "--config", str(p), "--out", out_path,
+                                  "--format", fmt], capsys)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"wrote 0 records to {out_path} ({fmt})\n")
+            assert read(out_path) == []
+
     def test_seed_key_is_inert(self, cfg_path, tmp_path, capsys):
         unseeded = tmp_path / "unseeded.json"
         unseeded.write_text(json.dumps({k: v for k, v in SMALL_CFG.items()
@@ -527,6 +593,15 @@ class TestTightnessCli:
         assert code == 0
         assert "s=1 q=1\n" in out and "evaluations: 56;" in out
         assert run(base + ["--s-range", "0.5,1", "--q-range", "1,3"], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("key, value, text", [("s", "1", "0.5,1"),
+                                                  ("q", "2", "1,3")])
+    def test_value_and_range_exit_1(self, capsys, key, value, text):
+        code, out, err = run(["tightness", "--theorem", "eq111", "--f", "1/x",
+                              "--domain", "1,2", "--a-range", "1,2", "--b-range", "1,2",
+                              f"--{key}", value, f"--{key}-range", text], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: --{key} and --{key}-range exclude each other\n"
 
     def test_errors_printed(self, capsys):
         base = ["tightness", "--theorem", "eq10", "--f", "x^300/300",

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import time
 import traceback
 import weakref
@@ -19,7 +20,7 @@ from hhverify.cli import build_parser
 from hhverify.convexity import AbsPower, ClassCheckConfig
 from hhverify.errors import (ConfigError, DomainError, EmptyFeasibleSetError,
                              NonFiniteSample)
-from hhverify.models import FunctionModel
+from hhverify.models import FunctionModel, model_from_spec
 from hhverify.records import (BoundRecord, CSV_COLUMNS, make_ratio, read_csv,
                               read_json, records_equal, records_text,
                               sort_records, write_csv, write_json)
@@ -91,11 +92,26 @@ class TestConfig:
         ({"tolerances": {"quad_tol": math.inf}}, "tolerances.quad_tol"),
         ({"tolerances": {"identity_tol": math.inf}}, "tolerances.identity_tol"),
         ({"tolerances": {"identity_tol": math.nan}}, "tolerances.identity_tol"),
+        ({"tolerances": {"quad": 1e-10}}, "tolerances.quad"),
+        ({"models": [{"builtin": "exp", "rate": 1.0, "expr": "x",
+                      "domain": [1, 2]}]}, "models[0]"),
+        ({"models": [{"expr": "x", "domain": [1, 2], "rate": 1.0}]}, "models[0].rate"),
+        ({"models": [{"builtin": "exp", "rate": 1.0, "s": 0.5}]}, "models[0].s"),
+        ({"models": [{"builtin": "power", "s": 0.5, "name": 5}]}, "models[0].name"),
+        ({"models": [3]}, "models[0]"),
     ])
     def test_validation_names_field_paths(self, overrides, path_fragment):
         with pytest.raises(ConfigError) as exc:
             mini_config(**overrides)
         assert exc.value.path == path_fragment
+        # The config's one check of a model spec is model_from_spec's: the
+        # same spec fails there with the same key, or with a plain
+        # ValueError where the config names the spec as a whole.
+        at = re.fullmatch(r"models\[(\d+)\](?:\.(\w+))?", path_fragment)
+        if at:
+            with pytest.raises(ValueError) as exc:
+                model_from_spec(overrides["models"][int(at[1])])
+            assert getattr(exc.value, "path", None) == at[2]
 
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -280,9 +296,13 @@ class TestRecordsSerialization:
         text = records_text([rec], "csv")
         assert "0.33333333333333331" in text
 
-    def test_empty_emission_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv([], str(tmp_path / "nothing.csv"))
+    def test_empty_emission_round_trips(self, tmp_path):
+        # No records is a report like any other: a header and no rows.
+        csv_path, json_path = str(tmp_path / "nothing.csv"), str(tmp_path / "nothing.json")
+        write_csv([], csv_path)
+        write_json([], json_path)
+        assert open(csv_path, encoding="utf-8").read() == ",".join(CSV_COLUMNS) + "\n"
+        assert read_csv(csv_path) == [] and read_json(json_path) == []
 
     def test_make_ratio_edge_cases(self):
         assert make_ratio(0.0, 0.0) == 0.0

@@ -2,7 +2,8 @@
 
 The rule these pins keep: a new option needs two callers in ``src/``, the
 CLI or ``perfbench/`` that set it to different values, and an edit to this
-test.  A value that only tests set is a module constant, read at call time
+test.  A model spec key (``models.SPEC_KINDS``) and a ``tolerances`` key
+(the fields of ``sweep.Tolerances``) are options too.  A value that only tests set is a module constant, read at call time
 so that a test can monkeypatch it.
 """
 
@@ -34,6 +35,10 @@ FIELDS = {
     models.FunctionModel: ("name", "lo", "hi", "f", "fprime"),
 }
 
+# The keys each kind of model spec needs besides "builtin"; any spec may
+# add "domain" and "name".
+SPEC_KEYS = {"power": ("s",), "exp": ("rate",), "expr": ("expr", "domain")}
+
 # Values nothing outside the tests sets.
 CONSTANTS = [(tightness, "COARSE_POINTS", 5), (tightness, "MAX_ITERS", 60),
              (quadrature, "MAX_SUBDIVISIONS", 10_000),
@@ -48,6 +53,10 @@ def test_parameters(fn):
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 def test_fields(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[cls]
+
+
+def test_spec_keys():
+    assert {kind: keys for kind, (_, keys) in models.SPEC_KINDS.items()} == SPEC_KEYS
 
 
 @pytest.mark.parametrize("module, name, value", CONSTANTS,

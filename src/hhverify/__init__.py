@@ -3,9 +3,8 @@ bounds for s-geometrically convex functions, with special-means corollary
 checks, convexity-class predicates, and a sweep harness.
 """
 
-from .bounds import (alpha_ratio, factor_abs, factor_holder, factor_power_mean,
-                     gap_integral_form, rhs_eq8, rhs_eq9, rhs_eq10, rhs_eq11,
-                     rhs_eq111, trapezoid_mean_gap)
+from .bounds import (alpha_ratio, gap_integral_form, rhs_eq8, rhs_eq9,
+                     rhs_eq10, rhs_eq11, rhs_eq111, trapezoid_mean_gap)
 from .convexity import (ClassCheckConfig, CheckResult, HypothesisReport,
                         Witness, is_convex, is_geometrically_convex,
                         is_monotone_decreasing, is_s_convex,
@@ -22,8 +21,7 @@ from .tightness import TightnessResult, optimize_tightness
 __version__ = "0.1.0"
 
 __all__ = [
-    "alpha_ratio", "factor_abs", "factor_holder", "factor_power_mean",
-    "gap_integral_form", "rhs_eq8", "rhs_eq9", "rhs_eq10", "rhs_eq11",
+    "alpha_ratio", "gap_integral_form", "rhs_eq8", "rhs_eq9", "rhs_eq10", "rhs_eq11",
     "rhs_eq111", "trapezoid_mean_gap",
     "ClassCheckConfig", "CheckResult", "HypothesisReport", "Witness",
     "is_convex", "is_geometrically_convex",

@@ -21,20 +21,18 @@ from . import exprparse, means, sweep
 from .convexity import (AbsPower, ClassCheckConfig, is_convex,
                         is_geometrically_convex, is_monotone_decreasing,
                         is_s_convex, is_s_geometrically_convex)
-from .errors import EmptyFeasibleSetError, QuadratureError
+from .errors import ConfigError, EmptyFeasibleSetError, QuadratureError
 from .models import FunctionModel, model_from_expr, model_from_spec
 from .records import records_text, write_csv, write_json
 from .tightness import SEARCH_TAGS, optimize_tightness
 
-# check-class --kind -> (check, whether it takes --s).  Each lambda looks
-# its check up on this module at call time, as BOUND_TABLE's rhs lambdas do,
-# so a patched check is the one called.
+# check-class --kind -> (check, whether it takes --s).
 _CLASS_CHECKS = {
-    "convex": (lambda *args: is_convex(*args), False),
-    "s-convex": (lambda *args: is_s_convex(*args), True),
-    "geo-convex": (lambda *args: is_geometrically_convex(*args), False),
-    "s-geo-convex": (lambda *args: is_s_geometrically_convex(*args), True),
-    "decreasing": (lambda *args: is_monotone_decreasing(*args), False),
+    "convex": (is_convex, False),
+    "s-convex": (is_s_convex, True),
+    "geo-convex": (is_geometrically_convex, False),
+    "s-geo-convex": (is_s_geometrically_convex, True),
+    "decreasing": (is_monotone_decreasing, False),
 }
 
 
@@ -59,13 +57,21 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _model(args) -> FunctionModel:
     """The model named by the model flags; --s is a power model's s too.
-    A flag the model's kind does not read (--rate on --f) is refused."""
+    A flag the model's kind does not read (--rate on --f) is refused, and
+    an error names the flag, not the model spec's key."""
+    if (args.builtin is None) == (args.f is None):
+        raise ValueError("need exactly one of --builtin or --f")
+    if args.rate is not None and args.builtin != "exp":
+        raise ValueError("--rate needs --builtin exp")
     spec = {key: value for key, value in (
         ("builtin", args.builtin), ("expr", args.f), ("rate", args.rate),
         ("s", args.s if args.builtin == "power" else None)) if value is not None}
     if args.domain:
         spec["domain"] = _parse_domain(args.domain)
-    return model_from_spec(spec)
+    try:
+        return model_from_spec(spec)
+    except ConfigError as e:  # a key the flags set: s, rate or domain
+        raise ValueError(f"--{e.path}: {e.message}") from e
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

@@ -45,15 +45,13 @@ finite, and on the log cube checked positive and logged.  A further check
 of an equal g there (the same object, or ``AbsPower`` of the same fprime
 and q, which the sweep builds afresh for each check) costs one O(n^3 / 2)
 compare pass, or part of one.  The monotone check and |f'(a)| read the
-x-grid sample.  The sweep checks the bundle at q = 1 whatever the bound's
-q, so the bundle costs one class check per (a, b, s), and the convexity
-gate of eq9 reuses eq8's check of |fprime| and samples |fprime|^q only
-where that fails; ``sweep.ModelContext.flags`` says why.  A check at
-another q is of another g: it evaluates fprime again, and
-``theorem_hypotheses`` at q != 1 samples the x grid for |f'|^q and again
-for the monotone check.  Only the latest interval is kept, with the latest
-g's samples, read-only: about 0.16 MB at n = 65, and lin, n^2(n+1)/2
-int32 entries (0.56 MB).
+x-grid sample.  ``theorem_hypotheses`` checks |f'| whatever the bound's q,
+so the bundle costs one class check per (a, b, s), and the convexity gate
+of eq9 reuses eq8's check of |fprime| and samples |fprime|^q only where
+that fails; ``sweep.ModelContext.flags`` says why.  A check at another q
+is of another g and evaluates fprime again.  Only the latest interval is
+kept, with the latest g's samples, read-only: about 0.16 MB at n = 65, and
+lin, n^2(n+1)/2 int32 entries (0.56 MB).
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -446,25 +444,29 @@ def is_monotone_decreasing(g: Callable, interval: tuple[float, float],
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Pass/fail record for one bound's preconditions on [a, b].  It keeps
-    the two checks' results, so a failed check's witnesses are tallied
-    only when ``witnesses`` is read."""
+    """What the checks of one bound's preconditions on [a, b] found: the
+    two checks' results (a failed one tallies its witnesses when they are
+    first read) and |f'(a)|, with the flag |f'(a)| <= 1 + slack."""
     class_check: CheckResult
     monotone_check: CheckResult
+    fprime_a_abs: float
     fprime_a_le_1: bool
-    params: Mapping[str, float] = field(default_factory=dict)
 
     class_ok = property(lambda self: self.class_check.ok)
     monotone_decreasing_ok = property(lambda self: self.monotone_check.ok)
-    witnesses = property(lambda self: {"class": self.class_check.witnesses,
-                                       "monotone": self.monotone_check.witnesses})
 
 
-def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
+def theorem_hypotheses(m, a: float, b: float, s: float,
                        cfg: ClassCheckConfig = ClassCheckConfig()) -> HypothesisReport:
-    """Bundle the derivative-ratio bounds' preconditions into one report:
-    |f'|^q s-geometrically convex on [a, b], |f'| monotone decreasing,
-    and the side condition |f'(a)| <= 1.
+    """The derivative-ratio bounds' preconditions on [a, b]: |f'|
+    s-geometrically convex, |f'| monotone decreasing, and |f'(a)| <= 1.
+
+    The bounds state the class for |f'|^q.  Since ln(|f'|^q) = q*ln|f'|,
+    |f'|^q is s-geometrically convex for one q > 0 exactly when it is for
+    every q, so |f'| is checked, once for every q.  On the grid the check
+    compares logs, which scale by q, so this holds up to points whose log
+    margin ln lhs - ln rhs lies between slack and slack/q.  The two checks
+    and |f'(a)|, the x grid's first point, read one sample of |f'|.
     """
     a = float(a)
     b = float(b)
@@ -473,14 +475,8 @@ def theorem_hypotheses(m, a: float, b: float, s: float, q: float = 1.0,
     if not (m.lo <= a and b <= m.hi):
         raise ValueError(f"[{a}, {b}] outside model domain [{m.lo}, {m.hi}]")
 
-    fprime = m.fprime
-    class_res = is_s_geometrically_convex(AbsPower(fprime, q), (a, b), s, cfg)
-    mono_res = is_monotone_decreasing(AbsPower(fprime), (a, b), cfg)
-    # |f'(a)| is the monotone check's x-grid sample at xs[0] == a.
-    fpa = float(_sampled(AbsPower(fprime), _axes((a, b), cfg))[0][0])
-    return HypothesisReport(
-        class_res, mono_res, fprime_a_le_1=fpa <= 1.0 + cfg.slack,
-        params={"a": a, "b": b, "s": float(s), "q": float(q),
-                "fprime_a_abs": fpa, "grid_points": cfg.grid_points,
-                "slack": cfg.slack},
-    )
+    g = AbsPower(m.fprime)
+    class_res = is_s_geometrically_convex(g, (a, b), s, cfg)
+    mono_res = is_monotone_decreasing(g, (a, b), cfg)
+    fpa = float(_sampled(g, _axes((a, b), cfg))[0][0])
+    return HypothesisReport(class_res, mono_res, fpa, fpa <= 1.0 + cfg.slack)

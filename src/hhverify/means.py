@@ -124,7 +124,7 @@ def printed_u(a: float, b: float, s: float, q: float) -> float:
 
         U = 1/(ln a'' - ln b'') * ( L(sqrt(a''), sqrt(b'')) / sqrt(b'') - 1 )
 
-    Algebraically this equals g_lower(alpha(sq, sq)); deviation_dd
+    Algebraically this equals g_lower(alpha(sq)); deviation_dd
     measures the agreement.
     """
     _check_prop_range(a, b, s)
@@ -142,12 +142,12 @@ def printed_v(a: float, b: float, s: float, q: float) -> float:
             * [1 - ((a/b)^(sq(s-1)) + 1) / ((a/b)^(sq(s-1)) * (ln a''' - ln b'''))]
 
     with a'' = a^(sq(s-1)) etc. and a''' = a^(sq(s-1)/2).  This does NOT
-    match g_upper(alpha(sq, sq)) (deviation_ee quantifies it) and can be
+    match g_upper(alpha(sq)) (deviation_ee quantifies it) and can be
     negative.
     """
     _check_prop_range(a, b, s)
     e = s * q * (s - 1.0)
-    r = _pow(a / b, e)           # (a/b)^(sq(s-1)) = alpha(sq, sq)
+    r = _pow(a / b, e)           # (a/b)^(sq(s-1)) = alpha(sq)
     u = e * (math.log(a) - math.log(b))   # ln of r
     return (r * r / u) * (1.0 - (r + 1.0) / (r * (0.5 * u)))
 
@@ -217,18 +217,18 @@ def dual_route_bb(a: float, b: float, s: float, tol: float = 1e-8) -> DualRoute:
     ap, bp = _pow(a, e), _pow(b, e)
     lm = log_mean(ap, bp)
     means_value = bp * lm * (arith_mean(ap, bp) - 0.5 * lm)
-    al = bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s, s)
+    al = bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s)
     kernel_value = bp * (gfuncs.g_lower(al).value + gfuncs.g_upper(al).value)
     return _classify(means_value, kernel_value, tol)
 
 
 def _alpha_sq(a: float, b: float, s: float, q: float) -> float:
-    """alpha(sq, sq) of the power family's |f'| = x^(s-1) at a and b."""
-    return bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s * q, s * q)
+    """alpha(sq) of the power family's |f'| = x^(s-1) at a and b."""
+    return bounds.alpha_ratio(_pow(a, s - 1.0), _pow(b, s - 1.0), s * q)
 
 
 def residual_cc(a: float, b: float, s: float, q: float) -> float:
-    """|g_full(alpha(sq, sq)) - L(a'', b'') / b''|; exact algebra."""
+    """|g_full(alpha(sq)) - L(a'', b'') / b''|; exact algebra."""
     _check_prop_range(a, b, s)
     if not q > 1.0:
         raise ValueError(f"need q > 1, got {q}")
@@ -240,13 +240,13 @@ def residual_cc(a: float, b: float, s: float, q: float) -> float:
 
 
 def deviation_dd(a: float, b: float, s: float, q: float) -> float:
-    """Relative deviation of printed U from g_lower(alpha(sq, sq)); exact."""
+    """Relative deviation of printed U from g_lower(alpha(sq)); exact."""
     al = _alpha_sq(a, b, s, q)
     g = gfuncs.g_lower(al).value
     return abs(printed_u(a, b, s, q) - g) / max(1.0, abs(g))
 
 
 def deviation_ee(a: float, b: float, s: float, q: float, tol: float = 1e-8) -> DualRoute:
-    """Printed V vs g_upper(alpha(sq, sq)); expected discrepant."""
+    """Printed V vs g_upper(alpha(sq)); expected discrepant."""
     al = _alpha_sq(a, b, s, q)
     return _classify(printed_v(a, b, s, q), gfuncs.g_upper(al).value, tol)

@@ -26,7 +26,7 @@ from . import bounds, means
 from .convexity import AbsPower, ClassCheckConfig, is_convex, theorem_hypotheses
 from .errors import ConfigError
 from .models import FunctionModel, _finite, evaluate_points, model_from_spec
-from .records import BoundRecord, make_ratio, sort_records
+from .records import VERDICTS, BoundRecord, make_ratio, sort_records
 
 __all__ = ["Tolerances", "SweepConfig", "load_config", "parse_config",
            "default_config", "BoundSpec", "BOUND_TABLE", "THEOREM_TAGS",
@@ -122,10 +122,10 @@ def parse_config(raw: Mapping) -> SweepConfig:
 
     # Accepted so that existing configs still load; nothing reads it.
     seed = raw.get("seed", 0)
-    _expect(isinstance(seed, int) and seed >= 0, "seed",
-            "must be a nonnegative integer")
+    _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+            "seed", "must be a nonnegative integer")
     gp = raw.get("class_grid_points", SweepConfig.class_grid_points)
-    _expect(isinstance(gp, int) and gp >= 3, "class_grid_points", "must be >= 3")
+    _at("class_grid_points", ClassCheckConfig, grid_points=gp)
 
     return SweepConfig(
         models=tuple(dict(m) for m in models),
@@ -162,11 +162,12 @@ class BoundSpec:
     ``rhs(ctx, s, q)`` is the bound's right-hand side at (s, q) on the
     ModelContext ``ctx``.  ``gate`` is "convex" (|f'|^q convex, the
     classical baselines' only hypothesis, which a pass of |f'| convex
-    implies for every q >= 1) or "bundle" (``theorem_hypotheses``, checked
-    at q = 1 because q drops out of it); ``ModelContext.flags`` says how
-    each is read.  ``q_rule`` is "1" (q = 1 only), ">1" (q > 1 only) or
-    "all" (every q).  The special-means propositions carry
-    ``identity``, which returns their identity-check discrepancy tags.
+    implies for every q >= 1) or "bundle" (``theorem_hypotheses``, which
+    checks |f'|, since q drops out of its class condition);
+    ``ModelContext.flags`` says how each is read.  ``q_rule`` is "1"
+    (q = 1 only), ">1" (q > 1 only) or "all" (every q).  The special-means
+    propositions carry ``identity``, which returns their identity-check
+    discrepancy tags.
     """
     rhs: Callable              # rhs(ctx, s, q), ctx a ModelContext
     gate: str
@@ -324,12 +325,8 @@ class ModelContext:
         """(hyp_class, hyp_monotone, hyp_fprime_a) for one bound at its
         ``point(s, q)``, which must exist.
 
-        A "bundle" bound is checked at q = 1, under the key ("bundle", s),
-        so one check serves every q.  Since ln(|f'|^q) = q*ln|f'|, |f'|^q is
-        s-geometrically convex for one q > 0 exactly when it is for every q,
-        and the monotone and |f'(a)| flags do not read q.  On the grid the
-        check compares logs, which scale by q, so this holds up to points
-        whose log margin ln lhs - ln rhs lies between slack and slack/q.
+        A "bundle" bound is keyed ("bundle", s): ``theorem_hypotheses``
+        checks |f'|, which serves every q (its docstring says why).
 
         The classical baselines need only |f'|^q convex, which does depend
         on q, so a "convex" bound is keyed ("convex", q); their
@@ -346,7 +343,7 @@ class ModelContext:
         s, q = bound.point(s, q)
 
         def bundle():
-            h = theorem_hypotheses(self.model, self.a, self.b, s, 1.0, self.check_cfg)
+            h = theorem_hypotheses(self.model, self.a, self.b, s, self.check_cfg)
             return (h.class_ok, h.monotone_decreasing_ok, h.fprime_a_le_1)
 
         def convex():
@@ -480,7 +477,7 @@ def summarize(records: list[BoundRecord]) -> dict:
 
 def format_summary(summary: dict) -> str:
     lines = [f"records: {summary['records']}"]
-    for verdict in ("pass", "violation", "outside-hypotheses", "eval-error"):
+    for verdict in VERDICTS:
         n = summary["by_verdict"].get(verdict, 0)
         lines.append(f"  {verdict}: {n}")
     for tag, info in sorted(summary["prop_pass_rates"].items()):

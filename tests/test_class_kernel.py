@@ -358,12 +358,12 @@ def test_each_cube_samples_the_half(n):
     cfg = ClassCheckConfig(grid_points=n)
     m = make_model("exp", 1.0, 2.0, f=np.exp, fprime=fprime)
     sizes.clear()                                   # the model's own probe
-    theorem_hypotheses(m, 1.0, 2.0, 0.5, 1.0, cfg)  # x grid, log cube
+    theorem_hypotheses(m, 1.0, 2.0, 0.5, cfg)       # x grid, log cube
     is_convex(AbsPower(fprime), (1.0, 2.0), cfg)    # linear cube
     assert sizes == [n, (n - 1) ** 2 + 1, (n - 1) ** 2 + 1]
     grid = convexity._axes((1.0, 2.0), cfg)
     logs = grid.checked[convexity._log_cube][1]
-    theorem_hypotheses(m, 1.0, 2.0, 0.3, 1.0, cfg)
+    theorem_hypotheses(m, 1.0, 2.0, 0.3, cfg)
     is_s_geometrically_convex(AbsPower(fprime), (1.0, 2.0), 1.0, cfg)
     is_s_convex(AbsPower(fprime), (1.0, 2.0), 0.5, cfg)
     assert len(sizes) == 3
@@ -594,19 +594,23 @@ def test_geometric_flag_does_not_depend_on_scale(c):
 CFG = ClassCheckConfig()
 
 
-def fresh(m, a, b, s, q, cfg=CFG):
-    """The hypothesis checks through new plain callables, which read no
-    earlier sample."""
+def fresh(m, a, b, s, q=1.0, cfg=CFG):
+    """The class check of |f'|^q, the monotone check of |f'| and |f'(a)|
+    through new plain callables, which read no earlier sample."""
     cls = is_s_geometrically_convex(lambda x: np.abs(m.fprime(x)) ** q, (a, b), s, cfg)
     mono = is_monotone_decreasing(lambda x: np.abs(m.fprime(x)), (a, b), cfg)
     return (cls.ok, cls.witnesses, mono.ok, mono.witnesses,
             float(np.abs(m.fprime(a))))
 
 
-def report(m, a, b, s, q, cfg=CFG):
-    rep = theorem_hypotheses(m, a, b, s, q, cfg)
-    return (rep.class_ok, rep.witnesses["class"], rep.monotone_decreasing_ok,
-            rep.witnesses["monotone"], rep.params["fprime_a_abs"])
+def report(m, a, b, s, q=1.0, cfg=CFG):
+    """The same through the bundle, which checks |f'|, then at q != 1 the
+    class check of AbsPower(f', q) on the same interval."""
+    rep = theorem_hypotheses(m, a, b, s, cfg)
+    cls = (rep.class_check if q == 1.0 else
+           is_s_geometrically_convex(AbsPower(m.fprime, q), (a, b), s, cfg))
+    return (cls.ok, cls.witnesses, rep.monotone_check.ok,
+            rep.monotone_check.witnesses, rep.fprime_a_abs)
 
 
 def test_models_sharing_an_interval():
@@ -641,18 +645,19 @@ def test_overflow_at_large_q_raises_for_that_q_only():
     for qs in ((1.0, 2.0, 1.0), (2.0, 1.0, 2.0)):
         for q in qs:
             if q == 1.0:
-                assert theorem_hypotheses(m, 1.0, 10.0, 1.0, q, CFG).class_ok
+                assert theorem_hypotheses(m, 1.0, 10.0, 1.0, CFG).class_ok
                 assert is_convex(AbsPower(m.fprime, q), (1.0, 10.0), CFG).ok
             else:
                 with np.errstate(over="ignore"), pytest.raises(DomainError):
-                    theorem_hypotheses(m, 1.0, 10.0, 1.0, q, CFG)
+                    is_s_geometrically_convex(AbsPower(m.fprime, q), (1.0, 10.0),
+                                              1.0, CFG)
                 with np.errstate(over="ignore"), pytest.raises(DomainError):
                     is_convex(AbsPower(m.fprime, q), (1.0, 10.0), CFG)
 
 
 def test_sample_is_read_only():
     m = model_from_expr("1/x", 1.0, 2.0)
-    theorem_hypotheses(m, 1.0, 2.0, 1.0, 1.0, CFG)
+    theorem_hypotheses(m, 1.0, 2.0, 1.0, CFG)
     is_convex(AbsPower(m.fprime), (1.0, 2.0), CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
     cubes = {None, convexity._linear_cube, convexity._log_cube}
@@ -668,7 +673,7 @@ def test_sample_is_read_only():
 
 def test_only_the_latest_interval_is_kept():
     m = exp_model(1.0)
-    theorem_hypotheses(m, 1.0, 2.0, 1.0, 1.0, CFG)
+    theorem_hypotheses(m, 1.0, 2.0, 1.0, CFG)
     is_convex(AbsPower(m.fprime), (1.0, 2.0), CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
     first = [weakref.ref(arr) for arr in grid.points.values()]
@@ -677,20 +682,20 @@ def test_only_the_latest_interval_is_kept():
     del grid
     assert len(first) == 3 and len(checked) == 4
     assert all(ref() is not None for ref in first + checked)
-    theorem_hypotheses(m, 1.0, 1.5, 1.0, 1.0, CFG)
+    theorem_hypotheses(m, 1.0, 1.5, 1.0, CFG)
     is_convex(AbsPower(m.fprime), (1.0, 1.5), CFG)
     assert all(ref() is None for ref in first + checked)
 
 
 def test_only_the_latest_fprime_is_kept():
     ms = [exp_model(1.0), model_from_expr("1/x", 1.0, 2.0)]
-    theorem_hypotheses(ms[0], 1.0, 2.0, 1.0, 1.0, CFG)
+    theorem_hypotheses(ms[0], 1.0, 2.0, 1.0, CFG)
     grid = convexity._axes((1.0, 2.0), CFG)
     first = [weakref.ref(arr) for pair in grid.checked.values() for arr in pair
              if arr is not None]
     cube = weakref.ref(grid.points[convexity._log_cube])
     assert len(first) == 3 and all(ref() is not None for ref in first)
-    theorem_hypotheses(ms[1], 1.0, 2.0, 1.0, 1.0, CFG)
+    theorem_hypotheses(ms[1], 1.0, 2.0, 1.0, CFG)
     assert grid.g == AbsPower(ms[1].fprime) and len(grid.checked) == 2
     assert all(ref() is None for ref in first) and cube() is not None
     assert report(ms[0], 1.0, 2.0, 1.0, 2.0) == fresh(ms[0], 1.0, 2.0, 1.0, 2.0)
@@ -797,14 +802,16 @@ def _bundle_intervals():
 
 def test_class_flag_does_not_depend_on_q():
     # ln(|f'|^q) = q ln|f'|, so the class condition holds for every q > 0
-    # or for none: the premise of gating the sweep's bundle at q = 1.
+    # or for none: the premise of the bundle checking |f'| for every q.
     flags = []
     for m, a, b, s_grid in _bundle_intervals():
         for s, n in itertools.product(s_grid, (9, 33)):
             check_cfg = ClassCheckConfig(grid_points=n)
-            by_q = {theorem_hypotheses(m, a, b, s, q, check_cfg).class_ok
+            by_q = {is_s_geometrically_convex(AbsPower(m.fprime, q), (a, b), s,
+                                              check_cfg).ok
                     for q in (1.0, 1.5, 2.0, 4.0)}
             assert len(by_q) == 1, (m.name, a, b, s, n)
+            assert by_q == {theorem_hypotheses(m, a, b, s, check_cfg).class_ok}
             flags.extend(by_q)
     assert len(flags) == 268 and True in flags and False in flags
 
@@ -847,7 +854,7 @@ def test_log_grid_keeps_the_verdicts_of_the_old_grid():
         for m, a, b, s_grid in _bundle_intervals():
             old = old_grid_verdicts(AbsPower(m.fprime), (a, b), s_grid, cfg)
             for s in s_grid:
-                new = _verdict(lambda: theorem_hypotheses(m, a, b, s, 1.0, cfg).class_check)
+                new = _verdict(lambda: theorem_hypotheses(m, a, b, s, cfg).class_check)
                 assert new == old[s], (m.name, a, b, s, n)
                 flags.append(new)
     assert len(flags) == 402 and True in flags and False in flags
@@ -868,7 +875,7 @@ def test_log_grid_keeps_the_verdicts_of_the_old_grid():
     for n in (9, 33, 65):
         cfg = ClassCheckConfig(grid_points=n)
         assert old_grid_verdicts(AbsPower(known.fprime), (0.05, 1.0), (1.0,), cfg) == {1.0: False}
-        assert theorem_hypotheses(known, 0.05, 1.0, 1.0, 1.0, cfg).class_ok == (n == 9)
+        assert theorem_hypotheses(known, 0.05, 1.0, 1.0, cfg).class_ok == (n == 9)
 
 
 def _steep_config():
@@ -1001,8 +1008,6 @@ def test_abs_power_needs_a_finite_positive_q(q):
     # |f'|^0 is 1 and |f'|^-1 is 1/|f'|: neither is the hypothesis.
     with pytest.raises(ValueError, match="q must be finite and > 0"):
         AbsPower(np.exp, q)
-    with pytest.raises(ValueError, match="q must be finite and > 0"):
-        theorem_hypotheses(exp_model(1.0), 1.0, 2.0, 1.0, q)
     assert AbsPower(np.exp, 0.5).q == 0.5
 
 
@@ -1082,13 +1087,14 @@ def test_eager_and_deferred_results_behave_alike():
     assert hash(passed) == hash(CheckResult(True, (), 0))
     with pytest.raises(dataclasses.FrozenInstanceError):
         check().violation_count = 0
-    # The bundle keeps its two results; its witnesses read them.
+    # The bundle keeps its two results, and their witnesses.
     R2 = 1.414213562373095
-    rep = theorem_hypotheses(exp_model(1.0), 1.0, 2.0, 0.5, 1.0, cfg)
+    rep = theorem_hypotheses(exp_model(1.0), 1.0, 2.0, 0.5, cfg)
     assert not rep.class_ok and rep.monotone_decreasing_ok
     assert rep.class_check.violation_count == 9 and rep.monotone_check.ok
-    assert rep.witnesses == {
-        "class": tuple(Witness(x, y, 0.5, lhs, rhs) for x, y, lhs, rhs in (
+    assert rep.monotone_check.witnesses == ()
+    assert rep.class_check.witnesses == tuple(
+        Witness(x, y, 0.5, lhs, rhs) for x, y, lhs, rhs in (
             (1.0, 1.0, 0.36787944117144233, 0.2431167344342142),
             (1.0, R2, 0.30446257219499123, 0.18138983464961517),
             (1.0, 2.0, 0.24311673443421425, 0.119873250103762),
@@ -1097,5 +1103,4 @@ def test_eager_and_deferred_results_behave_alike():
             (R2, 2.0, 0.18604013843591524, 0.08943764840308469),
             (2.0, 1.0, 0.24311673443421425, 0.119873250103762),
             (2.0, R2, 0.18604013843591524, 0.08943764840308469),
-            (2.0, 2.0, 0.1353352832366127, 0.059105746561956225))),
-        "monotone": ()}
+            (2.0, 2.0, 0.1353352832366127, 0.059105746561956225)))

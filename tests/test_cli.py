@@ -100,7 +100,7 @@ class TestCheckClass:
         def spy(g, *args):
             seen.append(g)
             return is_s_geometrically_convex(g, *args)
-        monkeypatch.setattr(cli, "is_s_geometrically_convex", spy)
+        monkeypatch.setitem(cli._CLASS_CHECKS, "s-geo-convex", (spy, True))
         code, out, _ = run(["check-class", "--kind", "s-geo-convex",
                             "--f", "exp(-(x))", "--domain", "1,2",
                             "--s", "0.5", "--q", "2", "--on-derivative"], capsys)
@@ -209,12 +209,12 @@ class TestEvalBound:
 
     @pytest.mark.parametrize("model, message", [
         (["--builtin", "exp", "--rate", "1", "--f", "1/x", "--domain", "1,2"],
-         "model spec needs exactly one of 'builtin' or 'expr'"),
+         "need exactly one of --builtin or --f"),
         (["--f", "1/x", "--domain", "1,2", "--rate", "3"],
-         "rate: not a key of expr model specs"),
+         "--rate needs --builtin exp"),
         (["--builtin", "power", "--domain", "0.5,1", "--rate", "3"],
-         "rate: not a key of power model specs"),
-    ])
+         "--rate needs --builtin exp"),
+    ], ids=["both-kinds", "rate-on-f", "rate-on-power"])
     def test_flag_the_model_does_not_read_exit_1(self, capsys, model, message):
         code, out, err = run(["eval-bound", "--theorem", "eq10", *model,
                               "--a", "0.5", "--b", "1", "--s", "0.5"], capsys)
@@ -225,6 +225,20 @@ class TestEvalBound:
         code, _, err = run(["eval-bound", "--theorem", "eq10",
                             "--a", "1", "--b", "2"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--builtin", "power", "--a", "0.2", "--b", "0.5"], "--s: required"),
+        (["--f", "1/x", "--rate", "3", "--domain", "1,2", "--a", "1", "--b", "2"],
+         "--rate needs --builtin exp"),
+        (["--f", "1/x", "--a", "1", "--b", "2"], "--domain: required"),
+        (["--builtin", "exp", "--rate", "nan", "--a", "1", "--b", "2"],
+         "--rate: must be a finite number"),
+    ])
+    def test_model_error_names_the_flag(self, capsys, flags, message):
+        # The message names the flag typed, not the model spec's key.
+        code, out, err = run(["eval-bound", "--theorem", "eq10", *flags], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not re.search(r"(?<!-)\b(s|rate|domain|expr)\b", err)
 
     @pytest.mark.parametrize("tag", sweep.THEOREM_TAGS)
     def test_bound_matches_the_sweep(self, capsys, tag):

@@ -179,30 +179,30 @@ class TestPointwiseKey:
 
 class TestTheoremHypotheses:
     def test_power_reference_point(self):
-        rep = theorem_hypotheses(power_model(0.5), 0.25, 0.75, 0.5, 1.0, CFG)
+        rep = theorem_hypotheses(power_model(0.5), 0.25, 0.75, 0.5, CFG)
         assert rep.class_ok
         assert rep.monotone_decreasing_ok
         assert not rep.fprime_a_le_1          # |f'(0.25)| = 0.25^-0.5 = 2
-        assert rep.params["fprime_a_abs"] == pytest.approx(2.0, rel=1e-14)
+        assert rep.fprime_a_abs == pytest.approx(2.0, rel=1e-14)
         assert not (rep.class_ok and rep.monotone_decreasing_ok and rep.fprime_a_le_1)
 
     def test_exp_model_class_fails(self):
         # |f'| = e^-x is geometrically concave, so the class flag is false;
         # monotonicity and |f'(1)| = e^-1 <= 1 hold.
-        rep = theorem_hypotheses(exp_model(1.0, 1.0, 2.0), 1.0, 2.0, 1.0, 1.0, CFG)
+        rep = theorem_hypotheses(exp_model(1.0, 1.0, 2.0), 1.0, 2.0, 1.0, CFG)
         assert not rep.class_ok
-        assert rep.witnesses["class"]
+        assert rep.class_check.witnesses
         assert rep.monotone_decreasing_ok
         assert rep.fprime_a_le_1
 
     def test_reciprocal_family_passes_at_s1(self):
         m = __import__("hhverify").model_from_expr("1/x", 1.0, 2.0)
-        rep = theorem_hypotheses(m, 1.0, 2.0, 1.0, 2.0, CFG)
+        rep = theorem_hypotheses(m, 1.0, 2.0, 1.0, CFG)
         assert rep.class_ok and rep.monotone_decreasing_ok and rep.fprime_a_le_1
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
-            theorem_hypotheses(power_model(0.5), 0.5, 0.5, 0.5, 1.0, CFG)
+            theorem_hypotheses(power_model(0.5), 0.5, 0.5, 0.5, CFG)
 
 
 def test_grid_config_validation():

@@ -99,6 +99,10 @@ class TestConfig:
         ({"models": [{"builtin": "exp", "rate": 1.0, "s": 0.5}]}, "models[0].s"),
         ({"models": [{"builtin": "power", "s": 0.5, "name": 5}]}, "models[0].name"),
         ({"models": [3]}, "models[0]"),
+        ({"class_grid_points": 2}, "class_grid_points"),
+        ({"class_grid_points": 33.0}, "class_grid_points"),
+        ({"class_grid_points": True}, "class_grid_points"),
+        ({"seed": True}, "seed"),
     ])
     def test_validation_names_field_paths(self, overrides, path_fragment):
         with pytest.raises(ConfigError) as exc:
@@ -112,6 +116,17 @@ class TestConfig:
             with pytest.raises(ValueError) as exc:
                 model_from_spec(overrides["models"][int(at[1])])
             assert getattr(exc.value, "path", None) == at[2]
+
+    @pytest.mark.parametrize("gp, message", [
+        (2, "grid_points must be >= 3"),
+        (33.0, "grid_points must be an int, got 33.0"),
+        (True, "grid_points must be an int, got True"),
+    ])
+    def test_class_grid_points_reason(self, gp, message):
+        # ClassCheckConfig's own check and reason, placed at the config key.
+        with pytest.raises(ConfigError) as exc:
+            mini_config(class_grid_points=gp)
+        assert (exc.value.path, exc.value.message) == ("class_grid_points", message)
 
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -344,7 +359,7 @@ class TestRecordsSerialization:
 
 class TestRhsQContinuity:
     def test_eq111_rhs_continuous_in_q(self):
-        # derivative ratio ~1.0005 so alpha(sq, sq) crosses the series/closed
+        # derivative ratio ~1.0005 so alpha(sq) crosses the series/closed
         # switch inside the q range; no branch jump may exceed 1e-6 relative
         c = 5e-4 / math.log(2.0)
         expo = 1.0 - c
@@ -837,9 +852,8 @@ class TestBundleGatedAtQ1:
         assert {kind: len(c) for kind, c in calls.items()} == {
             "class": 86, "monotone": 86, "convex": 43, "bundle": 86}
         assert {g.q for g, *_ in calls["class"]} == {g.q for g, *_ in calls["convex"]} == {1.0}
-        # theorem_hypotheses(m, a, b, s, q, cfg): one call per (m, a, b, s).
-        assert {q for *_, q, _ in calls["bundle"]} == {1.0}
-        assert len({(m.name, a, b, s) for m, a, b, s, *_ in calls["bundle"]}) == 86
+        # theorem_hypotheses(m, a, b, s, cfg): one call per (m, a, b, s).
+        assert len({(m.name, a, b, s) for m, a, b, s, _ in calls["bundle"]}) == 86
 
     def test_q_only_overflow_keeps_the_q1_flags(self):
         # |f'| = x^299 is finite on [1, 10] and |f'|^2 overflows: the bundle

@@ -137,7 +137,7 @@ class TestDualRouteChecks:
 
     def test_cc_reference_value(self):
         # both routes give g_full(sqrt(3)) ~ 1.3326827
-        al = bounds.alpha_ratio(0.25 ** -0.5, 0.75 ** -0.5, 1.0, 1.0)
+        al = bounds.alpha_ratio(0.25 ** -0.5, 0.75 ** -0.5, 1.0)
         assert al == pytest.approx(math.sqrt(3.0), rel=1e-14)
         from hhverify.gfuncs import g_full
         assert g_full(al).value == pytest.approx(1.3326827218660933, rel=1e-12)
@@ -185,7 +185,7 @@ class TestPropositionRhs:
             for s in (0.3, 0.5):
                 for q in (1.5, 2.0):
                     p = bounds.conjugate_exponent(q)
-                    al = bounds.alpha_ratio(a ** (s - 1), b ** (s - 1), s * q, s * q)
+                    al = bounds.alpha_ratio(a ** (s - 1), b ** (s - 1), s * q)
                     from hhverify.gfuncs import g_full
                     kernel = ((b - a) * s / (2.0 * (p + 1.0) ** (1.0 / p))
                               * (b ** (s * (s - 1.0)))
@@ -239,7 +239,7 @@ def test_prop_hypotheses_fail_side_condition():
     # |f'(a)| <= 1 regime by construction
     from hhverify.convexity import theorem_hypotheses
     for a, b, s in ((0.25, 0.75, 0.5), (0.1, 0.9, 0.3), (0.5, 1.0, 0.9)):
-        rep = theorem_hypotheses(power_model(s), a, b, s, 2.0)
+        rep = theorem_hypotheses(power_model(s), a, b, s)
         assert not rep.fprime_a_le_1
-        assert rep.params["fprime_a_abs"] == pytest.approx(a ** (s - 1.0), rel=1e-12)
-        assert rep.params["fprime_a_abs"] > 1.0
+        assert rep.fprime_a_abs == pytest.approx(a ** (s - 1.0), rel=1e-12)
+        assert rep.fprime_a_abs > 1.0

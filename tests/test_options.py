@@ -12,14 +12,22 @@ import inspect
 
 import pytest
 
-from hhverify import convexity, models, quadrature, sweep, tightness
+from hhverify import bounds, convexity, models, quadrature, sweep, tightness
 
 PARAMETERS = {
+    # Each bound is one formula over fa = |f'(a)| and fb = |f'(b)| at its
+    # own s, q or p, and alpha takes one exponent.
+    bounds.alpha_ratio: ("fprime_a_abs", "fprime_b_abs", "u"),
+    bounds.rhs_eq8: ("a", "b", "fa", "fb"),
+    bounds.rhs_eq9: ("a", "b", "fa", "fb", "p"),
+    bounds.rhs_eq10: ("a", "b", "fa", "fb", "s"),
+    bounds.rhs_eq11: ("a", "b", "fa", "fb", "s", "q"),
+    bounds.rhs_eq111: ("a", "b", "fa", "fb", "s", "q"),
     quadrature.integrate: ("g", "lo", "hi", "tol"),
     tightness.optimize_tightness: ("theorem", "model", "box", "require_hypotheses"),
     models.make_model: ("name", "lo", "hi", "f", "fprime"),
     models.model_from_expr: ("src", "lo", "hi", "name"),
-    convexity.theorem_hypotheses: ("m", "a", "b", "s", "q", "cfg"),
+    convexity.theorem_hypotheses: ("m", "a", "b", "s", "cfg"),
     convexity.is_convex: ("g", "interval", "cfg"),
     convexity.is_s_convex: ("g", "interval", "s", "cfg"),
     convexity.is_geometrically_convex: ("g", "interval", "cfg"),
@@ -29,6 +37,8 @@ PARAMETERS = {
 
 FIELDS = {
     convexity.ClassCheckConfig: ("grid_points", "slack"),
+    convexity.HypothesisReport: ("class_check", "monotone_check", "fprime_a_abs",
+                                 "fprime_a_le_1"),
     sweep.Tolerances: ("quad_tol", "slack", "identity_tol"),
     sweep.SweepConfig: ("models", "a_grid", "b_grid", "s_grid", "q_grid",
                         "tolerances", "class_grid_points"),
